@@ -38,6 +38,7 @@ from .symmetry import (
     build_momentum_basis,
     joint_eigenbasis,
     translate_index,
+    translation_defect,
     translation_permutation,
 )
 from .entanglement import (

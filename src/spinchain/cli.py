@@ -76,6 +76,13 @@ def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alph
     return hamiltonians.normalize(h) if normalized else h
 
 
+def _spectrum_only(h, model, cap):
+    """Eigenvalues only; translation-invariant rings go through momentum sectors."""
+    if model in ("invariant", "ba"):
+        return symmetry.joint_eigenbasis(h, cap=cap, want_vectors=False)
+    return spectra.diagonalize_dense(h, cap=cap, want_vectors=False)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -108,6 +115,8 @@ def cmd_purity_sweep(args):
                 verdicts.append(f"theorem1 sample={sample} l={l} bound-not-claimed")
             for rank, (val, le) in enumerate(zip(e.eigenvalues, ent)):
                 rows.append([rank, repr(float(val)), l, repr(float(le)), sample])
+        # drop the 2^n x 2^n eigenbasis before the next sample builds its own
+        del e
     for l in args.l:
         for rank, le in enumerate(rank_sums[l] / args.samples):
             rows.append([rank, "", l, repr(float(le)), "mean"])
@@ -145,7 +154,7 @@ def cmd_dos(args):
                 args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
                 epsilon=args.epsilon, normalized=args.normalize,
             )
-            e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
+            e = _spectrum_only(h, args.model, args.dense_cap)
             d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         ks = dos.ks_distance(d)
         m = dos.moments(d, 6)
@@ -226,7 +235,7 @@ def cmd_ba_moments(args):
     failures = 0
     for n in args.n:
         h = hamiltonians.build_ba(args.alpha1, args.alpha3, n)
-        e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
+        e = _spectrum_only(h, "ba", args.dense_cap)
         d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         m = dos.moments(d, 6)
         if abs(m[1] - sigma2) > 1e-10:
@@ -256,9 +265,9 @@ def cmd_spectrum(args):
         alpha1=args.alpha1, alpha3=args.alpha3, normalized=args.normalize,
     )
     if args.model == "invariant":
-        e = symmetry.joint_eigenbasis(h, cap=args.dense_cap)
+        e = symmetry.joint_eigenbasis(h, cap=args.dense_cap, want_vectors=False)
     else:
-        e = spectra.diagonalize_dense(h, cap=args.dense_cap)
+        e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
     out = args.out or "-"
     if out == "-":
         import io

@@ -74,12 +74,24 @@ def purity_and_linear_entropy(rho):
     return p, 1.0 - p
 
 
+#: columns per batch in :func:`_batched_purities`; bounds its temporaries
+PURITY_CHUNK = 256
+
+
 def _batched_purities(columns, n, l):
-    """Purity of sites 1..l for every column of a (2^n, m) array."""
+    """Purity of sites 1..l for every column of a (2^n, m) array.
+
+    Columns go through in chunks, so neither memory layout copies the whole
+    array: a chunk of a Fortran-ordered array reshapes as a view.
+    """
     m = columns.shape[1]
-    blocks = columns.T.reshape(m, 1 << l, 1 << (n - l))
-    rhos = blocks @ blocks.conj().transpose(0, 2, 1)
-    return np.sum(np.abs(rhos) ** 2, axis=(1, 2)).real
+    out = np.empty(m)
+    for start in range(0, m, PURITY_CHUNK):
+        chunk = columns[:, start:start + PURITY_CHUNK]
+        blocks = chunk.T.reshape(chunk.shape[1], 1 << l, 1 << (n - l))
+        rhos = blocks @ blocks.conj().transpose(0, 2, 1)
+        out[start:start + chunk.shape[1]] = np.sum(np.abs(rhos) ** 2, axis=(1, 2)).real
+    return out
 
 
 @lru_cache(maxsize=32)

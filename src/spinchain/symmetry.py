@@ -2,14 +2,19 @@
 
 Phase convention: with T the rotate-right of index bits (site n moves to
 site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
+
+Sector blocks are built straight from the Pauli term list and a table of
+translation orbits (Sandvik, arXiv:1101.3281, section 4); no 2^n x 2^n
+matrix is formed unless eigenvectors are requested.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import DENSE_CAP
-from .spectra import EigenDecomposition, commutator_norm
+from .hamiltonians import DENSE_CAP, DenseCapExceededError, OperatorSum
+from .pauli import _z_signs
+from .spectra import EigenDecomposition
 
 COMMUTATION_TOL = 1e-10
 
@@ -21,108 +26,234 @@ def translate_index(b, n):
     return (b >> 1) | ((b & 1) << (n - 1))
 
 
+def _rotate(masks, n):
+    """Rotate-right of n-bit index or mask arrays."""
+    return (masks >> 1) | ((masks & 1) << (n - 1))
+
+
 def translation_permutation(n):
     """Index array ``perm`` with ``T|b> = |perm[b]>``."""
-    idx = np.arange(1 << n)
-    return (idx >> 1) | ((idx & 1) << (n - 1))
+    return _rotate(np.arange(1 << n), n)
+
+
+def translation_defect(h):
+    """``||[H, T]||_F * 2^{-n/2}`` computed exactly from the Pauli term list.
+
+    ``T P T^dagger`` is the string whose x and z masks are rotated like the
+    basis indices, with the same coefficient. Since T is unitary and the
+    strings are orthogonal, the scaled Frobenius norm of the commutator is
+    the Euclidean distance between the coefficients of H and of ``T H
+    T^dagger`` (Parseval); it is exactly 0.0 when the rotated term list
+    reproduces H bit for bit.
+    """
+    rotated = OperatorSum(h.n, _rotate(h.xs, h.n), _rotate(h.zs, h.n), h.coeffs)
+    diff = (h - rotated).coeffs
+    return float(np.sqrt(np.dot(diff, diff)))
+
+
+def _roots_of_unity(n):
+    """``exp(2 pi i j / n)`` for j = 0..n-1, exact at quarter turns."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    for j in range(n):
+        if (4 * j) % n == 0:
+            roots[j] = 1j ** (4 * j // n)
+    return roots
+
+
+@dataclass(frozen=True)
+class OrbitTable:
+    """Translation orbit of every basis index b: ``b = T^shift[b] rep[b]``.
+
+    ``rep[b]`` is the minimal index of the orbit, ``shift[b]`` the smallest
+    such power and ``length[b]`` the orbit length d.
+    """
+
+    n: int
+    rep: np.ndarray
+    shift: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def build(cls, n):
+        """One vectorised pass over the n rotations of all 2^n indices."""
+        idx = np.arange(1 << n, dtype=np.int64)
+        rep = idx.copy()
+        shift = np.zeros_like(idx)
+        length = np.zeros_like(idx)
+        cur = idx
+        for t in range(1, n + 1):
+            cur = _rotate(cur, n)
+            length[(cur == idx) & (length == 0)] = t
+            # cur = T^t b is a smaller representative, and b = T^(n-t) cur
+            smaller = cur < rep
+            rep[smaller] = cur[smaller]
+            shift[smaller] = n - t
+        return cls(n, rep, shift % length, length)
+
+    @property
+    def reps(self):
+        """Ascending representatives of all orbits."""
+        return np.flatnonzero(self.rep == np.arange(len(self.rep)))
 
 
 @dataclass(frozen=True)
 class MomentumSector:
-    """Sparse orthonormal basis of the momentum-k eigenspace of T.
+    """Orthonormal basis of the momentum-k eigenspace of T, one vector per orbit.
 
-    Each orbit array lists the indices ``rep, T rep, T^2 rep, ...`` of one
-    translation orbit; the associated unit vector carries Fourier phases
-    ``exp(-2 pi i k t / n) / sqrt(d)`` on those indices.
+    Column j belongs to the orbit of representative ``reps[j]`` and length
+    d; it carries ``exp(-2 pi i k t / n) / sqrt(d)`` on index ``T^t reps[j]``.
+    Only orbits with ``k d = 0 mod n`` contribute.
     """
 
-    n: int
+    table: OrbitTable
     k: int
-    orbits: tuple
+    reps: np.ndarray
+
+    @property
+    def n(self):
+        return self.table.n
 
     @property
     def dim(self):
-        return len(self.orbits)
+        return len(self.reps)
+
+    def lift(self, vecs):
+        """Full-space vectors ``B_k @ vecs`` of sector coordinates ``vecs`` (dim x m)."""
+        t = self.table
+        rows = np.flatnonzero((self.k * t.length) % t.n == 0)
+        amps = _roots_of_unity(t.n)[(-self.k * t.shift[rows]) % t.n] / np.sqrt(t.length[rows])
+        out = np.zeros((1 << t.n, vecs.shape[1]), dtype=complex)
+        out[rows] = amps[:, None] * vecs[np.searchsorted(self.reps, t.rep[rows])]
+        return out
 
     def dense_basis(self):
-        """2^n x dim complex matrix of the sector basis vectors."""
-        mat = np.zeros((1 << self.n, self.dim), dtype=complex)
-        for col, orbit in enumerate(self.orbits):
-            d = len(orbit)
-            t = np.arange(d)
-            mat[orbit, col] = np.exp(-2j * np.pi * self.k * t / self.n) / np.sqrt(d)
-        return mat
-
-
-def _orbits(n):
-    """Translation orbits of the 2^n basis indices, keyed by minimal index."""
-    dim = 1 << n
-    seen = np.zeros(dim, dtype=bool)
-    orbits = []
-    for b in range(dim):
-        if seen[b]:
-            continue
-        orbit = [b]
-        seen[b] = True
-        t = translate_index(b, n)
-        while t != b:
-            orbit.append(t)
-            seen[t] = True
-            t = translate_index(t, n)
-        orbits.append(np.array(orbit))
-    return orbits
+        """2^n x dim complex matrix ``B_k`` of the sector basis vectors (test oracle)."""
+        return self.lift(np.eye(self.dim))
 
 
 def build_momentum_basis(n):
     """All momentum sectors; an orbit of length d feeds every k with kd = 0 mod n."""
     if n < 1:
         raise ValueError("n must be positive")
-    orbits = _orbits(n)
-    sectors = []
-    for k in range(n):
-        members = tuple(o for o in orbits if (k * len(o)) % n == 0)
-        sectors.append(MomentumSector(n, k, members))
-    return sectors
+    table = OrbitTable.build(n)
+    reps = table.reps
+    d = table.length[reps]
+    return [MomentumSector(table, k, reps[(k * d) % n == 0]) for k in range(n)]
 
 
-def joint_eigenbasis(h, tol=COMMUTATION_TOL, cap=DENSE_CAP):
+def _transitions(h, table):
+    """Action of H between orbit representatives, shared by every sector.
+
+    H = sum_x X^x D_x with D_x diagonal. Each x-mask sends representative r
+    to ``b = r ^ x = T^l r'``; the entry is ``(all-orbit index of r', of r,
+    D_x(r) sqrt(d_r / d_r'), l)``. The Bloch phase ``exp(2 pi i k l / n)``
+    is applied per sector.
+    """
+    reps = table.reps
+    d = table.length[reps]
+    rows, cols, amps, shifts = [], [], [], []
+    for x in np.unique(h.xs):
+        group = h.xs == x
+        diag = np.zeros(len(reps), dtype=complex)
+        for c, z in zip(h.coeffs[group], h.zs[group]):
+            diag += c * 1j ** (int(x & z).bit_count() % 4) * _z_signs(reps, int(z))
+        target = reps ^ int(x)
+        rows.append(np.searchsorted(reps, table.rep[target]))
+        cols.append(np.arange(len(reps)))
+        amps.append(diag * np.sqrt(d / table.length[target]))
+        shifts.append(table.shift[target])
+    if not rows:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty, np.array([], dtype=complex), empty
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(amps), np.concatenate(shifts)
+
+
+def momentum_blocks(h, tol=COMMUTATION_TOL):
+    """Yield ``(sector, H_k)`` for every non-empty momentum sector of H.
+
+    ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
+    the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
+    the basis ``B_k`` of :meth:`MomentumSector.dense_basis`. A block is real
+    when every entry is. Raises ``ValueError`` when H is not translation
+    invariant to within ``tol`` (see :func:`translation_defect`).
+    """
+    n = h.n
+    defect = translation_defect(h)
+    if defect > tol:
+        raise ValueError(f"H does not commute with T (scaled norm {defect:.3e} > {tol:.1e})")
+    sectors = build_momentum_basis(n)
+    table = sectors[0].table
+    rows, cols, amps, shifts = _transitions(h, table)
+    d = table.length[table.reps]
+    roots = _roots_of_unity(n)
+    for sector in sectors:
+        m = sector.dim
+        if m == 0:
+            continue
+        member = (sector.k * d) % n == 0
+        pos = np.cumsum(member) - 1
+        keep = member[rows] & member[cols]
+        flat = pos[rows[keep]] * m + pos[cols[keep]]
+        vals = amps[keep] * roots[(sector.k * shifts[keep]) % n]
+        block = np.bincount(flat, vals.real, m * m).reshape(m, m)
+        if np.any(vals.imag):
+            block = block + 1j * np.bincount(flat, vals.imag, m * m).reshape(m, m)
+        yield sector, block
+
+
+def joint_eigenbasis(h, tol=COMMUTATION_TOL, cap=DENSE_CAP, want_vectors=True):
     """Diagonalize a translation-invariant H sector by sector.
 
     Per-sector diagonalization guarantees T-eigenvectors even when H is
     degenerate across momenta; a plain dense eigensolver would not.
     Eigenvalues are globally sorted ascending with a stable tie-break on
-    the momentum label k.
+    the momentum label k. With ``want_vectors`` the lifted eigenvectors come
+    back as one Fortran-ordered 2^n x 2^n array, with the largest full-space
+    residual of H and T as ``residual``; without, only eigenvalues and
+    momenta are computed.
     """
     n = h.n
-    comm = commutator_norm(h, translation_permutation(n), cap=cap)
-    if comm > tol:
-        raise ValueError(f"H does not commute with T (scaled norm {comm:.3e} > {tol:.1e})")
+    if n > cap:
+        raise DenseCapExceededError(f"n={n} exceeds dense cap {cap}")
+    solved = []
+    for sector, block in momentum_blocks(h, tol=tol):
+        try:
+            if want_vectors:
+                vals, vecs = np.linalg.eigh(block)
+            else:
+                vals, vecs = np.linalg.eigvalsh(block), None
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"sector eigensolver failed for n={n}, k={sector.k}") from exc
+        solved.append((sector, vals, vecs))
+    vals = np.concatenate([v for _, v, _ in solved])
+    ks = np.concatenate([np.full(s.dim, s.k) for s, _, _ in solved])
+    order = np.lexsort((ks, vals))
+    if not want_vectors:
+        return EigenDecomposition(vals[order], None, 0.0, ks[order])
+
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    lifted = np.zeros((1 << n, 1 << n), dtype=complex, order="F")
     perm = translation_permutation(n)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     h_sparse = h.to_sparse()
-    all_vals = []
-    all_vecs = []
-    all_k = []
     residual = 0.0
-    for sector in build_momentum_basis(n):
-        if sector.dim == 0:
-            continue
-        basis = sector.dense_basis()
-        hb = h_sparse @ basis
-        h_small = basis.conj().T @ hb
-        vals, vecs = np.linalg.eigh(h_small)
-        lifted = basis @ vecs
-        # residuals against both H and T; H(lifted) = (H basis) vecs
-        res_h = np.max(np.linalg.norm(hb @ vecs - lifted * vals, axis=0))
-        phase = np.exp(2j * np.pi * sector.k / n)
-        res_t = np.max(np.linalg.norm(lifted[inv] - phase * lifted, axis=0))
-        residual = max(residual, float(res_h), float(res_t))
-        all_vals.append(vals)
-        all_vecs.append(lifted)
-        all_k.append(np.full(sector.dim, sector.k))
-    vals = np.concatenate(all_vals)
-    vecs = np.concatenate(all_vecs, axis=1)
-    ks = np.concatenate(all_k)
-    order = np.lexsort((ks, vals))
-    return EigenDecomposition(vals[order], vecs[:, order], residual, ks[order])
+    start = 0
+    for sector, svals, vecs in solved:
+        cols = column[start:start + sector.dim]
+        start += sector.dim
+        block = sector.lift(vecs)
+        lifted[:, cols] = block
+        res_h = h_sparse @ block
+        res_h -= block * svals
+        res_t = block[inv]
+        res_t -= np.exp(2j * np.pi * sector.k / n) * block
+        residual = max(residual, _max_column_norm(res_h), _max_column_norm(res_t))
+    return EigenDecomposition(vals[order], lifted, residual, ks[order])
+
+
+def _max_column_norm(a):
+    """Largest Euclidean column norm of a complex array, without an ``abs`` temporary."""
+    squares = np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
+    return float(np.sqrt(np.max(squares)))

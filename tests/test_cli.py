@@ -139,3 +139,34 @@ def test_usage_error_exit_code():
 def test_cap_exceeded_exit_code(tmp_path):
     code = main(["purity-sweep", "--n", "15", "--samples", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ba-moments", "--n", "14"],
+        ["dos", "--n", "14", "--model", "ba"],
+        ["dos", "--n", "14", "--model", "invariant"],
+        ["spectrum", "--n", "14", "--model", "invariant"],
+    ],
+)
+def test_sector_paths_keep_dense_cap(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+def test_dos_sector_models_match_dense(tmp_path):
+    from spinchain import dos, hamiltonians
+    from spinchain.spectra import diagonalize_dense
+
+    for model, extra in (("ba", ["--alpha1", "0.5", "--alpha3", "0.25"]), ("invariant", [])):
+        code, out = run(tmp_path, f"{model}.json", ["dos", "--n", "8", "--model", model] + extra)
+        assert code == 0
+        got = json.loads(out.read_text())["reports"][0]
+        if model == "ba":
+            h = hamiltonians.normalize(hamiltonians.build_ba(0.5, 0.25, 8))
+        else:
+            h = hamiltonians.sample_random("invariant", 8, [0, 0], normalize_output=True)
+        d = dos.EmpiricalDistribution.from_values(diagonalize_dense(h, want_vectors=False).eigenvalues)
+        assert got["count"] == 256
+        assert np.max(np.abs(np.array(got["moments"]) - np.array(dos.moments(d, 6)))) < 1e-10
+        assert abs(got["ks"] - dos.ks_distance(d).statistic) < 1e-10

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from spinchain.hamiltonians import OperatorSum, build_invariant, sample_random
+from spinchain.entanglement import average_purity
+from spinchain.hamiltonians import (
+    DenseCapExceededError,
+    OperatorSum,
+    build_ba,
+    build_exyz,
+    build_invariant,
+    normalize,
+    sample_random,
+)
 from spinchain.pauli import PauliString
-from spinchain.spectra import diagonalize_dense
+from spinchain.spectra import commutator_norm, diagonalize_dense
 from spinchain.symmetry import (
+    OrbitTable,
     build_momentum_basis,
     joint_eigenbasis,
+    momentum_blocks,
     translate_index,
+    translation_defect,
     translation_permutation,
 )
 
@@ -125,3 +137,93 @@ def test_translation_conjugates_strings_cyclically():
         a = PauliString.single(n, 1, code).to_dense()
         b = PauliString.single(n, 2, code).to_dense()
         assert np.max(np.abs(b[np.ix_(perm, perm)] - a)) < 1e-12
+
+
+def test_orbit_table_matches_scalar_rotation():
+    n = 6
+    table = OrbitTable.build(n)
+    for b in range(1 << n):
+        orbit = [b]
+        while translate_index(orbit[-1], n) != b:
+            orbit.append(translate_index(orbit[-1], n))
+        rep = min(orbit)
+        assert table.rep[b] == rep and table.length[b] == len(orbit)
+        t = rep
+        for _ in range(table.shift[b]):
+            t = translate_index(t, n)
+        assert t == b and 0 <= table.shift[b] < len(orbit)
+
+
+RINGS = {
+    "nn": lambda n: sample_random("nn", n, 5),
+    "general": lambda n: sample_random("general", n, 5),
+    "invariant": lambda n: sample_random("invariant", n, 5),
+    "ba": lambda n: build_ba(0.3, 0.7, n),
+    "exyz": lambda n: build_exyz(0.4, n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_translation_defect_matches_dense_commutator(kind, n):
+    h = RINGS[kind](n)
+    defect = translation_defect(h)
+    assert abs(defect - commutator_norm(h, translation_permutation(n))) < 1e-12
+    if kind in ("invariant", "ba", "exyz"):
+        assert defect == 0.0
+    else:
+        assert defect > 1e-6
+
+
+def test_translation_defect_exact_after_normalize():
+    assert translation_defect(normalize(sample_random("invariant", 7, 2))) == 0.0
+    assert translation_defect(OperatorSum.zero(4)) == 0.0
+
+
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_momentum_blocks_match_projected_dense(n):
+    """Direct H_k equals B_k^dagger H B_k, short orbits included."""
+    for h in (sample_random("invariant", n, 11), build_ba(0.5, 0.25, n)):
+        dense = h.to_dense()
+        seen = []
+        for sector, block in momentum_blocks(h):
+            basis = sector.dense_basis()
+            assert np.max(np.abs(block - basis.conj().T @ dense @ basis)) < 1e-12
+            seen.append(sector.k)
+        assert seen == list(range(n))
+
+
+def test_momentum_blocks_real_where_phases_are():
+    blocks = {s.k: b for s, b in momentum_blocks(build_ba(0.5, 0.25, 8))}
+    assert not np.iscomplexobj(blocks[0]) and not np.iscomplexobj(blocks[4])
+    assert np.iscomplexobj(blocks[1])
+
+
+def test_spectrum_only_path_matches_vector_path():
+    for n in (6, 9):
+        h = sample_random("invariant", n, 7)
+        full = joint_eigenbasis(h)
+        vals_only = joint_eigenbasis(h, want_vectors=False)
+        assert vals_only.eigenvectors is None
+        assert np.max(np.abs(full.eigenvalues - vals_only.eigenvalues)) < 1e-12
+        assert np.array_equal(full.momenta, vals_only.momenta)
+        dense = diagonalize_dense(h, want_vectors=False)
+        assert np.max(np.abs(vals_only.eigenvalues - dense.eigenvalues)) < 1e-10
+
+
+def test_joint_eigenbasis_cap():
+    with pytest.raises(DenseCapExceededError):
+        joint_eigenbasis(build_ba(0.5, 0.5, 9), cap=8, want_vectors=False)
+
+
+def test_joint_purities_match_dense_eigenbasis():
+    """Non-degenerate spectrum: both bases hold the same states up to phase."""
+    n = 8
+    h = sample_random("invariant", n, 3)
+    e = joint_eigenbasis(h)
+    assert np.min(np.diff(e.eigenvalues)) > 1e-6
+    dense = diagonalize_dense(h)
+    for l in (1, 2, 3):
+        ours = average_purity(e, l, n=n).per_state
+        ref = average_purity(dense, l, n=n).per_state
+        assert np.max(np.abs(ours - ref)) < 1e-9
