@@ -15,8 +15,6 @@ import numpy as np
 
 from . import __version__, dos, entanglement, free_fermion, hamiltonians, spectra, symmetry
 
-DENSE_CAP_DEFAULT = 13
-STREAM_CAP_DEFAULT = 28
 BOUND_SLACK = 1e-9
 
 
@@ -137,7 +135,7 @@ def cmd_dos(args):
         if args.model == "exyz":
             scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
             mom = dos.MomentAccumulator()
-            if n <= 24:
+            if n <= free_fermion.EXACT_CAP:
                 coll = dos.SpectrumCollector()
                 free_fermion.enumerate_spectrum(
                     n, args.epsilon, dos.MultiConsumer([coll, mom]), scale=scale, cap=args.stream_cap
@@ -268,36 +266,9 @@ def cmd_spectrum(args):
         e = symmetry.joint_eigenbasis(h, cap=args.dense_cap, want_vectors=False)
     else:
         e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
-    out = args.out or "-"
-    if out == "-":
-        import io
-
-        buf = io.StringIO()
-        _spectrum_csv(e, buf, _config_dict(args, "spectrum"))
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(out, "w", newline="") as fh:
-            _spectrum_csv(e, fh, _config_dict(args, "spectrum"))
+    header, rows = spectra.spectrum_table(e)
+    _write_csv(args.out, _config_dict(args, "spectrum"), header, rows)
     return 0
-
-
-def _spectrum_csv(e, fh, config):
-    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    rng = e.spectral_range
-    gaps = np.diff(e.eigenvalues)
-    tight = gaps < spectra.DEGENERACY_RTOL * rng
-    flags = np.zeros(len(e.eigenvalues), dtype=bool)
-    flags[:-1] |= tight
-    flags[1:] |= tight
-    writer = csv.writer(fh)
-    header = ["index", "eigenvalue"] + (["momentum_k"] if e.momenta is not None else []) + ["min_gap_flag"]
-    writer.writerow(header)
-    for i, val in enumerate(e.eigenvalues):
-        row = [i, repr(float(val))]
-        if e.momenta is not None:
-            row.append(int(e.momenta[i]))
-        row.append(int(flags[i]))
-        writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +287,8 @@ def build_parser():
         sp.add_argument("--model", choices=models, default=default_model)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
-        sp.add_argument("--stream-cap", type=int, default=STREAM_CAP_DEFAULT)
+        sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
+        sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
 
     sp = sub.add_parser("purity-sweep", help="eigenstate linear-entropy sweep")
     common(sp, ("invariant", "nn", "pair_only"), "invariant")
@@ -336,8 +307,8 @@ def build_parser():
     sp.add_argument("--bins", type=int, default=dos.HIST_BINS)
     sp.add_argument("--cx-grid", type=float, nargs="*", default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
-    sp.add_argument("--stream-cap", type=int, default=STREAM_CAP_DEFAULT)
+    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
+    sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
     sp.set_defaults(func=cmd_dos)
 
     sp = sub.add_parser("clt-check", help="block/link characteristic-function bound")
@@ -347,7 +318,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--coeff-bound", type=float, default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
+    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
     sp.set_defaults(func=cmd_clt_check)
 
     sp = sub.add_parser("degeneracy-scan", help="minimum spectral gaps")
@@ -356,8 +327,8 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
-    sp.add_argument("--stream-cap", type=int, default=STREAM_CAP_DEFAULT)
+    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
+    sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
     sp.set_defaults(func=cmd_degeneracy_scan)
 
     sp = sub.add_parser("ba-moments", help="Ising-with-fields moment table")
@@ -365,7 +336,7 @@ def build_parser():
     sp.add_argument("--alpha1", type=float, default=0.5)
     sp.add_argument("--alpha3", type=float, default=0.5)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=DENSE_CAP_DEFAULT)
+    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
     sp.set_defaults(func=cmd_ba_moments)
 
     sp = sub.add_parser("spectrum", help="export one spectrum as CSV")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .free_fermion import EXACT_CAP
 from .hamiltonians import DENSE_CAP, OperatorSum, hs_inner
 from .spectra import diagonalize_dense
 
@@ -74,9 +75,9 @@ class HistogramAccumulator:
 
 
 class SpectrumCollector:
-    """Collects streamed chunks into one array (exact mode, <= 2^24 values)."""
+    """Collects streamed chunks into one array (exact mode, <= 2^EXACT_CAP values)."""
 
-    def __init__(self, limit=1 << 24):
+    def __init__(self, limit=1 << EXACT_CAP):
         self.limit = limit
         self.chunks = []
         self.count = 0

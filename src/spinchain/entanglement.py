@@ -44,10 +44,6 @@ class ReducedDensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    @property
     def purity(self):
         # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
         return float(np.sum(np.abs(self.matrix) ** 2))

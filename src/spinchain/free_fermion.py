@@ -17,6 +17,9 @@ from .spectra import diagonalize_dense
 
 #: default cap on streaming enumeration (2^28 values)
 STREAM_CAP = 28
+#: largest n whose full spectrum is collected into one array (2^24 values);
+#: above it the density of states is streamed
+EXACT_CAP = 24
 #: refresh the incrementally maintained running sum this often (in values)
 RECOMPUTE_PERIOD = 1 << 20
 
@@ -100,7 +103,7 @@ def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bi
     return emitted
 
 
-def collect_spectrum(n, epsilon, scale=1.0, cap=24):
+def collect_spectrum(n, epsilon, scale=1.0, cap=EXACT_CAP):
     """The full spectrum as one array (exact mode; capped at 2^cap values)."""
     out = []
     enumerate_spectrum(n, epsilon, out.append, scale=scale, cap=cap)
@@ -152,7 +155,7 @@ class MinGapResult:
     min_gap: float
 
 
-def min_gap_scan(n, epsilon_grid, scale=1.0, cap=24):
+def min_gap_scan(n, epsilon_grid, scale=1.0, cap=EXACT_CAP):
     """Minimum spectral gap for each epsilon; warns when n is not an odd prime."""
     odd_prime = _is_odd_prime(n)
     if not odd_prime:

@@ -6,15 +6,15 @@ index (bond ``j`` couples sites ``j+1`` and ``j+2``, cyclically),
 Pauli code ``b+1`` (the right factor is never the identity).
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ATOL, DimensionMismatchError, PauliString, StateVector, _z_signs
+from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
 
-#: largest n for which dense 2^n x 2^n matrices are formed by default
-DENSE_CAP = 14
+#: largest n for which 2^n x 2^n matrices (dense, or the eigenvectors of a
+#: sector solve) are formed by default; the CLI's ``--dense-cap`` default
+DENSE_CAP = 13
 
 _KINDS = ("nn", "invariant", "pair_only", "general", "ba", "exyz")
 
@@ -92,10 +92,6 @@ class OperatorSum:
             for c, x, z in zip(self.coeffs, self.xs, self.zs)
         ]
 
-    @property
-    def has_identity(self):
-        return bool(np.any((self.xs == 0) & (self.zs == 0)))
-
     def __add__(self, other):
         if not isinstance(other, OperatorSum):
             return NotImplemented
@@ -114,14 +110,31 @@ class OperatorSum:
     def __rmul__(self, scalar):
         return OperatorSum(self.n, self.xs, self.zs, float(scalar) * self.coeffs)
 
-    def scaled(self, scalar):
-        return float(scalar) * self
-
     def apply(self, v):
         """Matrix-free action on a :class:`StateVector`."""
         if v.n != self.n:
             raise DimensionMismatchError(f"site counts differ: {self.n} != {v.n}")
         return StateVector(self.n, self.apply_matrix(v.amplitudes[:, None])[:, 0])
+
+    def x_groups(self, idx):
+        """Yield ``(x, D_x(idx))`` for each distinct x-mask, in canonical order.
+
+        ``H = sum_x X^x D_x`` with ``D_x`` diagonal, so ``H|b> = sum_x D_x(b)
+        |b ^ x>``. A term ``c P`` adds ``c i^{|x&z|} (-1)^{|b&z|}`` to
+        ``D_x(b)``; terms are accumulated in canonical z order. ``D_x`` is
+        real unless a term of the group has an odd number of Y factors.
+        """
+        _, starts = np.unique(self.xs, return_index=True)
+        stops = np.append(starts[1:], self.num_terms)
+        for lo, hi in zip(starts, stops):
+            x = int(self.xs[lo])
+            powers = [int(x & int(z)).bit_count() % 4 for z in self.zs[lo:hi]]
+            real = all(p % 2 == 0 for p in powers)
+            diag = np.zeros(len(idx), dtype=float if real else complex)
+            for c, z, p in zip(self.coeffs[lo:hi], self.zs[lo:hi], powers):
+                phase = c * 1j**p
+                diag += (phase.real if real else phase) * _z_signs(idx, int(z))
+            yield x, diag
 
     def apply_matrix(self, mat):
         """Matrix-free action on the columns of a (2^n, m) array."""
@@ -130,14 +143,12 @@ class OperatorSum:
             raise DimensionMismatchError(f"expected leading dimension {dim}")
         idx = np.arange(dim)
         out = np.zeros(mat.shape, dtype=complex)
-        for c, x, z in zip(self.coeffs, self.xs, self.zs):
-            phase = c * 1j ** (int(x & z).bit_count() % 4)
-            vals = phase * _z_signs(idx, int(z))
-            out[idx ^ int(x)] += vals[:, None] * mat
+        for x, diag in self.x_groups(idx):
+            out[idx ^ x] += diag[:, None] * mat
         return out
 
     def to_sparse(self, cap=2 * DENSE_CAP):
-        """Sparse CSR matrix; each term contributes one generalized diagonal."""
+        """Sparse CSR matrix; each x-mask group contributes one generalized diagonal."""
         from scipy.sparse import csr_matrix
 
         if self.n > cap:
@@ -145,31 +156,28 @@ class OperatorSum:
         dim = 1 << self.n
         idx = np.arange(dim)
         rows, cols, vals = [], [], []
-        for c, x, z in zip(self.coeffs, self.xs, self.zs):
-            phase = c * 1j ** (int(x & z).bit_count() % 4)
-            rows.append(idx ^ int(x))
+        for x, diag in self.x_groups(idx):
+            rows.append(idx ^ x)
             cols.append(idx)
-            vals.append(phase * _z_signs(idx, int(z)))
+            vals.append(diag)
         if not rows:
             return csr_matrix((dim, dim), dtype=complex)
         return csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(dim, dim),
+            dtype=complex,
         )
 
     def to_dense(self, cap=DENSE_CAP):
-        """Dense Hermitian matrix; real-valued when no term contains a Y."""
+        """Dense Hermitian matrix; real-valued unless a term has an odd number of Y factors."""
         if self.n > cap:
             raise DenseCapExceededError(f"n={self.n} exceeds dense cap {cap}")
         dim = 1 << self.n
         idx = np.arange(dim)
-        is_real = all(int(x & z).bit_count() % 2 == 0 for x, z in zip(self.xs, self.zs))
+        is_real = not np.any(np.bitwise_count(self.xs & self.zs) & 1)
         m = np.zeros((dim, dim), dtype=float if is_real else complex)
-        for c, x, z in zip(self.coeffs, self.xs, self.zs):
-            phase = c * 1j ** (int(x & z).bit_count() % 4)
-            if is_real:
-                phase = phase.real
-            m[idx ^ int(x), idx] += phase * _z_signs(idx, int(z))
+        for x, diag in self.x_groups(idx):
+            m[idx ^ x, idx] = diag
         return m
 
     def support_sites(self):
@@ -430,10 +438,6 @@ def sample_random(kind, n, seed, normalize_output=False):
 
 # ---------------------------------------------------------------------------
 # JSON Hamiltonian specs
-
-
-def spec_to_json(spec):
-    return json.dumps(spec, sort_keys=True)
 
 
 def build_from_spec(spec):

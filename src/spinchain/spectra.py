@@ -1,6 +1,5 @@
 """Dense Hermitian diagonalization, degeneracy detection and spectral diagnostics."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,26 +138,23 @@ def commutator_norm(a, b, cap=DENSE_CAP):
     return float(np.linalg.norm(comm) / 2 ** (a.n / 2))
 
 
-def spectrum_to_csv(e, path, min_gap_rtol=DEGENERACY_RTOL):
-    """Export ``(index, eigenvalue, momentum_k?, min_gap_flag)`` rows."""
+def spectrum_table(e, min_gap_rtol=DEGENERACY_RTOL):
+    """CSV header and ``(index, eigenvalue, momentum_k?, min_gap_flag)`` rows.
+
+    A state is flagged when its gap to either neighbour is below
+    ``min_gap_rtol`` times the spectral range.
+    """
     vals = e.eigenvalues
-    rng = e.spectral_range
+    tight = np.diff(vals) < min_gap_rtol * e.spectral_range
     flags = np.zeros(len(vals), dtype=bool)
-    if len(vals) > 1:
-        gaps = np.diff(vals)
-        tight = gaps < min_gap_rtol * rng
-        flags[:-1] |= tight
-        flags[1:] |= tight
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["index", "eigenvalue"]
+    flags[:-1] |= tight
+    flags[1:] |= tight
+    header = ["index", "eigenvalue"] + (["momentum_k"] if e.momenta is not None else []) + ["min_gap_flag"]
+    rows = []
+    for i, val in enumerate(vals):
+        row = [i, repr(float(val))]
         if e.momenta is not None:
-            header.append("momentum_k")
-        header.append("min_gap_flag")
-        writer.writerow(header)
-        for i, val in enumerate(vals):
-            row = [i, repr(float(val))]
-            if e.momenta is not None:
-                row.append(int(e.momenta[i]))
-            row.append(int(flags[i]))
-            writer.writerow(row)
+            row.append(int(e.momenta[i]))
+        row.append(int(flags[i]))
+        rows.append(row)
+    return header, rows

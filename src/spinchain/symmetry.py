@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import DENSE_CAP, DenseCapExceededError, OperatorSum
-from .pauli import _z_signs
 from .spectra import EigenDecomposition
 
 COMMUTATION_TOL = 1e-10
@@ -144,20 +143,16 @@ def build_momentum_basis(n):
 def _transitions(h, table):
     """Action of H between orbit representatives, shared by every sector.
 
-    H = sum_x X^x D_x with D_x diagonal. Each x-mask sends representative r
-    to ``b = r ^ x = T^l r'``; the entry is ``(all-orbit index of r', of r,
-    D_x(r) sqrt(d_r / d_r'), l)``. The Bloch phase ``exp(2 pi i k l / n)``
-    is applied per sector.
+    H = sum_x X^x D_x with D_x diagonal (:meth:`OperatorSum.x_groups`). Each
+    x-mask sends representative r to ``b = r ^ x = T^l r'``; the entry is
+    ``(all-orbit index of r', of r, D_x(r) sqrt(d_r / d_r'), l)``. The Bloch
+    phase ``exp(2 pi i k l / n)`` is applied per sector.
     """
     reps = table.reps
     d = table.length[reps]
     rows, cols, amps, shifts = [], [], [], []
-    for x in np.unique(h.xs):
-        group = h.xs == x
-        diag = np.zeros(len(reps), dtype=complex)
-        for c, z in zip(h.coeffs[group], h.zs[group]):
-            diag += c * 1j ** (int(x & z).bit_count() % 4) * _z_signs(reps, int(z))
-        target = reps ^ int(x)
+    for x, diag in h.x_groups(reps):
+        target = reps ^ x
         rows.append(np.searchsorted(reps, table.rep[target]))
         cols.append(np.arange(len(reps)))
         amps.append(diag * np.sqrt(d / table.length[target]))

@@ -228,18 +228,42 @@ def test_to_dense_small_cases():
     assert np.allclose(xx.to_dense(), np.fliplr(np.eye(4)))
 
 
-def test_apply_matches_dense():
+BUILDERS = {
+    "nn": lambda n: sample_random("nn", n, 9),
+    "general": lambda n: sample_random("general", n, 5),
+    "invariant": lambda n: sample_random("invariant", n, 3),
+    "ba": lambda n: build_ba(0.5, 0.25, n),
+    "exyz": lambda n: build_exyz(0.5, n),
+}
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+@pytest.mark.parametrize("n", [5, 8])
+def test_apply_matches_dense(kind, n):
     rng = np.random.default_rng(4)
-    h = sample_random("nn", 5, 9)
-    v = StateVector.random(5, rng)
+    h = BUILDERS[kind](n)
+    v = StateVector.random(n, rng)
     got = h.apply(v).amplitudes
     want = h.to_dense() @ v.amplitudes
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_to_sparse_matches_dense():
-    h = sample_random("general", 6, 5)
+@pytest.mark.parametrize("kind", BUILDERS)
+@pytest.mark.parametrize("n", [6, 8])
+def test_to_sparse_matches_dense(kind, n):
+    h = BUILDERS[kind](n)
     assert np.max(np.abs(h.to_sparse().toarray() - h.to_dense())) < 1e-12
+
+
+@pytest.mark.parametrize("kind", BUILDERS)
+def test_apply_matrix_matches_term_sum(kind):
+    """Oracle: the sum over terms of ``c * PauliString.to_dense() @ M``."""
+    n = 6
+    h = BUILDERS[kind](n)
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+    want = sum(c * (p.to_dense() @ mat) for c, p in h.terms)
+    assert np.max(np.abs(h.apply_matrix(mat) - want)) < 1e-12
 
 
 def test_dense_cap_enforced():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from spinchain.spectra import (
     detect_degeneracy,
     diagonalize_dense,
     discriminant_log,
-    spectrum_to_csv,
+    spectrum_table,
 )
 from spinchain.symmetry import translation_permutation
 
@@ -122,7 +124,11 @@ def test_eigendecomposition_rejects_unsorted():
 def test_spectrum_csv_round_trip(tmp_path):
     e = diagonalize_dense(sample_random("invariant", 4, 2), want_vectors=False)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(e, path)
+    header, rows = spectrum_table(e)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["index", "eigenvalue"]
     vals = [float(row.split(",")[1]) for row in lines[1:]]
