@@ -134,15 +134,13 @@ def cmd_dos(args):
     for n in args.n:
         if args.model == "exyz":
             scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
-            mom = dos.MomentAccumulator()
             if n <= free_fermion.EXACT_CAP:
                 coll = dos.SpectrumCollector()
-                free_fermion.enumerate_spectrum(
-                    n, args.epsilon, dos.MultiConsumer([coll, mom]), scale=scale, cap=args.stream_cap
-                )
+                free_fermion.enumerate_spectrum(n, args.epsilon, coll, scale=scale, cap=args.stream_cap)
                 d = dos.EmpiricalDistribution.from_values(coll.values())
             else:
                 hist = dos.HistogramAccumulator(bins=args.bins)
+                mom = dos.MomentAccumulator()
                 free_fermion.enumerate_spectrum(
                     n, args.epsilon, dos.MultiConsumer([hist, mom]), scale=scale, cap=args.stream_cap
                 )

@@ -4,12 +4,13 @@ with its central-limit bounds, and the conjectured Ising-with-fields
 moment predictions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .free_fermion import EXACT_CAP
+from .free_fermion import EXACT_CAP, sum_set_values
 from .hamiltonians import DENSE_CAP, OperatorSum, hs_inner
 from .spectra import diagonalize_dense
 
@@ -20,20 +21,40 @@ HIST_BINS = 4096
 HIST_RANGE = 8.0
 
 
+def _power_sums(x, k_max):
+    """``[len(x), sum x, sum x^2, ..., sum x^k_max]``, one in-place power per k."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(k_max + 1)
+    out[0] = len(x)
+    p = x.copy()
+    for k in range(1, k_max + 1):
+        if k > 1:
+            np.multiply(p, x, out=p)
+        out[k] = np.sum(p)
+    return out
+
+
 class MomentAccumulator:
-    """Streaming raw power sums m1..m8 plus count; merges associatively."""
+    """Streaming raw power sums m1..m8 plus count; merges associatively.
+
+    Like every stream consumer, a call ``acc(values, offsets)`` takes the
+    sum-set ``{o + v : o in offsets, v in values}``. Its power sums are
+    ``p_k = sum_j C(k, j) B_{k-j} S_j``, where ``S_j`` and ``B_j`` are the
+    power sums of ``values`` and of ``offsets``; with the default single
+    offset 0.0 this is ``S_k`` bit for bit.
+    """
 
     def __init__(self, k_max=MAX_MOMENT):
         self.k_max = k_max
         self.count = 0
         self.power_sums = np.zeros(k_max)
 
-    def __call__(self, values):
-        self.count += len(values)
-        p = np.ones_like(values)
-        for k in range(self.k_max):
-            p = p * values
-            self.power_sums[k] += float(np.sum(p))
+    def __call__(self, values, offsets=(0.0,)):
+        s = _power_sums(values, self.k_max)
+        b = _power_sums(offsets, self.k_max)
+        self.count += len(values) * len(offsets)
+        for k in range(1, self.k_max + 1):
+            self.power_sums[k - 1] += sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1))
 
     def merge(self, other):
         self.count += other.count
@@ -48,47 +69,78 @@ class MomentAccumulator:
 
 
 class HistogramAccumulator:
-    """Fixed-bin streaming histogram with explicit under/overflow counts."""
+    """Fixed-bin streaming histogram with explicit under/overflow and NaN counts.
+
+    A call ``hist(values, offsets)`` bins the sum-set ``{o + v}``. The larger
+    of the two sets is sorted once; for each element ``o`` of the smaller one,
+    ``o + sorted`` holds exactly the floats ``o + v`` in sorted order, so one
+    ``searchsorted`` of the edges gives how many of them lie below each edge.
+    Bins are ``[e_i, e_{i+1})``, as in ``np.histogram`` of the in-range values.
+    """
 
     def __init__(self, bins=HIST_BINS, lo=-HIST_RANGE, hi=HIST_RANGE):
         self.edges = np.linspace(lo, hi, bins + 1)
         self.counts = np.zeros(bins, dtype=np.int64)
         self.below = 0
         self.above = 0
+        self.nan = 0
 
-    def __call__(self, values):
-        inside = (values >= self.edges[0]) & (values < self.edges[-1])
-        self.below += int(np.sum(values < self.edges[0]))
-        self.above += int(np.sum(values >= self.edges[-1]))
-        hist, _ = np.histogram(values[inside], bins=self.edges)
-        self.counts += hist
+    def __call__(self, values, offsets=(0.0,)):
+        values = np.asarray(values, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if len(offsets) > len(values):
+            # o + v == v + o exactly, so loop over the smaller set
+            values, offsets = offsets, values
+        edges = self.edges
+        ordered = np.sort(values)
+        buf = np.empty_like(ordered)
+        # cum[i] counts the values below edges[i]; NaNs sort last and count nowhere
+        cum = np.zeros(len(edges), dtype=np.int64)
+        nan = 0
+        for o in offsets:
+            np.add(ordered, o, out=buf)
+            if not math.isfinite(o):
+                buf.sort()  # inf + -inf is NaN at the front
+            # edges at or below the smallest value count none, above the largest all
+            first, last = np.searchsorted(edges, buf[[0, -1]], side="right")
+            cum[first:last] += np.searchsorted(buf, edges[first:last], side="left")
+            cum[last:] += len(buf)
+            nan += len(buf) - int(np.searchsorted(buf, np.nan, side="left"))
+        self.below += int(cum[0])
+        self.counts += np.diff(cum)
+        self.above += len(values) * len(offsets) - nan - int(cum[-1])
+        self.nan += nan
 
     def merge(self, other):
         self.counts += other.counts
         self.below += other.below
         self.above += other.above
+        self.nan += other.nan
         return self
 
     @property
     def count(self):
-        return int(self.counts.sum()) + self.below + self.above
+        return int(self.counts.sum()) + self.below + self.above + self.nan
 
 
 class SpectrumCollector:
-    """Collects streamed chunks into one array (exact mode, <= 2^EXACT_CAP values)."""
+    """Collects the streamed sum-sets into one array (exact mode, <= 2^EXACT_CAP values)."""
 
     def __init__(self, limit=1 << EXACT_CAP):
         self.limit = limit
         self.chunks = []
         self.count = 0
 
-    def __call__(self, values):
-        self.count += len(values)
-        if self.count > self.limit:
+    def __call__(self, values, offsets=(0.0,)):
+        count = self.count + len(values) * len(offsets)
+        if count > self.limit:
             raise ValueError(f"collector limit {self.limit} exceeded")
-        self.chunks.append(np.asarray(values).copy())
+        self.count = count
+        self.chunks.append(sum_set_values(values, offsets))
 
     def values(self):
+        if len(self.chunks) == 1:
+            return self.chunks[0]
         return np.concatenate(self.chunks) if self.chunks else np.array([])
 
 
@@ -96,9 +148,9 @@ class MultiConsumer:
     def __init__(self, consumers):
         self.consumers = list(consumers)
 
-    def __call__(self, values):
+    def __call__(self, values, offsets=(0.0,)):
         for c in self.consumers:
-            c(values)
+            c(values, offsets)
 
 
 @dataclass(frozen=True)
@@ -158,7 +210,7 @@ def ks_distance(d):
     cum = hist.below + np.concatenate([[0], np.cumsum(hist.counts)])
     emp = cum / total
     stat = float(np.max(np.abs(emp - ndtr(hist.edges))))
-    unc = float(hist.counts.max() + hist.below + hist.above) / total
+    unc = float(hist.counts.max() + hist.below + hist.above + hist.nan) / total
     return KSResult(stat, unc)
 
 
@@ -352,8 +404,6 @@ def ba_prediction(alpha1, alpha3, k):
 
 def ba_prediction_printed(alpha1, alpha3, k):
     """The published formula ``(1+a1^2+a3^2)^{2k} (2k)!/(2^k k!)`` verbatim."""
-    import math
-
     sigma2 = 1.0 + alpha1**2 + alpha3**2
     return sigma2 ** (2 * k) * math.factorial(2 * k) / (2**k * math.factorial(k))
 

@@ -2,9 +2,12 @@
 
 The full 2^n spectrum is ``lambda_x = sum_j (2 x_j - 1) delta_j`` with
 ``delta_j = eps*mu_j - sqrt(eps^2 mu_j^2 + 1)`` and ``mu_j = sin(2 pi j/n)``.
-Enumeration streams the 2^n values without 2^n memory: the low ``chunk_bits``
-modes are expanded once into a lookup block, and the remaining modes are
-walked in Gray-code order with an O(1) running-sum update per step.
+Enumeration hands over the 2^n values without 2^n memory, as a sum-set: the
+low ``chunk_bits`` modes are expanded once into a block ``low`` of 2^chunk
+signed sums, and the remaining modes are walked in Gray-code order with an
+O(1) running-sum update per step, giving 2^(n - chunk) offsets. The spectrum
+is ``{o + v : o in offsets, v in low}``, and consumers work on that structure
+instead of on materialised chunks.
 """
 
 import math
@@ -64,13 +67,21 @@ def _expand_block(deltas):
     return vals
 
 
-def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bits=16):
-    """Stream all 2^n eigenvalues (times ``scale``) into ``consumer``.
+def sum_set_values(values, offsets):
+    """The sum-set ``{o + v}`` as one array, offset-major: ``o_0 + values``, ``o_1 + values``, ..."""
+    return (np.asarray(offsets, dtype=float)[:, None] + values).ravel()
 
-    ``consumer`` is called with float arrays, in chunks of ``2^chunk_bits``
-    values; every value is emitted exactly once.  The running high-mode sum
-    is recomputed from scratch every :data:`RECOMPUTE_PERIOD` values to
-    bound float drift.  Returns the total count.
+
+def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bits=16):
+    """Stream all 2^n eigenvalues (times ``scale``) into ``consumer`` as one sum-set.
+
+    ``consumer`` is called once, as ``consumer(low, offsets)``: ``low`` holds
+    the 2^k signed sums of the lowest ``k = min(chunk_bits, n)`` modes and
+    ``offsets`` the 2^(n-k) Gray-walk running sums of the others, and the call
+    stands for the values ``{o + v : o in offsets, v in low}``, each emitted
+    exactly once. The running sum is recomputed from scratch every
+    :data:`RECOMPUTE_PERIOD` values to bound float drift. Memory is
+    O(2^k + 2^(n-k)). Returns the total count.
     """
     if n > cap:
         raise StreamCapExceededError(f"n={n} exceeds streaming cap {cap}")
@@ -80,34 +91,31 @@ def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bi
     low = _expand_block(deltas[:k])
     high = deltas[k:]
     m = n - k
-    if m == 0:
-        consumer(low.copy())
-        return len(low)
+    offsets = np.empty(1 << m)
     base = -float(np.sum(high))
     gray = 0
-    emitted = 0
     refresh_every = max(1, RECOMPUTE_PERIOD >> k)
     for h in range(1 << m):
         if h and h % refresh_every == 0:
             # exact recomputation of the running sum at the current Gray word
             signs = np.array([1.0 if gray >> b & 1 else -1.0 for b in range(m)])
             base = float(np.dot(signs, high))
-        consumer(base + low)
-        emitted += len(low)
+        offsets[h] = base
         if h == (1 << m) - 1:
             break
         step = h + 1
         bit = (step & -step).bit_length() - 1
         gray ^= 1 << bit
         base += 2.0 * high[bit] if gray >> bit & 1 else -2.0 * high[bit]
-    return emitted
+    consumer(low, offsets)
+    return len(low) * len(offsets)
 
 
 def collect_spectrum(n, epsilon, scale=1.0, cap=EXACT_CAP):
     """The full spectrum as one array (exact mode; capped at 2^cap values)."""
     out = []
-    enumerate_spectrum(n, epsilon, out.append, scale=scale, cap=cap)
-    return np.concatenate(out)
+    enumerate_spectrum(n, epsilon, lambda *sum_set: out.append(sum_set_values(*sum_set)), scale=scale, cap=cap)
+    return out[0]
 
 
 def sector_parity(x):

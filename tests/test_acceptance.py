@@ -13,6 +13,7 @@ import pytest
 
 from spinchain.dos import (
     EmpiricalDistribution,
+    HistogramAccumulator,
     MomentAccumulator,
     MultiConsumer,
     SpectrumCollector,
@@ -240,8 +241,9 @@ def test_criterion_9_bulk_linear_entropy():
 
 
 def test_criterion_10_streaming_throughput():
+    # the consumer set `dos` streams into: histogram plus m1..m8
     n = 24
-    sink = MomentAccumulator(k_max=1)
+    sink = MultiConsumer([HistogramAccumulator(), MomentAccumulator()])
     t0 = time.monotonic()
     count = enumerate_spectrum(n, 0.5, sink)
     rate = count / (time.monotonic() - t0)

@@ -170,3 +170,30 @@ def test_dos_sector_models_match_dense(tmp_path):
         assert got["count"] == 256
         assert np.max(np.abs(np.array(got["moments"]) - np.array(dos.moments(d, 6)))) < 1e-10
         assert abs(got["ks"] - dos.ks_distance(d).statistic) < 1e-10
+
+
+#: |KS(25) - KS(24)| of the exact normalized exyz spectra at eps=0.5 is 1.97e-4
+#: (2^24 and 2^25 values collected and sorted); the bound leaves room for that drift
+KS_DRIFT_24_25 = 3e-4
+
+
+def test_dos_exyz_streaming_branch(tmp_path):
+    """n=25 > EXACT_CAP streams into the histogram and moments; n=24 is the exact reference."""
+    from spinchain.free_fermion import EXACT_CAP, mode_energies
+
+    eps = 0.5
+    argv = ["dos", "--model", "exyz", "--n", "24", "25", "--epsilon", str(eps)]
+    code, out = run(tmp_path, "stream.json", argv)
+    assert code == 0
+    exact, stream = json.loads(out.read_text())["reports"]
+    assert exact["n"] == EXACT_CAP < stream["n"] == 25
+    assert exact["ks_uncertainty"] == 0.0 < stream["ks_uncertainty"]
+    assert stream["count"] == 1 << 25
+    m1, m2, m3, m4 = stream["moments"][:4]
+    delta = mode_energies(25, eps).delta
+    c2 = 1.0 / (25 * (1.0 + eps**2))
+    s2, s4 = float(np.sum(delta**2)), float(np.sum(delta**4))
+    assert abs(m1) < 1e-12 and abs(m3) < 1e-12
+    assert m2 == pytest.approx(c2 * s2, rel=1e-12)
+    assert m4 == pytest.approx(c2**2 * (3 * s2**2 - 2 * s4), rel=1e-12)
+    assert abs(stream["ks"] - exact["ks"]) <= stream["ks_uncertainty"] + KS_DRIFT_24_25

@@ -85,6 +85,92 @@ def test_histogram_counts_every_value_once():
     assert hist.below == 1 and hist.above == 2
 
 
+def test_histogram_counts_nan_once():
+    """A NaN is neither in range, below nor above; it is counted once, as NaN."""
+    hist = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
+    mom = MomentAccumulator()
+    values = np.array([-2.0, np.nan, 0.0, 5.0])
+    MultiConsumer([hist, mom])(values)
+    assert hist.nan == 1 and hist.below == 1 and hist.above == 1 and int(hist.counts.sum()) == 1
+    assert hist.count == mom.count == 4
+    ks = ks_distance(EmpiricalDistribution.from_stream(hist, mom))
+    assert ks.uncertainty == pytest.approx(1.0)  # max bin 1 + below 1 + above 1 + NaN 1 of 4
+
+    sums = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
+    sums(np.array([0.25, np.nan]), offsets=[0.0, 0.5, np.nan])
+    assert sums.nan == 4 and int(sums.counts.sum()) == 2 and sums.count == 6
+
+    # inf + -inf is NaN and lands in front of the sorted block
+    infs = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
+    with np.errstate(invalid="ignore"):
+        infs(np.array([-np.inf, 0.0, 2.0]), offsets=[np.inf, -0.5])
+    assert (infs.nan, infs.below, infs.above, int(infs.counts.sum())) == (1, 1, 3, 1)
+
+
+def _exyz_stream(n, eps, chunk_bits, consumers, scale=None):
+    from spinchain.free_fermion import enumerate_spectrum
+
+    scale = 1.0 / math.sqrt(n * (1 + eps**2)) if scale is None else scale
+    coll = SpectrumCollector()
+    enumerate_spectrum(n, eps, MultiConsumer([coll, *consumers]), scale=scale, chunk_bits=chunk_bits)
+    return coll.values()
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 9, 16])
+def test_sum_set_histogram_matches_np_histogram(chunk_bits):
+    """Counts, below and above of the sum-set equal np.histogram of the materialised values."""
+    # the narrow ranges make below/above nonzero; at eps=0, scale=1 every value
+    # is an even integer and lies exactly on a bin edge
+    for eps, scale, lo, hi in ((0.6, None, -2.5, 2.5), (0.0, 1.0, -16.0, 16.0)):
+        hist = HistogramAccumulator(lo=lo, hi=hi)
+        values = _exyz_stream(20, eps, chunk_bits, [hist], scale=scale)
+        edges = hist.edges
+        inside = (values >= edges[0]) & (values < edges[-1])
+        want, _ = np.histogram(values[inside], bins=edges)
+        assert np.array_equal(hist.counts, want)
+        assert hist.below == int(np.sum(values < edges[0])) > 0
+        assert hist.above == int(np.sum(values >= edges[-1])) > 0
+        assert hist.nan == 0 and hist.count == 1 << 20
+        if eps == 0.0:
+            assert np.all(np.isin(values[inside], edges)) and hist.above == int(np.sum(values > 15))
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 9, 16])
+def test_sum_set_power_sums_match_collected(chunk_bits):
+    mom = MomentAccumulator()
+    values = _exyz_stream(20, 0.6, chunk_bits, [mom])
+    want = EmpiricalDistribution.from_values(values).power_sums
+    # odd power sums are ~0, so the scale is the sum of |value|^k
+    scale = np.array([np.sum(np.abs(values) ** k) for k in range(1, MomentAccumulator().k_max + 1)])
+    assert mom.count == 1 << 20
+    assert np.max(np.abs(mom.power_sums - want) / scale) < 1e-12
+
+
+def test_streamed_moments_match_rademacher_cumulants_n28():
+    """m2..m8 of sum_j (+-delta_j) at n=28, streamed, against its exact cumulants.
+
+    The values are ``c sum_j s_j delta_j`` with independent uniform signs, so
+    the 2r-th cumulant is ``kappa_2r(Rademacher) c^2r sum_j delta_j^2r`` with
+    Rademacher cumulants 1, -2, 16, -272; odd cumulants vanish.
+    """
+    from spinchain.free_fermion import enumerate_spectrum, mode_energies
+
+    n, eps = 28, 0.5
+    scale = 1.0 / math.sqrt(n * (1 + eps**2))
+    mom = MomentAccumulator()
+    assert enumerate_spectrum(n, eps, mom, scale=scale) == 1 << n
+    delta = mode_energies(n, eps).delta * scale
+    kappa = {2 * r: c * float(np.sum(delta ** (2 * r))) for r, c in ((1, 1), (2, -2), (3, 16), (4, -272))}
+    m = [1.0]
+    for k in range(1, 9):
+        m.append(sum(math.comb(k - 1, j - 1) * kappa.get(j, 0.0) * m[k - j] for j in range(1, k + 1)))
+    got = mom.moments()
+    for k in (2, 4, 6, 8):
+        assert got[k - 1] == pytest.approx(m[k], rel=1e-12), k
+    for k in (1, 3, 5, 7):
+        assert abs(got[k - 1]) < 1e-12 * m[k + 1], k
+
+
 def test_moment_accumulator_merge():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(1000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinchain.dos import SpectrumCollector
 from spinchain.free_fermion import (
     StreamCapExceededError,
     collect_spectrum,
@@ -56,10 +57,10 @@ def test_gray_walk_independent_of_chunking():
     """The Gray-code streaming path must emit the same multiset as direct expansion."""
     direct = np.sort(collect_spectrum(10, 0.6, cap=24))
     for chunk_bits in (3, 5, 9):
-        out = []
-        count = enumerate_spectrum(10, 0.6, out.append, chunk_bits=chunk_bits)
+        coll = SpectrumCollector()
+        count = enumerate_spectrum(10, 0.6, coll, chunk_bits=chunk_bits)
         assert count == 1 << 10
-        assert np.max(np.abs(np.sort(np.concatenate(out)) - direct)) < 1e-10
+        assert np.max(np.abs(np.sort(coll.values()) - direct)) < 1e-10
 
 
 def test_stream_scale():
