@@ -141,7 +141,7 @@ def test_sum_set_power_sums_match_collected(chunk_bits):
     values = _exyz_stream(20, 0.6, chunk_bits, [mom])
     want = EmpiricalDistribution.from_values(values).power_sums
     # odd power sums are ~0, so the scale is the sum of |value|^k
-    scale = np.array([np.sum(np.abs(values) ** k) for k in range(1, MomentAccumulator().k_max + 1)])
+    scale = np.array([np.sum(np.abs(values) ** k) for k in range(1, mom.k_max + 1)])
     assert mom.count == 1 << 20
     assert np.max(np.abs(mom.power_sums - want) / scale) < 1e-12
 
