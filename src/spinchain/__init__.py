@@ -64,7 +64,6 @@ from .dos import (
     EmpiricalDistribution,
     HistogramAccumulator,
     MomentAccumulator,
-    SpectrumCollector,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,

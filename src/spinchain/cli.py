@@ -74,11 +74,11 @@ def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alph
     return hamiltonians.normalize(h) if normalized else h
 
 
-def _spectrum_only(h, model, cap):
+def _spectrum_only(h, model):
     """Eigenvalues only; translation-invariant rings go through momentum sectors."""
     if model in ("invariant", "ba"):
-        return symmetry.joint_eigenbasis(h, cap=cap, want_vectors=False)
-    return spectra.diagonalize_dense(h, cap=cap, want_vectors=False)
+        return symmetry.joint_eigenbasis(h, want_vectors=False)
+    return spectra.diagonalize_dense(h, want_vectors=False)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +93,9 @@ def cmd_purity_sweep(args):
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
         if args.model == "invariant":
-            e = symmetry.joint_eigenbasis(h, cap=args.dense_cap)
+            e = symmetry.joint_eigenbasis(h)
         else:
-            e = spectra.diagonalize_dense(h, cap=args.dense_cap)
+            e = spectra.diagonalize_dense(h)
         for l in args.l:
             res = entanglement.average_purity(e, l, n=args.n)
             ent = 1.0 - res.per_state
@@ -135,22 +135,21 @@ def cmd_dos(args):
         if args.model == "exyz":
             scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
             if n <= free_fermion.EXACT_CAP:
-                coll = dos.SpectrumCollector()
-                free_fermion.enumerate_spectrum(n, args.epsilon, coll, scale=scale, cap=args.stream_cap)
-                d = dos.EmpiricalDistribution.from_values(coll.values())
+                # no name holds the unsorted spectrum, so it is freed when from_values returns
+                d = dos.EmpiricalDistribution.from_values(
+                    free_fermion.collect_spectrum(n, args.epsilon, scale=scale)
+                )
             else:
                 hist = dos.HistogramAccumulator(bins=args.bins)
                 mom = dos.MomentAccumulator()
-                free_fermion.enumerate_spectrum(
-                    n, args.epsilon, dos.MultiConsumer([hist, mom]), scale=scale, cap=args.stream_cap
-                )
+                free_fermion.enumerate_spectrum(n, args.epsilon, dos.MultiConsumer([hist, mom]), scale=scale)
                 d = dos.EmpiricalDistribution.from_stream(hist, mom)
         else:
             h = _build_model(
                 args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
                 epsilon=args.epsilon, normalized=args.normalize,
             )
-            e = _spectrum_only(h, args.model, args.dense_cap)
+            e = _spectrum_only(h, args.model)
             d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         ks = dos.ks_distance(d)
         m = dos.moments(d, 6)
@@ -184,7 +183,7 @@ def cmd_clt_check(args):
     rows = []
     for l in args.l:
         h = _build_model("nn", args.n, seed=args.seed, normalized=True)
-        for row in dos.clt_bound_check(h, l, args.t, C=args.coeff_bound, cap=args.dense_cap):
+        for row in dos.clt_bound_check(h, l, args.t, C=args.coeff_bound):
             ok = row.passes(BOUND_SLACK)
             failures += not ok
             rows.append([args.n, l, row.t, repr(row.lhs), repr(row.rhs),
@@ -205,14 +204,14 @@ def cmd_degeneracy_scan(args):
     rows = []
     comments = []
     if args.epsilon:
-        results, odd_prime = free_fermion.min_gap_scan(args.n, args.epsilon, cap=args.stream_cap)
+        results, odd_prime = free_fermion.min_gap_scan(args.n, args.epsilon)
         if not odd_prime:
             comments.append(f"warning: n={args.n} is not an odd prime")
         for r in results:
             rows.append(["exyz", args.n, r.epsilon, "", repr(r.min_gap)])
     for sample in range(args.samples):
         h = _build_model("invariant", args.n, seed=args.seed, sample_id=sample)
-        e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
+        e = spectra.diagonalize_dense(h, want_vectors=False)
         rep = spectra.detect_degeneracy(e)
         rows.append(["invariant", args.n, "", sample, repr(rep.min_gap)])
     _write_csv(
@@ -231,7 +230,7 @@ def cmd_ba_moments(args):
     failures = 0
     for n in args.n:
         h = hamiltonians.build_ba(args.alpha1, args.alpha3, n)
-        e = _spectrum_only(h, "ba", args.dense_cap)
+        e = _spectrum_only(h, "ba")
         d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         m = dos.moments(d, 6)
         if abs(m[1] - sigma2) > 1e-10:
@@ -261,9 +260,9 @@ def cmd_spectrum(args):
         alpha1=args.alpha1, alpha3=args.alpha3, normalized=args.normalize,
     )
     if args.model == "invariant":
-        e = symmetry.joint_eigenbasis(h, cap=args.dense_cap, want_vectors=False)
+        e = symmetry.joint_eigenbasis(h, want_vectors=False)
     else:
-        e = spectra.diagonalize_dense(h, cap=args.dense_cap, want_vectors=False)
+        e = spectra.diagonalize_dense(h, want_vectors=False)
     header, rows = spectra.spectrum_table(e)
     _write_csv(args.out, _config_dict(args, "spectrum"), header, rows)
     return 0
@@ -285,8 +284,6 @@ def build_parser():
         sp.add_argument("--model", choices=models, default=default_model)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
-        sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
 
     sp = sub.add_parser("purity-sweep", help="eigenstate linear-entropy sweep")
     common(sp, ("invariant", "nn", "pair_only"), "invariant")
@@ -305,8 +302,6 @@ def build_parser():
     sp.add_argument("--bins", type=int, default=dos.HIST_BINS)
     sp.add_argument("--cx-grid", type=float, nargs="*", default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
-    sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
     sp.set_defaults(func=cmd_dos)
 
     sp = sub.add_parser("clt-check", help="block/link characteristic-function bound")
@@ -316,7 +311,6 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--coeff-bound", type=float, default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
     sp.set_defaults(func=cmd_clt_check)
 
     sp = sub.add_parser("degeneracy-scan", help="minimum spectral gaps")
@@ -325,8 +319,6 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
-    sp.add_argument("--stream-cap", type=int, default=free_fermion.STREAM_CAP)
     sp.set_defaults(func=cmd_degeneracy_scan)
 
     sp = sub.add_parser("ba-moments", help="Ising-with-fields moment table")
@@ -334,7 +326,6 @@ def build_parser():
     sp.add_argument("--alpha1", type=float, default=0.5)
     sp.add_argument("--alpha3", type=float, default=0.5)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dense-cap", type=int, default=hamiltonians.DENSE_CAP)
     sp.set_defaults(func=cmd_ba_moments)
 
     sp = sub.add_parser("spectrum", help="export one spectrum as CSV")
@@ -352,7 +343,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, hamiltonians.DenseCapExceededError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

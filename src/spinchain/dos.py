@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .free_fermion import EXACT_CAP, sum_set_values
-from .hamiltonians import DENSE_CAP, OperatorSum, hs_inner
+from .hamiltonians import OperatorSum, hs_inner
 from .spectra import diagonalize_dense
 
 MAX_MOMENT = 8
@@ -35,7 +34,7 @@ def _power_sums(x, k_max):
 
 
 class MomentAccumulator:
-    """Streaming raw power sums m1..m8 plus count; merges associatively.
+    """Streaming raw power sums m1..m8 plus count.
 
     Like every stream consumer, a call ``acc(values, offsets)`` takes the
     sum-set ``{o + v : o in offsets, v in values}``. Its power sums are
@@ -55,11 +54,6 @@ class MomentAccumulator:
         self.count += len(values) * len(offsets)
         for k in range(1, self.k_max + 1):
             self.power_sums[k - 1] += sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1))
-
-    def merge(self, other):
-        self.count += other.count
-        self.power_sums += other.power_sums
-        return self
 
     def moments(self, k_max=None):
         k_max = self.k_max if k_max is None else k_max
@@ -111,37 +105,9 @@ class HistogramAccumulator:
         self.above += len(values) * len(offsets) - nan - int(cum[-1])
         self.nan += nan
 
-    def merge(self, other):
-        self.counts += other.counts
-        self.below += other.below
-        self.above += other.above
-        self.nan += other.nan
-        return self
-
     @property
     def count(self):
         return int(self.counts.sum()) + self.below + self.above + self.nan
-
-
-class SpectrumCollector:
-    """Collects the streamed sum-sets into one array (exact mode, <= 2^EXACT_CAP values)."""
-
-    def __init__(self, limit=1 << EXACT_CAP):
-        self.limit = limit
-        self.chunks = []
-        self.count = 0
-
-    def __call__(self, values, offsets=(0.0,)):
-        count = self.count + len(values) * len(offsets)
-        if count > self.limit:
-            raise ValueError(f"collector limit {self.limit} exceeded")
-        self.count = count
-        self.chunks.append(sum_set_values(values, offsets))
-
-    def values(self):
-        if len(self.chunks) == 1:
-            return self.chunks[0]
-        return np.concatenate(self.chunks) if self.chunks else np.array([])
 
 
 class MultiConsumer:
@@ -199,11 +165,18 @@ def ks_distance(d):
     mass) attached as the uncertainty.
     """
     if d.exact:
-        vals = d.values
-        n = len(vals)
-        cdf = ndtr(vals)
-        i = np.arange(n)
-        stat = max(float(np.max(cdf - i / n)), float(np.max((i + 1) / n - cdf)))
+        n = d.count
+        cdf = ndtr(d.values)
+        # one full-length buffer at a time: cdf - i / n, then (i + 1) / n - cdf
+        buf = np.arange(n, dtype=float)
+        np.divide(buf, n, out=buf)
+        np.subtract(cdf, buf, out=buf)
+        below = float(np.max(buf))
+        del buf
+        buf = np.arange(1, n + 1, dtype=float)
+        np.divide(buf, n, out=buf)
+        np.subtract(buf, cdf, out=buf)
+        stat = max(below, float(np.max(buf)))
         return KSResult(stat, 0.0)
     hist = d.histogram
     total = hist.count
@@ -322,7 +295,7 @@ class CltRow:
         return self.lhs <= self.rhs + slack
 
 
-def clt_bound_check(h, l, t_list, C=None, cap=DENSE_CAP):
+def clt_bound_check(h, l, t_list, C=None):
     """Rows of ``|psi_n(t) - phi_n(t)| <= sqrt(t^2 <L, L>)`` per t.
 
     ``psi_n`` comes from the full dense spectrum, ``phi_n`` from the product
@@ -332,7 +305,7 @@ def clt_bound_check(h, l, t_list, C=None, cap=DENSE_CAP):
     """
     split = block_link_split(h, l)
     link_norm2 = float(hs_inner(split.links, split.links).real)
-    full = diagonalize_dense(h, cap=cap, want_vectors=False)
+    full = diagonalize_dense(h, want_vectors=False)
     rows = []
     for t in t_list:
         t = float(t)

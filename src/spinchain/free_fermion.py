@@ -18,17 +18,17 @@ import numpy as np
 from .hamiltonians import build_exyz
 from .spectra import diagonalize_dense
 
-#: default cap on streaming enumeration (2^28 values)
+#: largest n whose spectrum is streamed (2^28 values); checked by ``enumerate_spectrum``
 STREAM_CAP = 28
 #: largest n whose full spectrum is collected into one array (2^24 values);
-#: above it the density of states is streamed
+#: checked by ``collect_spectrum``; above it the density of states is streamed
 EXACT_CAP = 24
 #: refresh the incrementally maintained running sum this often (in values)
 RECOMPUTE_PERIOD = 1 << 20
 
 
 class StreamCapExceededError(ValueError):
-    pass
+    """Raised before allocation when n exceeds :data:`STREAM_CAP` (stream) or :data:`EXACT_CAP` (collect)."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def sum_set_values(values, offsets):
     return (np.asarray(offsets, dtype=float)[:, None] + values).ravel()
 
 
-def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bits=16):
+def enumerate_spectrum(n, epsilon, consumer, scale=1.0, chunk_bits=16):
     """Stream all 2^n eigenvalues (times ``scale``) into ``consumer`` as one sum-set.
 
     ``consumer`` is called once, as ``consumer(low, offsets)``: ``low`` holds
@@ -83,8 +83,8 @@ def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bi
     :data:`RECOMPUTE_PERIOD` values to bound float drift. Memory is
     O(2^k + 2^(n-k)). Returns the total count.
     """
-    if n > cap:
-        raise StreamCapExceededError(f"n={n} exceeds streaming cap {cap}")
+    if n > STREAM_CAP:
+        raise StreamCapExceededError(f"n={n} exceeds streaming cap {STREAM_CAP}")
     modes = mode_energies(n, epsilon)
     deltas = modes.delta * scale
     k = min(chunk_bits, n)
@@ -111,10 +111,12 @@ def enumerate_spectrum(n, epsilon, consumer, scale=1.0, cap=STREAM_CAP, chunk_bi
     return len(low) * len(offsets)
 
 
-def collect_spectrum(n, epsilon, scale=1.0, cap=EXACT_CAP):
-    """The full spectrum as one array (exact mode; capped at 2^cap values)."""
+def collect_spectrum(n, epsilon, scale=1.0):
+    """The full spectrum as one array, offset-major (exact mode; at most 2^EXACT_CAP values)."""
+    if n > EXACT_CAP:
+        raise StreamCapExceededError(f"n={n} exceeds exact cap {EXACT_CAP}")
     out = []
-    enumerate_spectrum(n, epsilon, lambda *sum_set: out.append(sum_set_values(*sum_set)), scale=scale, cap=cap)
+    enumerate_spectrum(n, epsilon, lambda *sum_set: out.append(sum_set_values(*sum_set)), scale=scale)
     return out[0]
 
 
@@ -123,7 +125,7 @@ def sector_parity(x):
     return int(sum(x)) % 2
 
 
-def resolve_parity_map(n, epsilon, cap=12):
+def resolve_parity_map(n, epsilon):
     """Match occupation parities to eigenvalues of the ring's Z-parity operator.
 
     The analytic construction fixes the parity classes only up to a global
@@ -132,14 +134,14 @@ def resolve_parity_map(n, epsilon, cap=12):
     the dense spectrum split by the Z-parity expectation of each eigenvector.
     Returns ``{0: eta_even, 1: eta_odd}``.
     """
+    # the dense solve checks DENSE_CAP before anything of size 2^n exists
+    e = diagonalize_dense(build_exyz(epsilon, n))
+    parities = np.bitwise_count(np.arange(1 << n)) & 1
     spectrum = collect_spectrum(n, epsilon)
-    idx = np.arange(1 << n)
-    parities = np.bitwise_count(idx) & 1
     even = np.sort(spectrum[parities == 0])
     odd = np.sort(spectrum[parities == 1])
 
-    e = diagonalize_dense(build_exyz(epsilon, n), cap=cap)
-    eta_diag = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n)) & 1)
+    eta_diag = 1.0 - 2.0 * parities
     eta_exp = np.einsum("ij,i,ij->j", e.eigenvectors.conj(), eta_diag, e.eigenvectors).real
     if np.max(np.abs(np.abs(eta_exp) - 1.0)) > 1e-6:
         raise RuntimeError("eigenvectors are not parity eigenstates (degenerate spectrum?)")
@@ -163,7 +165,7 @@ class MinGapResult:
     min_gap: float
 
 
-def min_gap_scan(n, epsilon_grid, scale=1.0, cap=EXACT_CAP):
+def min_gap_scan(n, epsilon_grid, scale=1.0):
     """Minimum spectral gap for each epsilon; warns when n is not an odd prime."""
     odd_prime = _is_odd_prime(n)
     if not odd_prime:
@@ -172,7 +174,7 @@ def min_gap_scan(n, epsilon_grid, scale=1.0, cap=EXACT_CAP):
         warnings.warn(f"n={n} is not an odd prime; non-degeneracy is not predicted", stacklevel=2)
     results = []
     for eps in epsilon_grid:
-        vals = np.sort(collect_spectrum(n, eps, scale=scale, cap=cap))
+        vals = np.sort(collect_spectrum(n, eps, scale=scale))
         gap = float(np.min(np.diff(vals))) if len(vals) > 1 else float("inf")
         results.append(MinGapResult(float(eps), gap))
     return results, odd_prime

@@ -12,15 +12,16 @@ import numpy as np
 
 from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
 
-#: largest n for which 2^n x 2^n matrices (dense, or the eigenvectors of a
-#: sector solve) are formed by default; the CLI's ``--dense-cap`` default
+#: largest n for which a 2^n x 2^n matrix is formed: checked by ``to_dense``
+#: for the dense path and by ``symmetry.joint_eigenbasis`` for the sector path
+#: (its lifted eigenvectors); ``to_sparse`` allows up to twice this n
 DENSE_CAP = 13
 
 _KINDS = ("nn", "invariant", "pair_only", "general", "ba", "exyz")
 
 
 class DenseCapExceededError(ValueError):
-    """Raised when a dense 2^n x 2^n matrix would exceed the configured cap."""
+    """Raised before allocation when n exceeds :data:`DENSE_CAP` (or ``2 * DENSE_CAP`` for sparse)."""
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,12 @@ class OperatorSum:
             out[idx ^ x] += diag[:, None] * mat
         return out
 
-    def to_sparse(self, cap=2 * DENSE_CAP):
+    def to_sparse(self):
         """Sparse CSR matrix; each x-mask group contributes one generalized diagonal."""
         from scipy.sparse import csr_matrix
 
-        if self.n > cap:
-            raise DenseCapExceededError(f"n={self.n} exceeds sparse cap {cap}")
+        if self.n > 2 * DENSE_CAP:
+            raise DenseCapExceededError(f"n={self.n} exceeds sparse cap {2 * DENSE_CAP}")
         dim = 1 << self.n
         idx = np.arange(dim)
         rows, cols, vals = [], [], []
@@ -168,10 +169,10 @@ class OperatorSum:
             dtype=complex,
         )
 
-    def to_dense(self, cap=DENSE_CAP):
+    def to_dense(self):
         """Dense Hermitian matrix; real-valued unless a term has an odd number of Y factors."""
-        if self.n > cap:
-            raise DenseCapExceededError(f"n={self.n} exceeds dense cap {cap}")
+        if self.n > DENSE_CAP:
+            raise DenseCapExceededError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
         dim = 1 << self.n
         idx = np.arange(dim)
         is_real = not np.any(np.bitwise_count(self.xs & self.zs) & 1)

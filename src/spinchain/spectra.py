@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import DENSE_CAP, DenseCapExceededError, OperatorSum
+from .hamiltonians import OperatorSum
 
 #: default relative tolerance (vs spectral range) for degeneracy clustering
 DEGENERACY_RTOL = 1e-10
@@ -55,9 +55,9 @@ class DegeneracyReport:
         return all(s == 2 for s in self.cluster_sizes)
 
 
-def diagonalize_dense(h, cap=DENSE_CAP, want_vectors=True):
+def diagonalize_dense(h, want_vectors=True):
     """Full decomposition of a dense Hermitian matrix built from ``h``."""
-    dense = h.to_dense(cap=cap)
+    dense = h.to_dense()
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(dense)
@@ -113,18 +113,18 @@ def discriminant_log(e, chunk=512):
     return total
 
 
-def commutator_norm(a, b, cap=DENSE_CAP):
+def commutator_norm(a, b):
     """Frobenius norm of ``AB - BA`` scaled by ``2^{-n/2}``.
 
     ``b`` may be an :class:`OperatorSum`, a dense matrix, or a basis
     permutation given as an index array ``perm`` (``B|i> = |perm[i]>``),
     as produced by :func:`spinchain.symmetry.translation_permutation`.
     """
-    da = a.to_dense(cap=cap)
+    da = a.to_dense()
     if isinstance(b, OperatorSum):
         if b.n != a.n:
             raise ValueError("site counts differ")
-        db = b.to_dense(cap=cap)
+        db = b.to_dense()
         comm = da @ db - db @ da
     elif isinstance(b, np.ndarray) and b.ndim == 1:
         # B|i> = |perm[i]>: (AB)[i,j] = A[i, perm[j]], (BA)[i,j] = A[inv[i], j]

@@ -196,7 +196,7 @@ def momentum_blocks(h, tol=COMMUTATION_TOL):
         yield sector, block
 
 
-def joint_eigenbasis(h, tol=COMMUTATION_TOL, cap=DENSE_CAP, want_vectors=True):
+def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
     """Diagonalize a translation-invariant H sector by sector.
 
     Per-sector diagonalization guarantees T-eigenvectors even when H is
@@ -208,8 +208,8 @@ def joint_eigenbasis(h, tol=COMMUTATION_TOL, cap=DENSE_CAP, want_vectors=True):
     momenta are computed.
     """
     n = h.n
-    if n > cap:
-        raise DenseCapExceededError(f"n={n} exceeds dense cap {cap}")
+    if n > DENSE_CAP:
+        raise DenseCapExceededError(f"n={n} exceeds dense cap {DENSE_CAP}")
     solved = []
     for sector, block in momentum_blocks(h, tol=tol):
         try:

@@ -16,7 +16,6 @@ from spinchain.dos import (
     HistogramAccumulator,
     MomentAccumulator,
     MultiConsumer,
-    SpectrumCollector,
     ba_prediction,
     ba_prediction_printed,
     clt_bound_check,
@@ -155,11 +154,8 @@ def test_criterion_5_density_of_states_trend():
     t24 = None
     for n in (12, 16, 20, 24):
         scale = 1.0 / math.sqrt(n * (1 + eps**2))
-        coll = SpectrumCollector()
-        mom = MomentAccumulator()
         t0 = time.monotonic()
-        enumerate_spectrum(n, eps, MultiConsumer([coll, mom]), scale=scale)
-        d = EmpiricalDistribution.from_values(coll.values())
+        d = EmpiricalDistribution.from_values(collect_spectrum(n, eps, scale=scale))
         if n == 24:
             t24 = time.monotonic() - t0
         ks_list.append(ks_distance(d).statistic)

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinchain.cli import main
+from spinchain.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(tmp_path, name, argv):
@@ -152,6 +157,35 @@ def test_cap_exceeded_exit_code(tmp_path):
 )
 def test_sector_paths_keep_dense_cap(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["purity-sweep", "--n", "14", "--samples", "1"],
+        ["purity-sweep", "--n", "14", "--model", "nn", "--samples", "1"],
+        ["spectrum", "--n", "14", "--model", "nn"],
+        ["dos", "--n", "14", "--model", "nn"],
+        ["clt-check", "--n", "14"],
+        ["dos", "--n", "29", "--model", "exyz"],
+        ["degeneracy-scan", "--n", "25", "--epsilon", "0.5"],
+    ],
+)
+def test_size_limits_refuse_before_allocation(tmp_path, argv):
+    """n = DENSE_CAP + 1, STREAM_CAP + 1 or EXACT_CAP + 1 exits 2 before any 2^n work starts."""
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+def test_readme_cli_examples_parse():
+    """Every ``spinchain ...`` line of the README's CLI block names existing subcommands and flags."""
+    cli_section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", cli_section, re.S).group(1)
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spinchain ")]
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_dos_sector_models_match_dense(tmp_path):

@@ -10,7 +10,6 @@ from spinchain.dos import (
     HistogramAccumulator,
     MomentAccumulator,
     MultiConsumer,
-    SpectrumCollector,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
@@ -65,15 +64,14 @@ def test_ks_field_chain_matches_binomial_oracle():
 
 
 def test_ks_streaming_consistent_with_exact():
-    from spinchain.free_fermion import enumerate_spectrum
+    from spinchain.free_fermion import collect_spectrum, enumerate_spectrum
 
     n, eps = 16, 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
-    coll = SpectrumCollector()
     hist = HistogramAccumulator()
     mom = MomentAccumulator()
-    enumerate_spectrum(n, eps, MultiConsumer([coll, hist, mom]), scale=scale)
-    exact = ks_distance(EmpiricalDistribution.from_values(coll.values()))
+    enumerate_spectrum(n, eps, MultiConsumer([hist, mom]), scale=scale)
+    exact = ks_distance(EmpiricalDistribution.from_values(collect_spectrum(n, eps, scale=scale)))
     stream = ks_distance(EmpiricalDistribution.from_stream(hist, mom))
     assert abs(stream.statistic - exact.statistic) <= stream.uncertainty + 1e-12
 
@@ -108,12 +106,13 @@ def test_histogram_counts_nan_once():
 
 
 def _exyz_stream(n, eps, chunk_bits, consumers, scale=None):
-    from spinchain.free_fermion import enumerate_spectrum
+    from spinchain.free_fermion import enumerate_spectrum, sum_set_values
 
     scale = 1.0 / math.sqrt(n * (1 + eps**2)) if scale is None else scale
-    coll = SpectrumCollector()
-    enumerate_spectrum(n, eps, MultiConsumer([coll, *consumers]), scale=scale, chunk_bits=chunk_bits)
-    return coll.values()
+    out = []
+    sink = MultiConsumer([lambda *s: out.append(sum_set_values(*s)), *consumers])
+    enumerate_spectrum(n, eps, sink, scale=scale, chunk_bits=chunk_bits)
+    return out[0]
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
@@ -169,18 +168,6 @@ def test_streamed_moments_match_rademacher_cumulants_n28():
         assert got[k - 1] == pytest.approx(m[k], rel=1e-12), k
     for k in (1, 3, 5, 7):
         assert abs(got[k - 1]) < 1e-12 * m[k + 1], k
-
-
-def test_moment_accumulator_merge():
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal(1000)
-    whole = MomentAccumulator()
-    whole(vals)
-    a, b = MomentAccumulator(), MomentAccumulator()
-    a(vals[:300])
-    b(vals[300:])
-    merged = a.merge(b)
-    assert np.allclose(merged.moments(), whole.moments())
 
 
 def test_moments_field_chain():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from spinchain.dos import SpectrumCollector
 from spinchain.free_fermion import (
+    EXACT_CAP,
+    STREAM_CAP,
     StreamCapExceededError,
     collect_spectrum,
     enumerate_spectrum,
@@ -10,6 +11,7 @@ from spinchain.free_fermion import (
     mode_energies,
     resolve_parity_map,
     sector_parity,
+    sum_set_values,
 )
 
 
@@ -55,12 +57,12 @@ def test_spectrum_sums_to_zero():
 
 def test_gray_walk_independent_of_chunking():
     """The Gray-code streaming path must emit the same multiset as direct expansion."""
-    direct = np.sort(collect_spectrum(10, 0.6, cap=24))
+    direct = np.sort(collect_spectrum(10, 0.6))
     for chunk_bits in (3, 5, 9):
-        coll = SpectrumCollector()
-        count = enumerate_spectrum(10, 0.6, coll, chunk_bits=chunk_bits)
+        out = []
+        count = enumerate_spectrum(10, 0.6, lambda *s: out.append(sum_set_values(*s)), chunk_bits=chunk_bits)
         assert count == 1 << 10
-        assert np.max(np.abs(np.sort(coll.values()) - direct)) < 1e-10
+        assert np.max(np.abs(np.sort(out[0]) - direct)) < 1e-10
 
 
 def test_stream_scale():
@@ -70,8 +72,12 @@ def test_stream_scale():
 
 
 def test_stream_cap():
+    calls = []
     with pytest.raises(StreamCapExceededError):
-        enumerate_spectrum(12, 0.5, lambda v: None, cap=10)
+        enumerate_spectrum(STREAM_CAP + 1, 0.5, lambda values, offsets: calls.append(len(offsets)))
+    assert calls == []
+    with pytest.raises(StreamCapExceededError):
+        collect_spectrum(EXACT_CAP + 1, 0.5)
 
 
 def test_sector_parity():

@@ -3,6 +3,7 @@ import pytest
 
 from spinchain.hamiltonians import (
     ChainCoefficients,
+    DENSE_CAP,
     DenseCapExceededError,
     InteractionGraph,
     OperatorSum,
@@ -267,9 +268,11 @@ def test_apply_matrix_matches_term_sum(kind):
 
 
 def test_dense_cap_enforced():
-    h = build_exyz(0.5, 5)
+    # both checks run before the 2^n index array is allocated
     with pytest.raises(DenseCapExceededError):
-        h.to_dense(cap=4)
+        build_exyz(0.5, DENSE_CAP + 1).to_dense()
+    with pytest.raises(DenseCapExceededError):
+        build_exyz(0.5, 2 * DENSE_CAP + 1).to_sparse()
 
 
 def test_real_dense_when_no_y():

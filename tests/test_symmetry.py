@@ -3,6 +3,7 @@ import pytest
 
 from spinchain.entanglement import average_purity
 from spinchain.hamiltonians import (
+    DENSE_CAP,
     DenseCapExceededError,
     OperatorSum,
     build_ba,
@@ -213,7 +214,7 @@ def test_spectrum_only_path_matches_vector_path():
 
 def test_joint_eigenbasis_cap():
     with pytest.raises(DenseCapExceededError):
-        joint_eigenbasis(build_ba(0.5, 0.5, 9), cap=8, want_vectors=False)
+        joint_eigenbasis(build_ba(0.5, 0.5, DENSE_CAP + 1), want_vectors=False)
 
 
 def test_joint_purities_match_dense_eigenbasis():
