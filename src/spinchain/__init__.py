@@ -48,8 +48,8 @@ from .entanglement import (
     epsilon_fraction,
     pair_only_checks,
     pauli_coefficients,
-    purity_and_linear_entropy,
     reduce_contiguous,
+    sector_purities,
 )
 from .free_fermion import (
     FreeFermionModes,

@@ -2,8 +2,10 @@
 bound checks, degeneracy scans and moment tables, emitted as CSV/JSON.
 
 Exit codes: 0 = all asserted bounds passed, 1 = a theorem-backed bound
-failed (bug indicator), 2 = usage error.  Every output embeds its full
-config so a re-run with the same flags is byte-identical.
+failed (bug indicator), 2 = usage error, 3 = internal or numerical failure
+(an eigensolver that did not converge, an inconsistent parity assignment).
+Every output embeds its full config so a re-run with the same flags is
+byte-identical.
 """
 
 import argparse
@@ -93,11 +95,13 @@ def cmd_purity_sweep(args):
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
         if args.model == "invariant":
-            e = symmetry.joint_eigenbasis(h)
+            # one momentum sector lifted at a time; no 2^n x 2^n eigenbasis
+            e, results = entanglement.sector_purities(h, args.l)
         else:
             e = spectra.diagonalize_dense(h)
+            results = {l: entanglement.average_purity(e, l, n=args.n) for l in args.l}
         for l in args.l:
-            res = entanglement.average_purity(e, l, n=args.n)
+            res = results[l]
             ent = 1.0 - res.per_state
             if rank_sums[l] is None:
                 rank_sums[l] = np.zeros_like(ent)
@@ -113,7 +117,7 @@ def cmd_purity_sweep(args):
                 verdicts.append(f"theorem1 sample={sample} l={l} bound-not-claimed")
             for rank, (val, le) in enumerate(zip(e.eigenvalues, ent)):
                 rows.append([rank, repr(float(val)), l, repr(float(le)), sample])
-        # drop the 2^n x 2^n eigenbasis before the next sample builds its own
+        # drop a dense 2^n x 2^n eigenbasis before the next sample builds its own
         del e
     for l in args.l:
         for rank, le in enumerate(rank_sums[l] / args.samples):
@@ -271,10 +275,6 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 
 
-def _int_list(values):
-    return [int(v) for v in values]
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="spinchain", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -343,6 +343,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,8 @@ import numpy as np
 
 from .hamiltonians import OperatorSum
 from .pauli import PauliString, StateVector
+from .spectra import EigenDecomposition
+from .symmetry import sector_eigensystems, sorted_spectrum
 
 RDM_TOL = 1e-10
 
@@ -63,11 +65,6 @@ def reduce_contiguous(v, l):
     if psd_floor < -RDM_TOL:
         raise ValueError(f"reduced matrix has eigenvalue {psd_floor} < -{RDM_TOL}")
     return ReducedDensityMatrix(l, rho)
-
-
-def purity_and_linear_entropy(rho):
-    p = rho.purity
-    return p, 1.0 - p
 
 
 #: columns per batch in :func:`_batched_purities`; bounds its temporaries
@@ -171,6 +168,38 @@ def average_purity(basis, l, n=None):
     claimed = basis.momenta is not None and 2 * l < n
     # pairwise summation via np.mean keeps the reduction deterministic
     return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
+
+
+def sector_purities(h, ls):
+    """Eigenvalues, momenta and mean purities of the joint (H, T) eigenbasis, one sector at a time.
+
+    Each momentum sector of :func:`symmetry.sector_eigensystems` is lifted
+    into a Fortran-ordered (2^n x dim_k) block, its purities of sites 1..l
+    are taken for every l in ``ls``, and the block is dropped, so no 2^n x
+    2^n array is formed. The purities are then put in the global state
+    order of :func:`symmetry.joint_eigenbasis` and averaged over that order,
+    so every value equals ``average_purity(joint_eigenbasis(h), l)``.
+
+    Returns an :class:`EigenDecomposition` without eigenvectors (its
+    ``residual`` is the largest sector residual) and a dict mapping each l
+    to its :class:`AveragePurityResult`.
+    """
+    n = h.n
+    solved, residual = [], 0.0
+    per_sector = {l: [] for l in ls}
+    for sector, vals, vecs, res in sector_eigensystems(h):
+        block = sector.lift(vecs)
+        for l, parts in per_sector.items():
+            parts.append(_batched_purities(block, n, l))
+        del block
+        solved.append((sector, vals))
+        residual = max(residual, res)
+    vals, ks, order = sorted_spectrum(solved)
+    results = {}
+    for l, parts in per_sector.items():
+        per_state = np.concatenate(parts)[order]
+        results[l] = AveragePurityResult(float(np.mean(per_state)), per_state, l, n, 2 * l < n)
+    return EigenDecomposition(vals, None, residual, ks), results
 
 
 @dataclass(frozen=True)

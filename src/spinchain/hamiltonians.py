@@ -13,8 +13,9 @@ import numpy as np
 from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
 
 #: largest n for which a 2^n x 2^n matrix is formed: checked by ``to_dense``
-#: for the dense path and by ``symmetry.joint_eigenbasis`` for the sector path
-#: (its lifted eigenvectors); ``to_sparse`` allows up to twice this n
+#: for the dense path and by ``symmetry.sector_eigensystems`` for the sector
+#: path, which also serves the per-sector purities that form no such matrix;
+#: ``to_sparse`` allows up to twice this n
 DENSE_CAP = 13
 
 _KINDS = ("nn", "invariant", "pair_only", "general", "ba", "exyz")

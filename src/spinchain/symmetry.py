@@ -4,8 +4,9 @@ Phase convention: with T the rotate-right of index bits (site n moves to
 site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
 
 Sector blocks are built straight from the Pauli term list and a table of
-translation orbits (Sandvik, arXiv:1101.3281, section 4); no 2^n x 2^n
-matrix is formed unless eigenvectors are requested.
+translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved one at
+a time by :func:`sector_eigensystems`; only :func:`joint_eigenbasis` with
+eigenvectors forms a 2^n x 2^n array.
 """
 
 from dataclasses import dataclass
@@ -117,13 +118,19 @@ class MomentumSector:
         return len(self.reps)
 
     def lift(self, vecs):
-        """Full-space vectors ``B_k @ vecs`` of sector coordinates ``vecs`` (dim x m)."""
+        """Full-space vectors ``B_k @ vecs`` of sector coordinates ``vecs`` (dim x m).
+
+        The result is Fortran-ordered, so each column is contiguous. The
+        product is formed row-major and copied once: numpy's complex multiply
+        rounds differently for different operand layouts, and this one keeps
+        the lifted bits, and with them the purities, fixed.
+        """
         t = self.table
         rows = np.flatnonzero((self.k * t.length) % t.n == 0)
         amps = _roots_of_unity(t.n)[(-self.k * t.shift[rows]) % t.n] / np.sqrt(t.length[rows])
         out = np.zeros((1 << t.n, vecs.shape[1]), dtype=complex)
         out[rows] = amps[:, None] * vecs[np.searchsorted(self.reps, t.rep[rows])]
-        return out
+        return np.asfortranarray(out)
 
     def dense_basis(self):
         """2^n x dim complex matrix ``B_k`` of the sector basis vectors (test oracle)."""
@@ -196,21 +203,20 @@ def momentum_blocks(h, tol=COMMUTATION_TOL):
         yield sector, block
 
 
-def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
-    """Diagonalize a translation-invariant H sector by sector.
+def sector_eigensystems(h, tol=COMMUTATION_TOL, want_vectors=True):
+    """Yield ``(sector, vals, vecs, residual)`` for every non-empty momentum sector of H.
 
-    Per-sector diagonalization guarantees T-eigenvectors even when H is
-    degenerate across momenta; a plain dense eigensolver would not.
-    Eigenvalues are globally sorted ascending with a stable tie-break on
-    the momentum label k. With ``want_vectors`` the lifted eigenvectors come
-    back as one Fortran-ordered 2^n x 2^n array, with the largest full-space
-    residual of H and T as ``residual``; without, only eigenvalues and
-    momenta are computed.
+    Each block of :func:`momentum_blocks` is diagonalized with ``eigh``, or
+    with ``eigvalsh`` when ``want_vectors`` is false (then ``vecs`` is None
+    and ``residual`` 0.0). ``residual`` is the largest sector-space residual
+    ``||H_k v - lambda v||`` of the block. It equals the full-space residual
+    of the lifted eigenvector ``B_k v``: H maps sector k into itself, because
+    invariance is checked exactly on the term list, and ``B_k`` is an
+    isometry. The lifted vectors are T eigenvectors by construction.
     """
     n = h.n
     if n > DENSE_CAP:
         raise DenseCapExceededError(f"n={n} exceeds dense cap {DENSE_CAP}")
-    solved = []
     for sector, block in momentum_blocks(h, tol=tol):
         try:
             if want_vectors:
@@ -219,36 +225,47 @@ def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
                 vals, vecs = np.linalg.eigvalsh(block), None
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"sector eigensolver failed for n={n}, k={sector.k}") from exc
-        solved.append((sector, vals, vecs))
-    vals = np.concatenate([v for _, v, _ in solved])
-    ks = np.concatenate([np.full(s.dim, s.k) for s, _, _ in solved])
+        residual = 0.0
+        if vecs is not None:
+            residual = float(np.max(np.linalg.norm(block @ vecs - vecs * vals, axis=0)))
+        yield sector, vals, vecs, residual
+
+
+def sorted_spectrum(solved):
+    """Global order of the states of ``(sector, vals)`` pairs, taken in sector order.
+
+    Eigenvalues ascend, with a stable tie-break on the momentum label k.
+    Returns the sorted eigenvalues, their momenta and ``order``: global
+    state i is state ``order[i]`` of the sectors' concatenation.
+    """
+    vals = np.concatenate([v for _, v in solved])
+    ks = np.concatenate([np.full(s.dim, s.k) for s, _ in solved])
     order = np.lexsort((ks, vals))
+    return vals[order], ks[order], order
+
+
+def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
+    """Diagonalize a translation-invariant H sector by sector.
+
+    Per-sector diagonalization guarantees T-eigenvectors even when H is
+    degenerate across momenta; a plain dense eigensolver would not.
+    Eigenvalues are globally sorted as in :func:`sorted_spectrum`. With
+    ``want_vectors`` the lifted eigenvectors come back as one
+    Fortran-ordered 2^n x 2^n array, with the largest residual of
+    :func:`sector_eigensystems` as ``residual``; without, only eigenvalues
+    and momenta are computed.
+    """
+    solved = list(sector_eigensystems(h, tol=tol, want_vectors=want_vectors))
+    vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
     if not want_vectors:
-        return EigenDecomposition(vals[order], None, 0.0, ks[order])
+        return EigenDecomposition(vals, None, 0.0, ks)
 
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
-    lifted = np.zeros((1 << n, 1 << n), dtype=complex, order="F")
-    perm = translation_permutation(n)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    h_sparse = h.to_sparse()
-    residual = 0.0
+    lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
     start = 0
-    for sector, svals, vecs in solved:
-        cols = column[start:start + sector.dim]
+    for sector, _, vecs, _ in solved:
+        lifted[:, column[start:start + sector.dim]] = sector.lift(vecs)
         start += sector.dim
-        block = sector.lift(vecs)
-        lifted[:, cols] = block
-        res_h = h_sparse @ block
-        res_h -= block * svals
-        res_t = block[inv]
-        res_t -= np.exp(2j * np.pi * sector.k / n) * block
-        residual = max(residual, _max_column_norm(res_h), _max_column_norm(res_t))
-    return EigenDecomposition(vals[order], lifted, residual, ks[order])
-
-
-def _max_column_norm(a):
-    """Largest Euclidean column norm of a complex array, without an ``abs`` temporary."""
-    squares = np.einsum("ij,ij->j", a.real, a.real) + np.einsum("ij,ij->j", a.imag, a.imag)
-    return float(np.sqrt(np.max(squares)))
+    residual = max(r for _, _, _, r in solved)
+    return EigenDecomposition(vals, lifted, residual, ks)

@@ -23,10 +23,10 @@ from spinchain.dos import (
     moments,
 )
 from spinchain.entanglement import (
-    average_purity,
     build_M,
     epsilon_fraction,
     pair_only_checks,
+    sector_purities,
 )
 from spinchain.free_fermion import collect_spectrum, enumerate_spectrum
 from spinchain.hamiltonians import (
@@ -62,9 +62,9 @@ def invariant_purity_data():
         for n, ls in INVARIANT_CASES.items():
             per_nl = {l: [] for l in ls}
             for seed in SEEDS:
-                e = joint_eigenbasis(sample_random("invariant", n, seed))
+                _, results = sector_purities(sample_random("invariant", n, seed), ls)
                 for l in ls:
-                    per_nl[l].append(average_purity(e, l, n=n))
+                    per_nl[l].append(results[l])
             for l in ls:
                 data[(n, l)] = per_nl[l]
         _cache["invariant"] = (data, time.monotonic() - t0)
@@ -218,9 +218,9 @@ def test_criterion_9_bulk_linear_entropy():
     n, samples = 11, 8
     rank_sums = {l: np.zeros(1 << n) for l in (1, 2, 3, 4)}
     for seed in range(samples):
-        e = joint_eigenbasis(sample_random("invariant", n, seed))
+        _, results = sector_purities(sample_random("invariant", n, seed), tuple(rank_sums))
         for l in rank_sums:
-            rank_sums[l] += 1.0 - average_purity(e, l, n=n).per_state
+            rank_sums[l] += 1.0 - results[l].per_state
     ok = True
     details = []
     dim = 1 << n

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -231,3 +232,53 @@ def test_dos_exyz_streaming_branch(tmp_path):
     assert m2 == pytest.approx(c2 * s2, rel=1e-12)
     assert m4 == pytest.approx(c2**2 * (3 * s2**2 - 2 * s4), rel=1e-12)
     assert abs(stream["ks"] - exact["ks"]) <= stream["ks_uncertainty"] + KS_DRIFT_24_25
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """A numerical failure exits 3 with one ``error:`` line and no traceback."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = main(["purity-sweep", "--n", "6", "--samples", "1", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: sector eigensolver failed") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
+    """Every CSV row and theorem1 line equals the text built from the lifted joint eigenbasis."""
+    from spinchain.entanglement import average_purity
+    from spinchain.hamiltonians import sample_random
+    from spinchain.symmetry import joint_eigenbasis
+
+    n, ls, samples = 8, (1, 2, 3), 2
+    argv = ["purity-sweep", "--model", "invariant", "--n", str(n), "--samples", str(samples),
+            "--l", *map(str, ls)]
+    code, out = run(tmp_path, "sweep.csv", argv)
+    assert code == 0
+
+    rows, verdicts = [], []
+    rank_sums = {l: np.zeros(1 << n) for l in ls}
+    for sample in range(samples):
+        e = joint_eigenbasis(sample_random("invariant", n, [0, sample]))
+        for l in ls:
+            res = average_purity(e, l, n=n)
+            ent = 1.0 - res.per_state
+            rank_sums[l] += ent
+            verdicts.append(
+                f"# theorem1 sample={sample} l={l} mean={res.mean!r} "
+                f"bound=[{res.bound_lower!r},{res.bound_upper!r}] pass={res.bound_holds(1e-9)}"
+            )
+            rows += [[str(rank), repr(float(v)), str(l), repr(float(le)), str(sample)]
+                     for rank, (v, le) in enumerate(zip(e.eigenvalues, ent))]
+    for l in ls:
+        rows += [[str(rank), "", str(l), repr(float(le)), "mean"]
+                 for rank, le in enumerate(rank_sums[l] / samples)]
+
+    lines = out.read_text().splitlines()
+    assert [line for line in lines if line.startswith("# theorem1")] == verdicts
+    got = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert got[0] == ["state_index", "eigenvalue", "l", "linear_entropy", "sample_id"]
+    assert got[1:] == rows

@@ -7,8 +7,8 @@ from spinchain.entanglement import (
     epsilon_fraction,
     pair_only_checks,
     pauli_coefficients,
-    purity_and_linear_entropy,
     reduce_contiguous,
+    sector_purities,
 )
 from spinchain.hamiltonians import (
     ChainCoefficients,
@@ -62,11 +62,11 @@ def test_reduction_block_size_range():
 
 def test_purity_linear_entropy_pairs():
     rho = reduce_contiguous(bell(), 1)
-    assert purity_and_linear_entropy(rho) == pytest.approx((0.5, 0.5))
+    assert (rho.purity, 1 - rho.purity) == pytest.approx((0.5, 0.5))
     rho1 = reduce_contiguous(StateVector.basis_state(3, 0), 1)
-    assert purity_and_linear_entropy(rho1) == pytest.approx((1.0, 0.0))
+    assert (rho1.purity, 1 - rho1.purity) == pytest.approx((1.0, 0.0))
     rho_w = reduce_contiguous(w_state(), 1)
-    assert purity_and_linear_entropy(rho_w) == pytest.approx((5 / 9, 4 / 9))
+    assert (rho_w.purity, 1 - rho_w.purity) == pytest.approx((5 / 9, 4 / 9))
 
 
 def test_pauli_coefficients_basis_state():
@@ -206,3 +206,66 @@ def test_pair_only_even_coefficients_survive():
         coeffs = pauli_coefficients(StateVector(8, e.eigenvectors[:, j]), 2)
         biggest = max(biggest, abs(float(coeffs[1, 1])))
     assert biggest > 1e-3
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_sector_purities_equal_lifted_eigenbasis(n):
+    """The sector stream reproduces the lifted path bit for bit: values, order and means.
+
+    ``eigvalsh`` and ``eigh`` round differently in the last bits, so the
+    eigenvalues-only path is matched to 1e-12 and on the momentum order.
+    """
+    h = sample_random("invariant", n, 4)
+    spectrum, results = sector_purities(h, (1, 2, 3))
+    values_only = joint_eigenbasis(h, want_vectors=False)
+    assert spectrum.eigenvectors is None
+    assert np.max(np.abs(spectrum.eigenvalues - values_only.eigenvalues)) < 1e-12
+    assert np.array_equal(spectrum.momenta, values_only.momenta)
+    lifted = joint_eigenbasis(h)
+    assert np.array_equal(spectrum.eigenvalues, lifted.eigenvalues)
+    assert np.array_equal(spectrum.momenta, lifted.momenta)
+    assert spectrum.residual == lifted.residual < 1e-10
+    for l in (1, 2, 3):
+        want = average_purity(lifted, l, n=n)
+        got = results[l]
+        assert np.array_equal(got.per_state, want.per_state)
+        assert got.mean == want.mean
+        assert (got.l, got.n, got.bound_claimed) == (want.l, want.n, want.bound_claimed)
+
+
+def test_sector_purities_match_dense_eigenbasis():
+    """Non-degenerate spectrum: the stream and a dense eigh hold the same states up to phase."""
+    n = 8
+    h = sample_random("invariant", n, 3)
+    spectrum, results = sector_purities(h, (1, 2, 3))
+    assert np.min(np.diff(spectrum.eigenvalues)) > 1e-6
+    dense = diagonalize_dense(h)
+    assert np.max(np.abs(spectrum.eigenvalues - dense.eigenvalues)) < 1e-9
+    for l in (1, 2, 3):
+        ref = average_purity(dense, l, n=n)
+        assert np.max(np.abs(results[l].per_state - ref.per_state)) < 1e-9
+        assert abs(results[l].mean - ref.mean) < 1e-9
+
+
+def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
+    """No 2^n x 2^n array: no dense or sparse H, no full basis, each lift at most one sector wide."""
+    from spinchain.symmetry import MomentumSector
+
+    n = 9
+    widths = []
+    lift = MomentumSector.lift
+
+    def recording_lift(self, vecs):
+        widths.append(vecs.shape[1])
+        return lift(self, vecs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space operator built")
+
+    monkeypatch.setattr(MomentumSector, "lift", recording_lift)
+    monkeypatch.setattr(OperatorSum, "to_dense", refuse)
+    monkeypatch.setattr(OperatorSum, "to_sparse", refuse)
+    _, results = sector_purities(sample_random("invariant", n, 1), (1, 2))
+    assert len(widths) == n and sum(widths) == 1 << n
+    assert max(widths) < 1 << (n - 2)
+    assert results[2].bound_holds()

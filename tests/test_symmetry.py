@@ -19,6 +19,7 @@ from spinchain.symmetry import (
     build_momentum_basis,
     joint_eigenbasis,
     momentum_blocks,
+    sector_eigensystems,
     translate_index,
     translation_defect,
     translation_permutation,
@@ -228,3 +229,44 @@ def test_joint_purities_match_dense_eigenbasis():
         ours = average_purity(e, l, n=n).per_state
         ref = average_purity(dense, l, n=n).per_state
         assert np.max(np.abs(ours - ref)) < 1e-9
+
+
+def _full_space_residual(h, e):
+    """Largest full-space residual of H and of T over the lifted eigenvectors."""
+    n = h.n
+    vecs = e.eigenvectors
+    perm = translation_permutation(n)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    res_h = h.to_sparse() @ vecs - vecs * e.eigenvalues
+    res_t = vecs[inv] - np.exp(2j * np.pi * e.momenta / n) * vecs
+    return max(float(np.max(np.linalg.norm(r, axis=0))) for r in (res_h, res_t))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_sector_residual_equals_full_space_residual(n):
+    """||H_k v - lambda v|| in sector space is the full-space H and T residual of B_k v."""
+    h = sample_random("invariant", n, 2)
+    e = joint_eigenbasis(h)
+    full = _full_space_residual(h, e)
+    assert abs(e.residual - full) < 1e-12
+    assert e.residual < 1e-10 and full < 1e-10
+    sector_max = max(res for _, _, _, res in sector_eigensystems(h))
+    assert sector_max == e.residual
+
+
+def test_values_only_sectors_use_eigvalsh(monkeypatch):
+    """The eigenvalues-only path never calls ``eigh``, which also forms the eigenvectors."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on the eigenvalues-only path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    stream = list(sector_eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False))
+    assert all(vecs is None and res == 0.0 for _, _, vecs, res in stream)
+    assert joint_eigenbasis(build_ba(0.5, 0.25, 7), want_vectors=False).size == 128
+
+
+def test_lift_is_fortran_ordered():
+    sector = build_momentum_basis(6)[1]
+    block = sector.lift(np.eye(sector.dim)[:, :3])
+    assert block.flags.f_contiguous and block.shape == (64, 3)
