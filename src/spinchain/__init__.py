@@ -17,7 +17,6 @@ from .hamiltonians import (
     OperatorSum,
     build_ba,
     build_exyz,
-    build_from_spec,
     build_general,
     build_invariant,
     build_nn_chain,
@@ -31,7 +30,6 @@ from .spectra import (
     commutator_norm,
     detect_degeneracy,
     diagonalize_dense,
-    discriminant_log,
 )
 from .symmetry import (
     MomentumSector,

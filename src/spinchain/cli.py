@@ -63,7 +63,7 @@ def _write_json(path, payload):
 
 
 def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alpha3=0.0, normalized=False):
-    if model in ("nn", "invariant", "pair_only", "general"):
+    if model in ("nn", "invariant", "pair_only"):
         return hamiltonians.sample_random(
             model, n, _derived_seed(seed, sample_id), normalize_output=normalized
         )
@@ -144,7 +144,7 @@ def cmd_dos(args):
                     free_fermion.collect_spectrum(n, args.epsilon, scale=scale)
                 )
             else:
-                hist = dos.HistogramAccumulator(bins=args.bins)
+                hist = dos.HistogramAccumulator()
                 mom = dos.MomentAccumulator()
                 free_fermion.enumerate_spectrum(n, args.epsilon, dos.MultiConsumer([hist, mom]), scale=scale)
                 d = dos.EmpiricalDistribution.from_stream(hist, mom)
@@ -263,11 +263,7 @@ def cmd_spectrum(args):
         args.model, args.n, seed=args.seed, epsilon=args.epsilon,
         alpha1=args.alpha1, alpha3=args.alpha3, normalized=args.normalize,
     )
-    if args.model == "invariant":
-        e = symmetry.joint_eigenbasis(h, want_vectors=False)
-    else:
-        e = spectra.diagonalize_dense(h, want_vectors=False)
-    header, rows = spectra.spectrum_table(e)
+    header, rows = spectra.spectrum_table(_spectrum_only(h, args.model))
     _write_csv(args.out, _config_dict(args, "spectrum"), header, rows)
     return 0
 
@@ -299,7 +295,6 @@ def build_parser():
     sp.add_argument("--alpha1", type=float, default=0.0)
     sp.add_argument("--alpha3", type=float, default=0.0)
     sp.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--bins", type=int, default=dos.HIST_BINS)
     sp.add_argument("--cx-grid", type=float, nargs="*", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_dos)

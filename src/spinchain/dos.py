@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .hamiltonians import OperatorSum, hs_inner
 from .spectra import diagonalize_dense
@@ -164,6 +163,9 @@ def ks_distance(d):
     it at bin edges, with the largest single-bin mass (plus any out-of-range
     mass) attached as the uncertainty.
     """
+    # imported here: scipy.special alone takes about half of ``import spinchain.cli``
+    from scipy.special import ndtr
+
     if d.exact:
         n = d.count
         cdf = ndtr(d.values)

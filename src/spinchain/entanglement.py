@@ -6,9 +6,7 @@ Hamiltonians the starting site is irrelevant (asserted in the tests, not
 assumed here).
 """
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,12 +17,9 @@ from .symmetry import sector_eigensystems, sorted_spectrum
 
 RDM_TOL = 1e-10
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+#: row a holds ``sigma^a[j, i]`` at column ``2 i + j``, so that for one qubit
+#: ``Tr(rho sigma^a) = sum_p _PAULI_TRACE[a, p] * rho.ravel()[p]``
+_PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 @dataclass(frozen=True)
@@ -87,30 +82,24 @@ def _batched_purities(columns, n, l):
     return out
 
 
-@lru_cache(maxsize=32)
-def _pauli_tensors(l):
-    """All 4^l dense tensor-product basis matrices on l qubits."""
-    mats = np.empty((4,) * l, dtype=object)
-    for codes in itertools.product(range(4), repeat=l):
-        m = _SIGMA[codes[0]]
-        for c in codes[1:]:
-            m = np.kron(m, _SIGMA[c])
-        mats[codes] = m
-    return mats
-
-
 def pauli_coefficients(v, l):
     """Expectation ``<v| sigma^(a_1) ... sigma^(a_l) |v>`` for all index tuples.
 
     Returned as a real array of shape (4,)*l; the identity entry is 1 and
     ``purity = 2^-l * sum(coeffs^2)`` (Parseval).
+
+    The trace factorises over the qubits: the row and column bits of each
+    qubit are paired into one index of size 4 and :data:`_PAULI_TRACE` is
+    applied to each such index in turn, O(l 4^l) in total.
     """
-    rho = reduce_contiguous(v, l)
-    tensors = _pauli_tensors(l)
-    out = np.zeros((4,) * l)
-    for codes in itertools.product(range(4), repeat=l):
-        out[codes] = np.trace(rho.matrix @ tensors[codes]).real
-    return out
+    rho = reduce_contiguous(v, l).matrix
+    # axes (i_1..i_l, j_1..j_l) -> (i_1 j_1, ..., i_l j_l)
+    pairs = [axis for k in range(l) for axis in (k, l + k)]
+    out = rho.reshape((2,) * (2 * l)).transpose(pairs).reshape((4,) * l)
+    for _ in range(l):
+        # contracts the leading qubit index and appends its Pauli code last
+        out = np.tensordot(out, _PAULI_TRACE, axes=(0, 1))
+    return out.real
 
 
 def build_M(a, n):
@@ -271,8 +260,5 @@ def pair_only_checks(e, l, n=None, gap_rtol=1e-8):
 
 
 def _odd_weight_mask(l):
-    mask = np.zeros((4,) * l, dtype=bool)
-    for codes in itertools.product(range(4), repeat=l):
-        if sum(1 for c in codes if c != 0) % 2 == 1:
-            mask[codes] = True
-    return mask
+    """Index tuples of shape (4,)*l with an odd number of non-identity codes."""
+    return np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1

@@ -40,14 +40,6 @@ class FreeFermionModes:
     mu: np.ndarray
     delta: np.ndarray
 
-    @property
-    def chi_plus(self):
-        return self.epsilon * self.mu + np.sqrt(self.epsilon**2 * self.mu**2 + 1.0)
-
-    @property
-    def chi_minus(self):
-        return self.delta
-
 
 def mode_energies(n, epsilon):
     if n < 3:

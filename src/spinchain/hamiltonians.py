@@ -18,8 +18,6 @@ from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
 #: ``to_sparse`` allows up to twice this n
 DENSE_CAP = 13
 
-_KINDS = ("nn", "invariant", "pair_only", "general", "ba", "exyz")
-
 
 class DenseCapExceededError(ValueError):
     """Raised before allocation when n exceeds :data:`DENSE_CAP` (or ``2 * DENSE_CAP`` for sparse)."""
@@ -437,39 +435,3 @@ def sample_random(kind, n, seed, normalize_output=False):
         raise ValueError(f"unknown kind {kind!r}")
     return normalize(h) if normalize_output else h
 
-
-# ---------------------------------------------------------------------------
-# JSON Hamiltonian specs
-
-
-def build_from_spec(spec):
-    """Build an OperatorSum from a JSON-style dict spec.
-
-    Schema: ``{"kind": ..., "n": int, "seed": int | "coefficients": {...},
-    "normalize": bool}``.  Specs round-trip losslessly through JSON.
-    """
-    kind = spec["kind"]
-    n = int(spec["n"])
-    do_norm = bool(spec.get("normalize", False))
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if "seed" in spec:
-        if kind not in ("nn", "invariant", "pair_only", "general"):
-            raise ValueError(f"kind {kind!r} is not randomly sampled")
-        return sample_random(kind, n, int(spec["seed"]), normalize_output=do_norm)
-    coeffs = spec["coefficients"]
-    if kind == "nn":
-        h = build_nn_chain(ChainCoefficients(n, np.array(coeffs["alpha"])))
-    elif kind == "invariant":
-        h = build_invariant(np.array(coeffs["alpha"]), n)
-    elif kind == "pair_only":
-        h = build_pair_only(ChainCoefficients(n, np.array(coeffs["alpha"])))
-    elif kind == "general":
-        edges = tuple((int(j), int(k), np.array(a)) for j, k, a in coeffs["edges"])
-        g = InteractionGraph(n, edges, np.array(coeffs["local_fields"]))
-        h = build_general(g, scale=coeffs.get("scale"))
-    elif kind == "ba":
-        h = build_ba(float(coeffs["alpha1"]), float(coeffs["alpha3"]), n)
-    else:
-        h = build_exyz(float(coeffs["epsilon"]), n)
-    return normalize(h) if do_norm else h

@@ -55,21 +55,30 @@ class DegeneracyReport:
         return all(s == 2 for s in self.cluster_sizes)
 
 
-def diagonalize_dense(h, want_vectors=True):
-    """Full decomposition of a dense Hermitian matrix built from ``h``."""
-    dense = h.to_dense()
+def eigensystem(matrix, want_vectors, failure):
+    """``(vals, vecs, residual)`` of a Hermitian matrix; shared by the dense and the sector path.
+
+    Uses ``eigh``, or ``eigvalsh`` when ``want_vectors`` is false (then
+    ``vecs`` is None and ``residual`` 0.0). A ``LinAlgError`` is raised again
+    as ``RuntimeError(failure)``. ``residual`` is the largest
+    ``||M v - lambda v||`` over the eigenvectors.
+    """
     try:
         if want_vectors:
-            vals, vecs = np.linalg.eigh(dense)
+            vals, vecs = np.linalg.eigh(matrix)
         else:
-            vals = np.linalg.eigvalsh(dense)
-            vecs = None
+            vals, vecs = np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"dense eigensolver failed for n={h.n}") from exc
+        raise RuntimeError(failure) from exc
     residual = 0.0
     if vecs is not None:
-        residual = float(np.max(np.linalg.norm(dense @ vecs - vecs * vals, axis=0)))
-    return EigenDecomposition(vals, vecs, residual)
+        residual = float(np.max(np.linalg.norm(matrix @ vecs - vecs * vals, axis=0)))
+    return vals, vecs, residual
+
+
+def diagonalize_dense(h, want_vectors=True):
+    """Full decomposition of a dense Hermitian matrix built from ``h``."""
+    return EigenDecomposition(*eigensystem(h.to_dense(), want_vectors, f"dense eigensolver failed for n={h.n}"))
 
 
 def detect_degeneracy(e, rel_tol=DEGENERACY_RTOL):
@@ -91,26 +100,6 @@ def detect_degeneracy(e, rel_tol=DEGENERACY_RTOL):
     sizes.append(current)
     min_gap = float(gaps.min()) if len(gaps) else float("inf")
     return DegeneracyReport(min_gap, rng, tuple(sizes), rel_tol)
-
-
-def discriminant_log(e, chunk=512):
-    """``sum_{j<k} 2 log|lambda_k - lambda_j|`` in log space.
-
-    The raw squared Vandermonde product underflows long before 2^n
-    eigenvalues; any exact tie returns ``-inf``.
-    """
-    vals = np.asarray(e.eigenvalues if isinstance(e, EigenDecomposition) else e, dtype=float)
-    m = len(vals)
-    cols = np.arange(m)
-    total = 0.0
-    for start in range(0, m, chunk):
-        rows = np.arange(start, min(start + chunk, m))
-        diffs = vals[None, :] - vals[rows, None]
-        diffs = diffs[cols[None, :] > rows[:, None]]
-        if np.any(diffs == 0.0):
-            return float("-inf")
-        total += float(np.sum(2.0 * np.log(np.abs(diffs))))
-    return total
 
 
 def commutator_norm(a, b):

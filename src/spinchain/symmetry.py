@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import DENSE_CAP, DenseCapExceededError, OperatorSum
-from .spectra import EigenDecomposition
+from .spectra import EigenDecomposition, eigensystem
 
 COMMUTATION_TOL = 1e-10
 
@@ -170,19 +170,19 @@ def _transitions(h, table):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(amps), np.concatenate(shifts)
 
 
-def momentum_blocks(h, tol=COMMUTATION_TOL):
+def momentum_blocks(h):
     """Yield ``(sector, H_k)`` for every non-empty momentum sector of H.
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
     the basis ``B_k`` of :meth:`MomentumSector.dense_basis`. A block is real
     when every entry is. Raises ``ValueError`` when H is not translation
-    invariant to within ``tol`` (see :func:`translation_defect`).
+    invariant to within :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
     """
     n = h.n
     defect = translation_defect(h)
-    if defect > tol:
-        raise ValueError(f"H does not commute with T (scaled norm {defect:.3e} > {tol:.1e})")
+    if defect > COMMUTATION_TOL:
+        raise ValueError(f"H does not commute with T (scaled norm {defect:.3e} > {COMMUTATION_TOL:.1e})")
     sectors = build_momentum_basis(n)
     table = sectors[0].table
     rows, cols, amps, shifts = _transitions(h, table)
@@ -203,32 +203,23 @@ def momentum_blocks(h, tol=COMMUTATION_TOL):
         yield sector, block
 
 
-def sector_eigensystems(h, tol=COMMUTATION_TOL, want_vectors=True):
+def sector_eigensystems(h, want_vectors=True):
     """Yield ``(sector, vals, vecs, residual)`` for every non-empty momentum sector of H.
 
-    Each block of :func:`momentum_blocks` is diagonalized with ``eigh``, or
-    with ``eigvalsh`` when ``want_vectors`` is false (then ``vecs`` is None
-    and ``residual`` 0.0). ``residual`` is the largest sector-space residual
-    ``||H_k v - lambda v||`` of the block. It equals the full-space residual
-    of the lifted eigenvector ``B_k v``: H maps sector k into itself, because
-    invariance is checked exactly on the term list, and ``B_k`` is an
-    isometry. The lifted vectors are T eigenvectors by construction.
+    Each block of :func:`momentum_blocks` is diagonalized by
+    :func:`spectra.eigensystem` (``eigvalsh`` when ``want_vectors`` is false;
+    then ``vecs`` is None and ``residual`` 0.0). ``residual`` is the largest
+    sector-space residual ``||H_k v - lambda v||`` of the block. It equals
+    the full-space residual of the lifted eigenvector ``B_k v``: H maps
+    sector k into itself, because invariance is checked exactly on the term
+    list, and ``B_k`` is an isometry. The lifted vectors are T eigenvectors
+    by construction.
     """
     n = h.n
     if n > DENSE_CAP:
         raise DenseCapExceededError(f"n={n} exceeds dense cap {DENSE_CAP}")
-    for sector, block in momentum_blocks(h, tol=tol):
-        try:
-            if want_vectors:
-                vals, vecs = np.linalg.eigh(block)
-            else:
-                vals, vecs = np.linalg.eigvalsh(block), None
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"sector eigensolver failed for n={n}, k={sector.k}") from exc
-        residual = 0.0
-        if vecs is not None:
-            residual = float(np.max(np.linalg.norm(block @ vecs - vecs * vals, axis=0)))
-        yield sector, vals, vecs, residual
+    for sector, block in momentum_blocks(h):
+        yield sector, *eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
 
 
 def sorted_spectrum(solved):
@@ -244,7 +235,7 @@ def sorted_spectrum(solved):
     return vals[order], ks[order], order
 
 
-def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
+def joint_eigenbasis(h, want_vectors=True):
     """Diagonalize a translation-invariant H sector by sector.
 
     Per-sector diagonalization guarantees T-eigenvectors even when H is
@@ -255,7 +246,7 @@ def joint_eigenbasis(h, tol=COMMUTATION_TOL, want_vectors=True):
     :func:`sector_eigensystems` as ``residual``; without, only eigenvalues
     and momenta are computed.
     """
-    solved = list(sector_eigensystems(h, tol=tol, want_vectors=want_vectors))
+    solved = list(sector_eigensystems(h, want_vectors=want_vectors))
     vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
     if not want_vectors:
         return EigenDecomposition(vals, None, 0.0, ks)

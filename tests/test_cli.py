@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +238,7 @@ def test_dos_exyz_streaming_branch(tmp_path):
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
-    """A numerical failure exits 3 with one ``error:`` line and no traceback."""
+    """A numerical failure exits 3 with one ``error:`` line and no traceback, on the sector and the dense path."""
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -245,6 +248,38 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error: sector eigensolver failed") and err.count("\n") == 1
     assert "Traceback" not in err
+    code = main(["purity-sweep", "--model", "nn", "--n", "6", "--samples", "1", "--out", str(tmp_path / "y.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: dense eigensolver failed") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_spectrum_ba_goes_through_sectors(tmp_path):
+    """``spectrum --model ba`` prints momenta; its eigenvalues agree with one dense solve."""
+    from spinchain.hamiltonians import build_ba
+    from spinchain.symmetry import joint_eigenbasis
+
+    n = 7
+    code, out = run(tmp_path, "ba.csv", ["spectrum", "--model", "ba", "--n", str(n), "--alpha1", "0.5"])
+    assert code == 0
+    rows = list(csv.reader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert rows[0] == ["index", "eigenvalue", "momentum_k", "min_gap_flag"]
+    h = build_ba(0.5, 0.0, n)
+    want = joint_eigenbasis(h, want_vectors=False)
+    assert [float(r[1]) for r in rows[1:]] == list(want.eigenvalues)
+    assert [int(r[2]) for r in rows[1:]] == list(want.momenta)
+    dense = np.linalg.eigvalsh(h.to_dense())
+    assert np.max(np.abs(want.eigenvalues - dense)) < 1e-12
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    """``scipy.special`` is loaded only by the KS distance, not by every subcommand's import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, spinchain.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert res.stdout.strip() == "False"
 
 
 def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,26 @@ from spinchain.hamiltonians import (
 from spinchain.pauli import PauliString, StateVector
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
 from spinchain.symmetry import joint_eigenbasis
+
+
+_SIGMA = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def kron_pauli_coefficients(v, l):
+    """Oracle: ``Tr(rho sigma^(a_1) x ... x sigma^(a_l))`` from one Kronecker product per tuple."""
+    rho = reduce_contiguous(v, l).matrix
+    out = np.zeros((4,) * l)
+    for codes in itertools.product(range(4), repeat=l):
+        m = _SIGMA[codes[0]]
+        for c in codes[1:]:
+            m = np.kron(m, _SIGMA[c])
+        out[codes] = np.trace(rho @ m).real
+    return out
 
 
 def bell():
@@ -85,6 +107,16 @@ def test_pauli_coefficients_parseval():
     coeffs = pauli_coefficients(v, 2)
     purity = reduce_contiguous(v, 2).purity
     assert abs(0.25 * np.sum(coeffs**2) - purity) < 1e-10
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_pauli_coefficients_match_kronecker_oracle(l):
+    rng = np.random.default_rng(10 + l)
+    for n in (l + 1, l + 3):
+        v = StateVector.random(n, rng)
+        got = pauli_coefficients(v, l)
+        assert got.shape == (4,) * l and got.dtype == np.float64
+        assert np.max(np.abs(got - kron_pauli_coefficients(v, l))) < 1e-14
 
 
 def test_build_M_single_z():

@@ -27,9 +27,9 @@ def test_mode_first_at_n4():
 
 
 def test_mode_product_identity():
-    # chi_plus * chi_minus = -1 mode by mode
+    # delta = chi_-, and chi_+ = 2 eps mu - delta is its partner root: chi_+ chi_- = -1 mode by mode
     modes = mode_energies(5, 0.7)
-    assert np.allclose(modes.chi_plus * modes.chi_minus, -1.0)
+    assert np.allclose(modes.delta * (2 * modes.epsilon * modes.mu - modes.delta), -1.0)
 
 
 def test_last_mode_exactly_zero():

@@ -9,7 +9,6 @@ from spinchain.hamiltonians import (
     OperatorSum,
     build_ba,
     build_exyz,
-    build_from_spec,
     build_general,
     build_invariant,
     build_nn_chain,
@@ -289,16 +288,6 @@ def test_compressed_preserves_spectrum_density():
     full = np.linalg.eigvalsh(h.to_dense())
     tiny = np.linalg.eigvalsh(small.to_dense())
     assert np.allclose(np.sort(np.repeat(tiny, 8)), np.sort(full))
-
-
-def test_spec_round_trip():
-    import json
-
-    spec = {"kind": "invariant", "n": 5, "seed": 3, "normalize": True}
-    again = json.loads(json.dumps(spec))
-    assert term_dict(build_from_spec(spec)) == term_dict(build_from_spec(again))
-    spec2 = {"kind": "exyz", "n": 4, "coefficients": {"epsilon": 0.3}}
-    assert term_dict(build_from_spec(spec2)) == term_dict(build_exyz(0.3, 4))
 
 
 def test_ring_builders_reject_tiny_n():

@@ -16,7 +16,6 @@ from spinchain.spectra import (
     commutator_norm,
     detect_degeneracy,
     diagonalize_dense,
-    discriminant_log,
     spectrum_table,
 )
 from spinchain.symmetry import translation_permutation
@@ -71,25 +70,6 @@ def test_pair_only_odd_n_double_degeneracy():
         e = diagonalize_dense(build_pair_only(c), want_vectors=False)
         rep = detect_degeneracy(e, rel_tol=1e-8)
         assert rep.all_doubly_degenerate, f"seed {seed}"
-
-
-def test_discriminant_two_values():
-    assert discriminant_log(np.array([0.0, 1.0])) == 0.0
-
-
-def test_discriminant_tie_sentinel():
-    assert discriminant_log(np.array([0.0, 0.0, 1.0])) == float("-inf")
-
-
-def test_discriminant_three_values():
-    want = 2 * (np.log(1) + np.log(3) + np.log(2))
-    assert abs(discriminant_log(np.array([0.0, 1.0, 3.0])) - want) < 1e-12
-    assert abs(want - 3.5835) < 1e-3
-
-
-def test_discriminant_chunking_consistent():
-    vals = np.sort(np.random.default_rng(0).standard_normal(40))
-    assert abs(discriminant_log(vals, chunk=7) - discriminant_log(vals, chunk=512)) < 1e-9
 
 
 def test_commutator_invariant_with_translation():

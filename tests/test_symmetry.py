@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain.entanglement import average_purity
 from spinchain.hamiltonians import (
+    ChainCoefficients,
     DENSE_CAP,
     DenseCapExceededError,
     OperatorSum,
     build_ba,
     build_exyz,
     build_invariant,
+    build_nn_chain,
     normalize,
     sample_random,
 )
@@ -175,6 +179,30 @@ def test_translation_defect_matches_dense_commutator(kind, n):
         assert defect == 0.0
     else:
         assert defect > 1e-6
+
+
+COUPLINGS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+RING_N = st.integers(3, 8)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(n=RING_N, alpha=st.lists(COUPLINGS, min_size=12, max_size=12))
+def test_translation_defect_zero_on_sampled_invariant_rings(n, alpha):
+    assert translation_defect(build_invariant(np.reshape(alpha, (4, 3)), n)) == 0.0
+
+
+@PROPERTY
+@given(n=RING_N, alpha1=COUPLINGS, alpha3=COUPLINGS)
+def test_translation_defect_zero_on_sampled_ba_rings(n, alpha1, alpha3):
+    assert translation_defect(build_ba(alpha1, alpha3, n)) == 0.0
+
+
+@PROPERTY
+@given(n=RING_N, seed=st.integers(0, 2**32 - 1))
+def test_translation_defect_equals_commutator_on_random_nn_rings(n, seed):
+    h = build_nn_chain(ChainCoefficients.random(n, np.random.default_rng(seed)))
+    assert abs(translation_defect(h) - commutator_norm(h, translation_permutation(n))) < 1e-12
 
 
 def test_translation_defect_exact_after_normalize():
