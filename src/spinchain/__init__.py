@@ -40,7 +40,6 @@ from .symmetry import (
     translation_permutation,
 )
 from .entanglement import (
-    ReducedDensityMatrix,
     average_purity,
     build_M,
     epsilon_fraction,

@@ -13,6 +13,8 @@ from .hamiltonians import OperatorSum, hs_inner
 from .spectra import diagonalize_dense
 
 MAX_MOMENT = 8
+#: slack of the characteristic-function bound
+BOUND_SLACK = 1e-9
 
 #: default histogram layout for streaming mode
 HIST_BINS = 4096
@@ -152,9 +154,6 @@ class KSResult:
     statistic: float
     uncertainty: float
 
-    def __float__(self):
-        return self.statistic
-
 
 def ks_distance(d):
     """``sup_x |F_n(x) - Phi(x)|`` against the standard normal CDF.
@@ -293,8 +292,8 @@ class CltRow:
     rhs: float
     rhs_coeff_bound: float | None
 
-    def passes(self, slack=1e-9):
-        return self.lhs <= self.rhs + slack
+    def passes(self):
+        return self.lhs <= self.rhs + BOUND_SLACK
 
 
 def clt_bound_check(h, l, t_list, C=None):

@@ -3,7 +3,8 @@ checks for pair-only chains.
 
 Block A is always the contiguous sites ``1..l``; for translation-invariant
 Hamiltonians the starting site is irrelevant (asserted in the tests, not
-assumed here).
+assumed here). Every reduced density matrix comes from :func:`_reduced_states`,
+which checks each one before it is used.
 """
 
 from dataclasses import dataclass
@@ -11,75 +12,92 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import OperatorSum
-from .pauli import PauliString, StateVector
+from .pauli import PauliString
 from .spectra import EigenDecomposition
 from .symmetry import sector_eigensystems, sorted_spectrum
 
+#: trace, Hermitian and positivity tolerance of every reduced density matrix
 RDM_TOL = 1e-10
+#: slack of the theorem-backed purity and Markov bounds
+BOUND_SLACK = 1e-9
+#: largest |purity - 1/2| and odd-weight coefficient a pair-only report passes with
+EXACTNESS_TOL = 1e-8
+#: gaps below this fraction of the spectral range make a pair-only spectrum degenerate
+GAP_RTOL = 1e-8
 
 #: row a holds ``sigma^a[j, i]`` at column ``2 i + j``, so that for one qubit
 #: ``Tr(rho sigma^a) = sum_p _PAULI_TRACE[a, p] * rho.ravel()[p]``
 _PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """2^l x 2^l Hermitian, PSD (to tolerance), unit-trace matrix."""
-
-    l: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 1 << self.l
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}")
-        if abs(np.trace(m).real - 1.0) > RDM_TOL or abs(np.trace(m).imag) > RDM_TOL:
-            raise ValueError("trace differs from 1 beyond tolerance")
-        if np.max(np.abs(m - m.conj().T)) > RDM_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def purity(self):
-        # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
-
-def reduce_contiguous(v, l):
-    """``Tr_B |v><v|`` for B = sites l+1..n, via the l-side Gram matrix.
-
-    Site 1 is the most significant index bit, so the reshape to
-    ``(2^l, 2^(n-l))`` puts block A on the first axis directly.
-    """
-    if not 1 <= l < v.n:
-        raise ValueError(f"block size {l} out of range for n={v.n}")
-    a = v.amplitudes.reshape(1 << l, 1 << (v.n - l))
-    rho = a @ a.conj().T
-    psd_floor = float(np.linalg.eigvalsh(rho)[0])
-    if psd_floor < -RDM_TOL:
-        raise ValueError(f"reduced matrix has eigenvalue {psd_floor} < -{RDM_TOL}")
-    return ReducedDensityMatrix(l, rho)
-
-
-#: columns per batch in :func:`_batched_purities`; bounds its temporaries
+#: columns per stack in :func:`_reduced_states`; bounds its temporaries
 PURITY_CHUNK = 256
 
 
-def _batched_purities(columns, n, l):
-    """Purity of sites 1..l for every column of a (2^n, m) array.
+def _reduced_states(columns, n, l):
+    """Yield ``(start, rhos)``: the reduced density matrices of sites 1..l of columns ``start..`` of a (2^n, m) array.
 
-    Columns go through in chunks, so neither memory layout copies the whole
-    array: a chunk of a Fortran-ordered array reshapes as a view.
+    Site 1 is the most significant index bit, so a column reshapes to
+    ``(2^l, 2^(n-l))`` with block A on the first axis and ``rho = A A^H``.
+    Columns go through PURITY_CHUNK at a time; a chunk of a Fortran-ordered
+    array reshapes as a view. Every rho is checked before its stack is
+    yielded (unit trace, Hermitian, no eigenvalue below ``-RDM_TOL``); a
+    failure is numerical, so it raises ``RuntimeError``.
     """
-    m = columns.shape[1]
-    out = np.empty(m)
-    for start in range(0, m, PURITY_CHUNK):
+    if not 1 <= l < n:
+        raise ValueError(f"block size {l} out of range for n={n}")
+    for start in range(0, columns.shape[1], PURITY_CHUNK):
         chunk = columns[:, start:start + PURITY_CHUNK]
         blocks = chunk.T.reshape(chunk.shape[1], 1 << l, 1 << (n - l))
         rhos = blocks @ blocks.conj().transpose(0, 2, 1)
-        out[start:start + chunk.shape[1]] = np.sum(np.abs(rhos) ** 2, axis=(1, 2)).real
+        for name, dev in (
+            ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
+            ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
+            ("positivity", -np.linalg.eigvalsh(rhos)[:, 0]),
+        ):
+            bad = np.flatnonzero(~(dev <= RDM_TOL))  # a NaN fails too
+            if len(bad):
+                raise RuntimeError(
+                    f"reduced density matrix of sites 1..{l} of state {start + bad[0]} fails its "
+                    f"{name} check: deviation {dev[bad[0]]:.3g} > {RDM_TOL}"
+                )
+        yield start, rhos
+
+
+def _purity(rhos):
+    # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
+    return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
+
+
+def _purities(columns, n, l):
+    """Purity of sites 1..l for every column of a (2^n, m) array."""
+    out = np.empty(columns.shape[1])
+    for start, rhos in _reduced_states(columns, n, l):
+        out[start:start + len(rhos)] = _purity(rhos)
     return out
+
+
+def reduce_contiguous(v, l):
+    """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
+    _, rhos = next(_reduced_states(v.amplitudes[:, None], v.n, l))
+    return rhos[0]
+
+
+def _pauli_stack(rhos, l):
+    """Pauli coefficients of a (c, 2^l, 2^l) stack, shape (c,) + (4,)*l.
+
+    The trace factorises over the qubits: the row and column bits of each
+    qubit are paired into one index of size 4 and :data:`_PAULI_TRACE` is
+    applied to each such index in turn, O(l 4^l) per matrix.
+    """
+    c = len(rhos)
+    # axes (batch, i_1..i_l, j_1..j_l) -> (batch, i_1 j_1, ..., i_l j_l)
+    pairs = [0] + [axis for k in range(1, l + 1) for axis in (k, l + k)]
+    out = rhos.reshape((c,) + (2,) * (2 * l)).transpose(pairs).reshape((c,) + (4,) * l)
+    for _ in range(l):
+        # contracts the leading qubit index and appends its Pauli code last
+        out = np.tensordot(out, _PAULI_TRACE, axes=(1, 1))
+    return out.real
 
 
 def pauli_coefficients(v, l):
@@ -87,19 +105,8 @@ def pauli_coefficients(v, l):
 
     Returned as a real array of shape (4,)*l; the identity entry is 1 and
     ``purity = 2^-l * sum(coeffs^2)`` (Parseval).
-
-    The trace factorises over the qubits: the row and column bits of each
-    qubit are paired into one index of size 4 and :data:`_PAULI_TRACE` is
-    applied to each such index in turn, O(l 4^l) in total.
     """
-    rho = reduce_contiguous(v, l).matrix
-    # axes (i_1..i_l, j_1..j_l) -> (i_1 j_1, ..., i_l j_l)
-    pairs = [axis for k in range(l) for axis in (k, l + k)]
-    out = rho.reshape((2,) * (2 * l)).transpose(pairs).reshape((4,) * l)
-    for _ in range(l):
-        # contracts the leading qubit index and appends its Pauli code last
-        out = np.tensordot(out, _PAULI_TRACE, axes=(0, 1))
-    return out.real
+    return _pauli_stack(reduce_contiguous(v, l)[None], l)[0]
 
 
 def build_M(a, n):
@@ -138,11 +145,11 @@ class AveragePurityResult:
     def bound_upper(self):
         return 2.0**-self.l + 2.0**self.l / self.n
 
-    def bound_holds(self, slack=1e-9):
-        return self.bound_lower - slack <= self.mean <= self.bound_upper + slack
+    def bound_holds(self):
+        return self.bound_lower - BOUND_SLACK <= self.mean <= self.bound_upper + BOUND_SLACK
 
 
-def average_purity(basis, l, n=None):
+def average_purity(basis, l):
     """Mean purity of sites 1..l over every state of an eigenbasis.
 
     The theorem-backed bound ``2^-l <= mean <= 2^-l + 2^l/n`` is only
@@ -151,9 +158,8 @@ def average_purity(basis, l, n=None):
     """
     if basis.eigenvectors is None:
         raise ValueError("eigenvectors are required")
-    if n is None:
-        n = int(np.log2(basis.eigenvectors.shape[0]))
-    per_state = _batched_purities(basis.eigenvectors, n, l)
+    n = int(np.log2(basis.eigenvectors.shape[0]))
+    per_state = _purities(basis.eigenvectors, n, l)
     claimed = basis.momenta is not None and 2 * l < n
     # pairwise summation via np.mean keeps the reduction deterministic
     return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
@@ -179,7 +185,7 @@ def sector_purities(h, ls):
     for sector, vals, vecs, res in sector_eigensystems(h):
         block = sector.lift(vecs)
         for l, parts in per_sector.items():
-            parts.append(_batched_purities(block, n, l))
+            parts.append(_purities(block, n, l))
         del block
         solved.append((sector, vals))
         residual = max(residual, res)
@@ -197,8 +203,8 @@ class EpsilonFractionResult:
     markov_bound: float
     epsilon: float
 
-    def bound_holds(self, slack=1e-9):
-        return self.fraction <= self.markov_bound + slack
+    def bound_holds(self):
+        return self.fraction <= self.markov_bound + BOUND_SLACK
 
 
 def epsilon_fraction(per_state, l, epsilon, n):
@@ -220,45 +226,40 @@ class PairOnlyReport:
     max_purity_deviation: float | None
     max_odd_weight_coeff: float | None
 
-    def passes(self, tol=1e-8):
+    def passes(self):
         if self.degenerate:
             return False
         if self.l == 1 and self.max_purity_deviation is not None:
-            if self.max_purity_deviation > tol:
+            if self.max_purity_deviation > EXACTNESS_TOL:
                 return False
-        if self.max_odd_weight_coeff is not None and self.max_odd_weight_coeff > tol:
+        if self.max_odd_weight_coeff is not None and self.max_odd_weight_coeff > EXACTNESS_TOL:
             return False
         return True
 
 
-def pair_only_checks(e, l, n=None, gap_rtol=1e-8):
+def pair_only_checks(e, l):
     """Exactness checks for pair-only chains.
 
     For l=1 every per-state purity must equal 1/2; for general l every
     Pauli coefficient with an odd number of non-identity factors must
     vanish.  Both claims need a non-degenerate spectrum; if the observed
-    minimum gap is below ``gap_rtol * range`` the report is informational.
+    minimum gap is below ``GAP_RTOL * range`` the report is informational.
+    Purities and coefficients are read from the same reduced states.
     """
     if e.eigenvectors is None:
         raise ValueError("eigenvectors are required")
-    if n is None:
-        n = int(np.log2(e.eigenvectors.shape[0]))
+    n = int(np.log2(e.eigenvectors.shape[0]))
     gaps = np.diff(e.eigenvalues)
     min_gap = float(gaps.min()) if len(gaps) else float("inf")
-    degenerate = min_gap < gap_rtol * (e.eigenvalues[-1] - e.eigenvalues[0])
+    degenerate = min_gap < GAP_RTOL * (e.eigenvalues[-1] - e.eigenvalues[0])
 
-    purities = _batched_purities(e.eigenvectors, n, l)
+    purities = np.empty(e.eigenvectors.shape[1])
+    # index tuples of shape (4,)*l with an odd number of non-identity codes
+    odd = np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1
+    max_odd = 0.0
+    for start, rhos in _reduced_states(e.eigenvectors, n, l):
+        purities[start:start + len(rhos)] = _purity(rhos)
+        max_odd = max(max_odd, float(np.max(np.abs(_pauli_stack(rhos, l)[:, odd]))))
     max_dev = float(np.max(np.abs(purities - 0.5))) if l == 1 else None
 
-    odd = _odd_weight_mask(l)
-    max_odd = 0.0
-    for k in range(e.eigenvectors.shape[1]):
-        coeffs = pauli_coefficients(StateVector(n, e.eigenvectors[:, k]), l)
-        max_odd = max(max_odd, float(np.max(np.abs(coeffs[odd]))))
-
     return PairOnlyReport(l, degenerate, min_gap, purities, max_dev, max_odd)
-
-
-def _odd_weight_mask(l):
-    """Index tuples of shape (4,)*l with an odd number of non-identity codes."""
-    return np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1

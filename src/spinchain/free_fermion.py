@@ -158,17 +158,17 @@ class MinGapResult:
 
 
 def min_gap_scan(n, epsilon_grid, scale=1.0):
-    """Minimum spectral gap for each epsilon; warns when n is not an odd prime."""
-    odd_prime = _is_odd_prime(n)
-    if not odd_prime:
-        import warnings
-
-        warnings.warn(f"n={n} is not an odd prime; non-degeneracy is not predicted", stacklevel=2)
+    """Minimum spectral gap for each epsilon; then warns if n is not an odd prime (a refused n raises first)."""
     results = []
     for eps in epsilon_grid:
         vals = np.sort(collect_spectrum(n, eps, scale=scale))
         gap = float(np.min(np.diff(vals))) if len(vals) > 1 else float("inf")
         results.append(MinGapResult(float(eps), gap))
+    odd_prime = _is_odd_prime(n)
+    if not odd_prime:
+        import warnings
+
+        warnings.warn(f"n={n} is not an odd prime; non-degeneracy is not predicted", stacklevel=2)
     return results, odd_prime
 
 

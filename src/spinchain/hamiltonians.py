@@ -229,15 +229,10 @@ def hs_inner(a, b):
 
 @dataclass(frozen=True)
 class ChainCoefficients:
-    """Per-bond couplings ``alpha[j, a, b]`` of a nearest-neighbour ring.
-
-    ``bound`` optionally records a constant C with ``|alpha| < C``; it is
-    metadata for the density-of-states experiments, never enforced.
-    """
+    """Per-bond couplings ``alpha[j, a, b]`` of a nearest-neighbour ring."""
 
     n: int
     alpha: np.ndarray
-    bound: float | None = None
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)

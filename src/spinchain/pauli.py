@@ -253,7 +253,7 @@ def apply(p, v):
     return StateVector(v.n, out)
 
 
-def expectation(p, v, atol=ATOL):
+def expectation(p, v):
     """<v|P|v> for a (phased) Pauli string; real when P is Hermitian."""
     if not v.is_normalized(atol=1e-9):
         import warnings

@@ -108,10 +108,10 @@ def test_criterion_3_pair_only_exactness():
     for seed in range(25):
         c = ChainCoefficients.random(n, np.random.default_rng(seed), pair_only=True)
         e = diagonalize_dense(build_pair_only(c))
-        rep1 = pair_only_checks(e, 1, n=n)
+        rep1 = pair_only_checks(e, 1)
         if rep1.degenerate:
             continue
-        rep2 = pair_only_checks(e, 2, n=n)
+        rep2 = pair_only_checks(e, 2)
         worst_purity = max(worst_purity, rep1.max_purity_deviation)
         worst_odd = max(worst_odd, rep2.max_odd_weight_coeff)
         checked += 1
@@ -175,7 +175,7 @@ def test_criterion_6_characteristic_function_bound():
     failures = []
     for l in (2, 3, 5):
         for row in clt_bound_check(h, l, [0.5, 1.0, 2.0]):
-            if not row.passes(SLACK):
+            if not row.passes():
                 failures.append((l, row.t, row.lhs, row.rhs))
     assert report(6, "|psi - phi| <= sqrt(t^2 <L,L>) on every row", not failures, str(failures or "9 rows"))
 

@@ -255,6 +255,24 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_reduced_state_check_failure_exit_code(tmp_path, monkeypatch, capsys):
+    """Eigenvectors scaled off unit norm fail the trace check of their reduced states: exit 3, one ``error:`` line."""
+    eigh = np.linalg.eigh
+
+    def scaled(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        return vals, 1.01 * vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    for model in ("invariant", "nn"):
+        argv = ["purity-sweep", "--model", model, "--n", "6", "--samples", "1", "--out", str(tmp_path / f"{model}.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: reduced density matrix") and "trace check" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_spectrum_ba_goes_through_sectors(tmp_path):
     """``spectrum --model ba`` prints momenta; its eigenvalues agree with one dense solve."""
     from spinchain.hamiltonians import build_ba
@@ -299,12 +317,12 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     for sample in range(samples):
         e = joint_eigenbasis(sample_random("invariant", n, [0, sample]))
         for l in ls:
-            res = average_purity(e, l, n=n)
+            res = average_purity(e, l)
             ent = 1.0 - res.per_state
             rank_sums[l] += ent
             verdicts.append(
                 f"# theorem1 sample={sample} l={l} mean={res.mean!r} "
-                f"bound=[{res.bound_lower!r},{res.bound_upper!r}] pass={res.bound_holds(1e-9)}"
+                f"bound=[{res.bound_lower!r},{res.bound_upper!r}] pass={res.bound_holds()}"
             )
             rows += [[str(rank), repr(float(v)), str(l), repr(float(le)), str(sample)]
                      for rank, (v, le) in enumerate(zip(e.eigenvalues, ent))]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from spinchain.dos import (
@@ -233,6 +235,18 @@ def test_split_reassembles_exactly():
     split = block_link_split(h, 3)
     diff = h - (split.block_sum + split.links)
     assert diff.num_terms == 0
+
+
+@given(nl=st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_reassembles_random_rings_term_for_term(nl, seed):
+    """Every term of a random nn ring lands in exactly one block or the links, with its coefficient."""
+    n, l = nl
+    h = sample_random("nn", n, seed)
+    split = block_link_split(h, l)
+    parts = [t for part in split.blocks + (split.links,) for t in part.terms]
+    key = lambda t: (t[1].x_mask, t[1].z_mask)
+    assert sorted(parts, key=key) == sorted(h.terms, key=key)
 
 
 def test_clt_rows_t_zero_and_positive():

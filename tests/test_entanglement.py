@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchain.entanglement import (
     average_purity,
@@ -34,7 +36,7 @@ _SIGMA = (
 
 def kron_pauli_coefficients(v, l):
     """Oracle: ``Tr(rho sigma^(a_1) x ... x sigma^(a_l))`` from one Kronecker product per tuple."""
-    rho = reduce_contiguous(v, l).matrix
+    rho = reduce_contiguous(v, l)
     out = np.zeros((4,) * l)
     for codes in itertools.product(range(4), repeat=l):
         m = _SIGMA[codes[0]]
@@ -54,27 +56,31 @@ def w_state():
     return StateVector(3, amps)
 
 
+def purity(rho):
+    return float(np.sum(np.abs(rho) ** 2))
+
+
 def test_bell_reduction():
     rho = reduce_contiguous(bell(), 1)
-    assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) < 1e-12
-    assert abs(rho.purity - 0.5) < 1e-12
+    assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
+    assert abs(purity(rho) - 0.5) < 1e-12
 
 
 def test_product_state_purity_one():
     for n, l in ((4, 1), (4, 2), (5, 3)):
         rho = reduce_contiguous(StateVector.basis_state(n, 0), l)
-        assert abs(rho.purity - 1.0) < 1e-12
+        assert abs(purity(rho) - 1.0) < 1e-12
         # rank-1 projector onto |0..0>
         want = np.zeros((1 << l, 1 << l))
         want[0, 0] = 1.0
-        assert np.max(np.abs(rho.matrix - want)) < 1e-12
+        assert np.max(np.abs(rho - want)) < 1e-12
 
 
 def test_w_state_reduction():
     """Hand partial trace: site 1 of the W state is |1> with probability 1/3."""
     rho = reduce_contiguous(w_state(), 1)
-    assert np.max(np.abs(rho.matrix - np.diag([2 / 3, 1 / 3]))) < 1e-12
-    assert abs(rho.purity - 5 / 9) < 1e-12
+    assert np.max(np.abs(rho - np.diag([2 / 3, 1 / 3]))) < 1e-12
+    assert abs(purity(rho) - 5 / 9) < 1e-12
 
 
 def test_reduction_block_size_range():
@@ -83,12 +89,41 @@ def test_reduction_block_size_range():
 
 
 def test_purity_linear_entropy_pairs():
-    rho = reduce_contiguous(bell(), 1)
-    assert (rho.purity, 1 - rho.purity) == pytest.approx((0.5, 0.5))
-    rho1 = reduce_contiguous(StateVector.basis_state(3, 0), 1)
-    assert (rho1.purity, 1 - rho1.purity) == pytest.approx((1.0, 0.0))
-    rho_w = reduce_contiguous(w_state(), 1)
-    assert (rho_w.purity, 1 - rho_w.purity) == pytest.approx((5 / 9, 4 / 9))
+    p = purity(reduce_contiguous(bell(), 1))
+    assert (p, 1 - p) == pytest.approx((0.5, 0.5))
+    p1 = purity(reduce_contiguous(StateVector.basis_state(3, 0), 1))
+    assert (p1, 1 - p1) == pytest.approx((1.0, 0.0))
+    p_w = purity(reduce_contiguous(w_state(), 1))
+    assert (p_w, 1 - p_w) == pytest.approx((5 / 9, 4 / 9))
+
+
+def test_unnormalized_states_fail_the_trace_check():
+    """A reduced density matrix off unit trace is a numerical fault, not a usage error."""
+    v = StateVector.random(4, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="trace check"):
+        reduce_contiguous(StateVector(4, 1.01 * v.amplitudes), 2)
+    columns = np.eye(16)[:, :4].copy()
+    columns[:, 2] *= 1.01
+    with pytest.raises(RuntimeError, match="state 2 fails its trace check"):
+        average_purity(EigenDecomposition(np.zeros(4), columns), 1)
+    columns[:, 2] = np.nan
+    with pytest.raises(RuntimeError, match="state 2 fails its trace check"):
+        average_purity(EigenDecomposition(np.zeros(4), columns), 1)
+
+
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_reduced_states_match_einsum_partial_trace(n, seed):
+    """For every l: the reduced state is the explicit partial trace, and the batched purity obeys Parseval."""
+    rng = np.random.default_rng(seed)
+    states = [StateVector.random(n, rng) for _ in range(3)]
+    basis = EigenDecomposition(np.zeros(3), np.stack([v.amplitudes for v in states], axis=1))
+    for l in range(1, n):
+        batched = average_purity(basis, l).per_state
+        for v, p in zip(states, batched):
+            psi = v.amplitudes.reshape(1 << l, 1 << (n - l))
+            want = np.einsum("ab,cb->ac", psi, psi.conj())
+            assert np.max(np.abs(reduce_contiguous(v, l) - want)) < 1e-14
+            assert abs(p - 2.0**-l * np.sum(pauli_coefficients(v, l) ** 2)) < 1e-14
 
 
 def test_pauli_coefficients_basis_state():
@@ -105,8 +140,7 @@ def test_pauli_coefficients_parseval():
     rng = np.random.default_rng(0)
     v = StateVector.random(5, rng)
     coeffs = pauli_coefficients(v, 2)
-    purity = reduce_contiguous(v, 2).purity
-    assert abs(0.25 * np.sum(coeffs**2) - purity) < 1e-10
+    assert abs(0.25 * np.sum(coeffs**2) - purity(reduce_contiguous(v, 2))) < 1e-10
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -159,14 +193,14 @@ def test_build_M_expectation_identity():
 def test_average_purity_lower_bound_floor():
     e = diagonalize_dense(sample_random("nn", 6, 3))
     for l in (1, 2):
-        res = average_purity(e, l, n=6)
+        res = average_purity(e, l)
         assert res.mean >= 2.0**-l - 1e-10
 
 
 def test_average_purity_theorem_bound():
     h = sample_random("invariant", 10, 5)
     e = joint_eigenbasis(h)
-    res = average_purity(e, 2, n=10)
+    res = average_purity(e, 2)
     assert res.bound_claimed
     assert res.mean <= 0.25 + 4 / 10 + 1e-9
     assert res.bound_holds()
@@ -180,7 +214,7 @@ def test_average_purity_needs_joint_basis():
     h = OperatorSum.from_terms(n, terms)
     vals = np.sort(np.diag(h.to_dense()).real)
     e = EigenDecomposition(vals, np.eye(1 << n)[:, np.argsort(np.diag(h.to_dense()).real)])
-    res = average_purity(e, 1, n=n)
+    res = average_purity(e, 1)
     assert abs(res.mean - 1.0) < 1e-12
     assert not res.bound_claimed
 
@@ -193,7 +227,7 @@ def test_epsilon_fraction_trivial():
 def test_epsilon_fraction_markov():
     h = sample_random("invariant", 12, 0)
     e = joint_eigenbasis(h)
-    res_purity = average_purity(e, 1, n=12)
+    res_purity = average_purity(e, 1)
     loose = epsilon_fraction(res_purity.per_state, 1, 0.1, 12)
     assert loose.markov_bound == pytest.approx((2 / 12) / 0.1)
     tight = epsilon_fraction(res_purity.per_state, 1, 0.5, 12)
@@ -215,7 +249,7 @@ def test_epsilon_fraction_rejects_nonpositive_epsilon():
 def test_pair_only_l1_purity_half():
     c = ChainCoefficients.random(8, np.random.default_rng(1), pair_only=True)
     e = diagonalize_dense(build_pair_only(c))
-    rep = pair_only_checks(e, 1, n=8)
+    rep = pair_only_checks(e, 1)
     assert not rep.degenerate
     assert rep.max_purity_deviation < 1e-10
     assert rep.passes()
@@ -224,7 +258,7 @@ def test_pair_only_l1_purity_half():
 def test_pair_only_l2_odd_coefficients_vanish():
     c = ChainCoefficients.random(8, np.random.default_rng(2), pair_only=True)
     e = diagonalize_dense(build_pair_only(c))
-    rep = pair_only_checks(e, 2, n=8)
+    rep = pair_only_checks(e, 2)
     assert rep.max_odd_weight_coeff < 1e-10
     assert rep.passes()
 
@@ -238,6 +272,21 @@ def test_pair_only_even_coefficients_survive():
         coeffs = pauli_coefficients(StateVector(8, e.eigenvectors[:, j]), 2)
         biggest = max(biggest, abs(float(coeffs[1, 1])))
     assert biggest > 1e-3
+
+
+def test_pair_only_checks_match_per_state_coefficients():
+    """The stacked coefficients give the same largest odd-weight coefficient as one state at a time.
+
+    A ring with fields, so the odd-weight coefficients do not vanish.
+    """
+    n = 6
+    e = diagonalize_dense(sample_random("nn", n, 4))
+    for l in (1, 2, 3):
+        rep = pair_only_checks(e, l)
+        coeffs = [pauli_coefficients(StateVector(n, e.eigenvectors[:, k]), l) for k in range(1 << n)]
+        odd = np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1
+        assert abs(rep.max_odd_weight_coeff - max(float(np.max(np.abs(c[odd]))) for c in coeffs)) < 1e-14
+        assert np.array_equal(rep.purities, average_purity(e, l).per_state)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -258,7 +307,7 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
     assert np.array_equal(spectrum.momenta, lifted.momenta)
     assert spectrum.residual == lifted.residual < 1e-10
     for l in (1, 2, 3):
-        want = average_purity(lifted, l, n=n)
+        want = average_purity(lifted, l)
         got = results[l]
         assert np.array_equal(got.per_state, want.per_state)
         assert got.mean == want.mean
@@ -274,7 +323,7 @@ def test_sector_purities_match_dense_eigenbasis():
     dense = diagonalize_dense(h)
     assert np.max(np.abs(spectrum.eigenvalues - dense.eigenvalues)) < 1e-9
     for l in (1, 2, 3):
-        ref = average_purity(dense, l, n=n)
+        ref = average_purity(dense, l)
         assert np.max(np.abs(results[l].per_state - ref.per_state)) < 1e-9
         assert abs(results[l].mean - ref.mean) < 1e-9
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchain.hamiltonians import (
     ChainCoefficients,
@@ -264,6 +266,25 @@ def test_apply_matrix_matches_term_sum(kind):
     mat = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
     want = sum(c * (p.to_dense() @ mat) for c, p in h.terms)
     assert np.max(np.abs(h.apply_matrix(mat) - want)) < 1e-12
+
+
+@st.composite
+def operator_sums(draw):
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    terms = draw(st.lists(st.tuples(coeff, masks, masks), max_size=12))
+    return OperatorSum.from_terms(n, [(c, PauliString(n, x, z)) for c, x, z in terms])
+
+
+@given(h=operator_sums(), seed=st.integers(0, 2**32 - 1))
+def test_operator_forms_agree(h, seed):
+    """Dense, sparse, matrix-free block and matrix-free vector forms of one sum agree."""
+    dense = h.to_dense()
+    assert np.max(np.abs(h.to_sparse().toarray() - dense), initial=0.0) < 1e-12
+    assert np.max(np.abs(h.apply_matrix(np.eye(1 << h.n)) - dense), initial=0.0) < 1e-12
+    v = StateVector.random(h.n, np.random.default_rng(seed))
+    assert np.max(np.abs(h.apply(v).amplitudes - dense @ v.amplitudes)) < 1e-12
 
 
 def test_dense_cap_enforced():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchain.pauli import (
     DimensionMismatchError,
@@ -124,6 +126,19 @@ def test_hs_inner_gram_identity(n):
     for i, a in enumerate(strings):
         for j, b in enumerate(strings):
             assert hs_inner(a, b) == (1 if i == j else 0)
+
+
+@st.composite
+def string_pairs(draw):
+    n = draw(st.integers(1, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    return PauliString(n, draw(masks), draw(masks)), PauliString(n, draw(masks), draw(masks))
+
+
+@given(pair=string_pairs())
+def test_multiply_is_the_dense_product(pair):
+    a, b = pair
+    assert np.array_equal(multiply(a, b).to_dense(), a.to_dense() @ b.to_dense())
 
 
 def test_expectation_examples():

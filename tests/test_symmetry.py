@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spinchain.entanglement import average_purity
@@ -183,22 +183,18 @@ def test_translation_defect_matches_dense_commutator(kind, n):
 
 COUPLINGS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 RING_N = st.integers(3, 8)
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-@PROPERTY
 @given(n=RING_N, alpha=st.lists(COUPLINGS, min_size=12, max_size=12))
 def test_translation_defect_zero_on_sampled_invariant_rings(n, alpha):
     assert translation_defect(build_invariant(np.reshape(alpha, (4, 3)), n)) == 0.0
 
 
-@PROPERTY
 @given(n=RING_N, alpha1=COUPLINGS, alpha3=COUPLINGS)
 def test_translation_defect_zero_on_sampled_ba_rings(n, alpha1, alpha3):
     assert translation_defect(build_ba(alpha1, alpha3, n)) == 0.0
 
 
-@PROPERTY
 @given(n=RING_N, seed=st.integers(0, 2**32 - 1))
 def test_translation_defect_equals_commutator_on_random_nn_rings(n, seed):
     h = build_nn_chain(ChainCoefficients.random(n, np.random.default_rng(seed)))
@@ -254,8 +250,8 @@ def test_joint_purities_match_dense_eigenbasis():
     assert np.min(np.diff(e.eigenvalues)) > 1e-6
     dense = diagonalize_dense(h)
     for l in (1, 2, 3):
-        ours = average_purity(e, l, n=n).per_state
-        ref = average_purity(dense, l, n=n).per_state
+        ours = average_purity(e, l).per_state
+        ref = average_purity(dense, l).per_state
         assert np.max(np.abs(ours - ref)) < 1e-9
 
 
