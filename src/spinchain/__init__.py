@@ -51,16 +51,15 @@ from .entanglement import (
 from .free_fermion import (
     FreeFermionModes,
     collect_spectrum,
-    enumerate_spectrum,
     min_gap_scan,
     mode_energies,
     resolve_parity_map,
     sector_parity,
+    spectrum_sum_set,
 )
 from .dos import (
     EmpiricalDistribution,
-    HistogramAccumulator,
-    MomentAccumulator,
+    Histogram,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
@@ -70,6 +69,7 @@ from .dos import (
     ks_distance,
     lyapunov_quantities,
     moments,
+    power_sums,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

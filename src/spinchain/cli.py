@@ -143,10 +143,9 @@ def cmd_dos(args):
                     free_fermion.collect_spectrum(n, args.epsilon, scale=scale)
                 )
             else:
-                hist = dos.HistogramAccumulator()
-                mom = dos.MomentAccumulator()
-                free_fermion.enumerate_spectrum(n, args.epsilon, dos.MultiConsumer([hist, mom]), scale=scale)
-                d = dos.EmpiricalDistribution.from_stream(hist, mom)
+                d = dos.EmpiricalDistribution.from_sum_set(
+                    *free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale)
+                )
         else:
             h = _build_model(
                 args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,

@@ -16,9 +16,10 @@ MAX_MOMENT = 8
 #: slack of the characteristic-function bound
 BOUND_SLACK = 1e-9
 
-#: default histogram layout for streaming mode
+#: histogram layout for streaming mode: HIST_BINS bins of width 2 HIST_RANGE / HIST_BINS
 HIST_BINS = 4096
 HIST_RANGE = 8.0
+EDGES = np.linspace(-HIST_RANGE, HIST_RANGE, HIST_BINS + 1)
 
 
 def _power_sums(x, k_max):
@@ -34,99 +35,72 @@ def _power_sums(x, k_max):
     return out
 
 
-class MomentAccumulator:
-    """Streaming raw power sums m1..m8 plus count.
+def power_sums(values, offsets=(0.0,)):
+    """Raw power sums ``p_k``, k = 1..MAX_MOMENT, of the sum-set ``{o + v : o in offsets, v in values}``.
 
-    Like every stream consumer, a call ``acc(values, offsets)`` takes the
-    sum-set ``{o + v : o in offsets, v in values}``. Its power sums are
     ``p_k = sum_j C(k, j) B_{k-j} S_j``, where ``S_j`` and ``B_j`` are the
     power sums of ``values`` and of ``offsets``; with the default single
     offset 0.0 this is ``S_k`` bit for bit.
     """
-
-    def __init__(self, k_max=MAX_MOMENT):
-        self.k_max = k_max
-        self.count = 0
-        self.power_sums = np.zeros(k_max)
-
-    def __call__(self, values, offsets=(0.0,)):
-        s = _power_sums(values, self.k_max)
-        b = _power_sums(offsets, self.k_max)
-        self.count += len(values) * len(offsets)
-        for k in range(1, self.k_max + 1):
-            self.power_sums[k - 1] += sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1))
-
-    def moments(self, k_max=None):
-        k_max = self.k_max if k_max is None else k_max
-        if self.count == 0:
-            raise ValueError("empty accumulator")
-        return self.power_sums[:k_max] / self.count
+    s = _power_sums(values, MAX_MOMENT)
+    b = _power_sums(offsets, MAX_MOMENT)
+    # sum() starts from the int 0, so an all-zero p_k is +0.0, never -0.0
+    return np.array([sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1)) for k in range(1, MAX_MOMENT + 1)])
 
 
-class HistogramAccumulator:
-    """Fixed-bin streaming histogram with explicit under/overflow and NaN counts.
+@dataclass(frozen=True)
+class Histogram:
+    """Counts of a sum-set in the bins ``[EDGES[i], EDGES[i+1])``, plus how many values lie below, above or are NaN."""
 
-    A call ``hist(values, offsets)`` bins the sum-set ``{o + v}``. The larger
-    of the two sets is sorted once; for each element ``o`` of the smaller one,
-    ``o + sorted`` holds exactly the floats ``o + v`` in sorted order, so one
-    ``searchsorted`` of the edges gives how many of them lie below each edge.
-    Bins are ``[e_i, e_{i+1})``, as in ``np.histogram`` of the in-range values.
-    """
+    counts: np.ndarray
+    below: int
+    above: int
+    nan: int
 
-    def __init__(self, bins=HIST_BINS, lo=-HIST_RANGE, hi=HIST_RANGE):
-        self.edges = np.linspace(lo, hi, bins + 1)
-        self.counts = np.zeros(bins, dtype=np.int64)
-        self.below = 0
-        self.above = 0
-        self.nan = 0
+    @classmethod
+    def of(cls, values, offsets=(0.0,)):
+        """Bin the sum-set ``{o + v : o in offsets, v in values}`` without materialising it.
 
-    def __call__(self, values, offsets=(0.0,)):
+        The larger of the two sets is sorted once; for each element ``o`` of
+        the smaller one, ``o + sorted`` holds exactly the floats ``o + v`` in
+        sorted order, so one ``searchsorted`` of the edges gives how many of
+        them lie below each edge. Bins are as in ``np.histogram`` of the
+        in-range values.
+        """
         values = np.asarray(values, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
         if len(offsets) > len(values):
             # o + v == v + o exactly, so loop over the smaller set
             values, offsets = offsets, values
-        edges = self.edges
         ordered = np.sort(values)
         buf = np.empty_like(ordered)
-        # cum[i] counts the values below edges[i]; NaNs sort last and count nowhere
-        cum = np.zeros(len(edges), dtype=np.int64)
+        # cum[i] counts the values below EDGES[i]; NaNs sort last and count nowhere
+        cum = np.zeros(len(EDGES), dtype=np.int64)
         nan = 0
         for o in offsets:
             np.add(ordered, o, out=buf)
             if not math.isfinite(o):
                 buf.sort()  # inf + -inf is NaN at the front
             # edges at or below the smallest value count none, above the largest all
-            first, last = np.searchsorted(edges, buf[[0, -1]], side="right")
-            cum[first:last] += np.searchsorted(buf, edges[first:last], side="left")
+            first, last = np.searchsorted(EDGES, buf[[0, -1]], side="right")
+            cum[first:last] += np.searchsorted(buf, EDGES[first:last], side="left")
             cum[last:] += len(buf)
             nan += len(buf) - int(np.searchsorted(buf, np.nan, side="left"))
-        self.below += int(cum[0])
-        self.counts += np.diff(cum)
-        self.above += len(values) * len(offsets) - nan - int(cum[-1])
-        self.nan += nan
+        above = len(values) * len(offsets) - nan - int(cum[-1])
+        return cls(np.diff(cum), int(cum[0]), above, nan)
 
     @property
     def count(self):
         return int(self.counts.sum()) + self.below + self.above + self.nan
 
 
-class MultiConsumer:
-    def __init__(self, consumers):
-        self.consumers = list(consumers)
-
-    def __call__(self, values, offsets=(0.0,)):
-        for c in self.consumers:
-            c(values, offsets)
-
-
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted eigenvalue list (exact) or histogram (streaming), plus moments."""
+    """Sorted eigenvalue list (exact) or histogram (streaming), plus power sums."""
 
     count: int
     values: np.ndarray | None = None
-    histogram: HistogramAccumulator | None = None
+    histogram: Histogram | None = None
     power_sums: np.ndarray | None = None
 
     @classmethod
@@ -134,15 +108,15 @@ class EmpiricalDistribution:
         values = np.sort(np.asarray(values, dtype=float))
         if len(values) == 0:
             raise ValueError("empty distribution")
-        acc = MomentAccumulator()
-        acc(values)
-        return cls(len(values), values=values, power_sums=acc.power_sums)
+        return cls(len(values), values=values, power_sums=power_sums(values))
 
     @classmethod
-    def from_stream(cls, histogram, moment_acc):
-        if histogram.count == 0:
+    def from_sum_set(cls, low, offsets):
+        """Streaming mode: histogram and power sums of ``{o + v : o in offsets, v in low}``."""
+        hist = Histogram.of(low, offsets)
+        if hist.count == 0:
             raise ValueError("empty distribution")
-        return cls(histogram.count, histogram=histogram, power_sums=moment_acc.power_sums)
+        return cls(hist.count, histogram=hist, power_sums=power_sums(low, offsets))
 
     @property
     def exact(self):
@@ -183,7 +157,7 @@ def ks_distance(d):
     total = hist.count
     cum = hist.below + np.concatenate([[0], np.cumsum(hist.counts)])
     emp = cum / total
-    stat = float(np.max(np.abs(emp - ndtr(hist.edges))))
+    stat = float(np.max(np.abs(emp - ndtr(EDGES))))
     unc = float(hist.counts.max() + hist.below + hist.above + hist.nan) / total
     return KSResult(stat, unc)
 
@@ -267,22 +241,10 @@ def block_link_split(h, l):
     return BlockLinkSplit(blocks, links, l, k_count)
 
 
-def _block_char_fn(block, t):
-    """``(1/2^n) Tr exp(i t b)`` evaluated densely on the block's support."""
-    small, sites = block.compressed()
-    if not sites:
-        return 1.0 + 0j
-    vals = np.linalg.eigvalsh(small.to_dense())
-    return complex(np.mean(np.exp(1j * t * vals)))
-
-
-def _block_trace_moment(block, power):
-    """``(1/2^n) Tr(b^power)`` via the support-restricted dense matrix."""
-    small, sites = block.compressed()
-    if not sites:
-        return 0.0
-    vals = np.linalg.eigvalsh(small.to_dense())
-    return float(np.mean(vals**power))
+def _block_spectrum(block):
+    """Eigenvalues of the block on its support sites; scaled traces of the block are their means."""
+    small, _ = block.compressed()
+    return np.linalg.eigvalsh(small.to_dense())
 
 
 @dataclass(frozen=True)
@@ -307,13 +269,14 @@ def clt_bound_check(h, l, t_list, C=None):
     split = block_link_split(h, l)
     link_norm2 = float(hs_inner(split.links, split.links).real)
     full = diagonalize_dense(h, want_vectors=False)
+    block_spectra = [_block_spectrum(b) for b in split.blocks]
     rows = []
     for t in t_list:
         t = float(t)
         psi = np.mean(np.exp(1j * t * full.eigenvalues))
         phi = 1.0 + 0j
-        for b in split.blocks:
-            phi *= _block_char_fn(b, t)
+        for vals in block_spectra:
+            phi *= complex(np.mean(np.exp(1j * t * vals)))
         lhs = abs(psi - phi)
         rhs = float(np.sqrt(t**2 * link_norm2))
         coeff_bound = None
@@ -340,7 +303,7 @@ def lyapunov_quantities(h, l, C=None):
     """
     split = block_link_split(h, l)
     s_n2 = sum(float(np.dot(b.coeffs, b.coeffs)) for b in split.blocks)
-    fourth = sum(_block_trace_moment(b, 4) for b in split.blocks)
+    fourth = sum(float(np.mean(_block_spectrum(b) ** 4)) for b in split.blocks)
     link_norm2 = float(hs_inner(split.links, split.links).real)
     rhs = None
     if C is not None:

@@ -6,8 +6,8 @@ Enumeration hands over the 2^n values without 2^n memory, as a sum-set: the
 low ``chunk_bits`` modes are expanded once into a block ``low`` of 2^chunk
 signed sums, and the remaining modes are walked in Gray-code order with an
 O(1) running-sum update per step, giving 2^(n - chunk) offsets. The spectrum
-is ``{o + v : o in offsets, v in low}``, and consumers work on that structure
-instead of on materialised chunks.
+is ``{o + v : o in offsets, v in low}``, and the density-of-states statistics
+are computed on that pair instead of on materialised chunks.
 """
 
 import math
@@ -18,7 +18,7 @@ import numpy as np
 from .hamiltonians import build_exyz
 from .spectra import diagonalize_dense
 
-#: largest n whose spectrum is streamed (2^28 values); checked by ``enumerate_spectrum``
+#: largest n whose spectrum is streamed (2^28 values); checked by ``spectrum_sum_set``
 STREAM_CAP = 28
 #: largest n whose full spectrum is collected into one array (2^24 values);
 #: checked by ``collect_spectrum``; above it the density of states is streamed
@@ -64,16 +64,15 @@ def sum_set_values(values, offsets):
     return (np.asarray(offsets, dtype=float)[:, None] + values).ravel()
 
 
-def enumerate_spectrum(n, epsilon, consumer, scale=1.0, chunk_bits=16):
-    """Stream all 2^n eigenvalues (times ``scale``) into ``consumer`` as one sum-set.
+def spectrum_sum_set(n, epsilon, scale=1.0, chunk_bits=16):
+    """All 2^n eigenvalues (times ``scale``) as one sum-set ``(low, offsets)``.
 
-    ``consumer`` is called once, as ``consumer(low, offsets)``: ``low`` holds
-    the 2^k signed sums of the lowest ``k = min(chunk_bits, n)`` modes and
-    ``offsets`` the 2^(n-k) Gray-walk running sums of the others, and the call
-    stands for the values ``{o + v : o in offsets, v in low}``, each emitted
-    exactly once. The running sum is recomputed from scratch every
+    ``low`` holds the 2^k signed sums of the lowest ``k = min(chunk_bits, n)``
+    modes and ``offsets`` the 2^(n-k) Gray-walk running sums of the others;
+    together they stand for the values ``{o + v : o in offsets, v in low}``,
+    each exactly once. The running sum is recomputed from scratch every
     :data:`RECOMPUTE_PERIOD` values to bound float drift. Memory is
-    O(2^k + 2^(n-k)). Returns the total count.
+    O(2^k + 2^(n-k)).
     """
     if n > STREAM_CAP:
         raise StreamCapExceededError(f"n={n} exceeds streaming cap {STREAM_CAP}")
@@ -99,17 +98,14 @@ def enumerate_spectrum(n, epsilon, consumer, scale=1.0, chunk_bits=16):
         bit = (step & -step).bit_length() - 1
         gray ^= 1 << bit
         base += 2.0 * high[bit] if gray >> bit & 1 else -2.0 * high[bit]
-    consumer(low, offsets)
-    return len(low) * len(offsets)
+    return low, offsets
 
 
 def collect_spectrum(n, epsilon, scale=1.0):
     """The full spectrum as one array, offset-major (exact mode; at most 2^EXACT_CAP values)."""
     if n > EXACT_CAP:
         raise StreamCapExceededError(f"n={n} exceeds exact cap {EXACT_CAP}")
-    out = []
-    enumerate_spectrum(n, epsilon, lambda *sum_set: out.append(sum_set_values(*sum_set)), scale=scale)
-    return out[0]
+    return sum_set_values(*spectrum_sum_set(n, epsilon, scale=scale))
 
 
 def sector_parity(x):
@@ -158,18 +154,13 @@ class MinGapResult:
 
 
 def min_gap_scan(n, epsilon_grid, scale=1.0):
-    """Minimum spectral gap for each epsilon; then warns if n is not an odd prime (a refused n raises first)."""
+    """Minimum spectral gap for each epsilon, and whether n is an odd prime (non-degeneracy is predicted only then)."""
     results = []
     for eps in epsilon_grid:
         vals = np.sort(collect_spectrum(n, eps, scale=scale))
         gap = float(np.min(np.diff(vals))) if len(vals) > 1 else float("inf")
         results.append(MinGapResult(float(eps), gap))
-    odd_prime = _is_odd_prime(n)
-    if not odd_prime:
-        import warnings
-
-        warnings.warn(f"n={n} is not an odd prime; non-degeneracy is not predicted", stacklevel=2)
-    return results, odd_prime
+    return results, _is_odd_prime(n)
 
 
 def _is_odd_prime(n):

@@ -127,14 +127,14 @@ def commutator_norm(a, b):
     return float(np.linalg.norm(comm) / 2 ** (a.n / 2))
 
 
-def spectrum_table(e, min_gap_rtol=DEGENERACY_RTOL):
+def spectrum_table(e):
     """CSV header and ``(index, eigenvalue, momentum_k?, min_gap_flag)`` rows.
 
     A state is flagged when its gap to either neighbour is below
-    ``min_gap_rtol`` times the spectral range.
+    :data:`DEGENERACY_RTOL` times the spectral range.
     """
     vals = e.eigenvalues
-    tight = np.diff(vals) < min_gap_rtol * e.spectral_range
+    tight = np.diff(vals) < DEGENERACY_RTOL * e.spectral_range
     flags = np.zeros(len(vals), dtype=bool)
     flags[:-1] |= tight
     flags[1:] |= tight

@@ -98,6 +98,17 @@ def test_degeneracy_scan(tmp_path):
     assert gaps[("exyz", "0.5")] > 0.0
 
 
+def test_degeneracy_scan_reports_composite_n_once(tmp_path, capsys):
+    """A non-prime n is reported in the CSV comment only, with nothing on stderr."""
+    from spinchain.free_fermion import min_gap_scan
+
+    assert min_gap_scan(4, [0.5])[1] is False
+    code, out = run(tmp_path, "deg4.csv", ["degeneracy-scan", "--n", "4", "--epsilon", "0.5"])
+    assert code == 0
+    assert "# warning: n=4 is not an odd prime\n" in out.read_text()
+    assert capsys.readouterr().err == ""
+
+
 def test_degeneracy_scan_invariant_seeds(tmp_path):
     """20 random invariant samples at n=7: no near-degenerate spectra expected."""
     code, out = run(
@@ -180,16 +191,18 @@ def test_size_limits_refuse_before_allocation(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
 
 
-def test_readme_cli_examples_parse():
-    """Every ``spinchain ...`` line of the README's CLI block names existing subcommands and flags."""
+def test_readme_cli_examples_parse(tmp_path):
+    """Every ``spinchain ...`` line of the README's CLI block parses and runs to exit 0."""
     cli_section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```sh\n(.*?)```", cli_section, re.S).group(1)
     examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spinchain ")]
     assert examples
     parser = build_parser()
-    for argv in examples:
+    for i, argv in enumerate(examples):
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+        # the last --out wins, so the README's output path is overridden
+        assert main(argv + ["--out", str(tmp_path / f"example{i}")]) == 0, argv
 
 
 def test_dos_sector_models_match_dense(tmp_path):

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from spinchain.dos import (
+    EDGES,
+    MAX_MOMENT,
     BlockLinkSplit,
     EmpiricalDistribution,
-    HistogramAccumulator,
-    MomentAccumulator,
-    MultiConsumer,
+    Histogram,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
@@ -22,7 +22,9 @@ from spinchain.dos import (
     ks_distance,
     lyapunov_quantities,
     moments,
+    power_sums,
 )
+from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     InteractionGraph,
     build_general,
@@ -66,85 +68,114 @@ def test_ks_field_chain_matches_binomial_oracle():
 
 
 def test_ks_streaming_consistent_with_exact():
-    from spinchain.free_fermion import collect_spectrum, enumerate_spectrum
-
     n, eps = 16, 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
-    hist = HistogramAccumulator()
-    mom = MomentAccumulator()
-    enumerate_spectrum(n, eps, MultiConsumer([hist, mom]), scale=scale)
     exact = ks_distance(EmpiricalDistribution.from_values(collect_spectrum(n, eps, scale=scale)))
-    stream = ks_distance(EmpiricalDistribution.from_stream(hist, mom))
+    stream = ks_distance(EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale)))
     assert abs(stream.statistic - exact.statistic) <= stream.uncertainty + 1e-12
 
 
+# the inputs below are scaled by 8 onto EDGES: [-1, 1) in 8 bins becomes [-8, 8) in 4096
+
+
 def test_histogram_counts_every_value_once():
-    hist = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
-    hist(np.array([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0]))
+    hist = Histogram.of(8.0 * np.array([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0]))
     assert hist.count == 6
     assert hist.below == 1 and hist.above == 2
 
 
 def test_histogram_counts_nan_once():
     """A NaN is neither in range, below nor above; it is counted once, as NaN."""
-    hist = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
-    mom = MomentAccumulator()
-    values = np.array([-2.0, np.nan, 0.0, 5.0])
-    MultiConsumer([hist, mom])(values)
+    values = 8.0 * np.array([-2.0, np.nan, 0.0, 5.0])
+    d = EmpiricalDistribution.from_sum_set(values, (0.0,))
+    hist = d.histogram
     assert hist.nan == 1 and hist.below == 1 and hist.above == 1 and int(hist.counts.sum()) == 1
-    assert hist.count == mom.count == 4
-    ks = ks_distance(EmpiricalDistribution.from_stream(hist, mom))
+    assert hist.count == d.count == 4
+    ks = ks_distance(d)
     assert ks.uncertainty == pytest.approx(1.0)  # max bin 1 + below 1 + above 1 + NaN 1 of 4
 
-    sums = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
-    sums(np.array([0.25, np.nan]), offsets=[0.0, 0.5, np.nan])
+    sums = Histogram.of(8.0 * np.array([0.25, np.nan]), offsets=8.0 * np.array([0.0, 0.5, np.nan]))
     assert sums.nan == 4 and int(sums.counts.sum()) == 2 and sums.count == 6
 
     # inf + -inf is NaN and lands in front of the sorted block
-    infs = HistogramAccumulator(bins=8, lo=-1.0, hi=1.0)
     with np.errstate(invalid="ignore"):
-        infs(np.array([-np.inf, 0.0, 2.0]), offsets=[np.inf, -0.5])
+        infs = Histogram.of(8.0 * np.array([-np.inf, 0.0, 2.0]), offsets=8.0 * np.array([np.inf, -0.5]))
     assert (infs.nan, infs.below, infs.above, int(infs.counts.sum())) == (1, 1, 3, 1)
 
 
-def _exyz_stream(n, eps, chunk_bits, consumers, scale=None):
-    from spinchain.free_fermion import enumerate_spectrum, sum_set_values
+def _materialised_histogram(values):
+    """``Histogram`` fields of an explicit value array, from ``np.histogram`` of its in-range part."""
+    inside = (values >= EDGES[0]) & (values < EDGES[-1])
+    counts, _ = np.histogram(values[inside], bins=EDGES)
+    nan = int(np.sum(np.isnan(values)))
+    return counts, int(np.sum(values < EDGES[0])), int(np.sum(values >= EDGES[-1])), nan
 
-    scale = 1.0 / math.sqrt(n * (1 + eps**2)) if scale is None else scale
-    out = []
-    sink = MultiConsumer([lambda *s: out.append(sum_set_values(*s)), *consumers])
-    enumerate_spectrum(n, eps, sink, scale=scale, chunk_bits=chunk_bits)
-    return out[0]
+
+#: finite floats around the histogram range, the range's ends, and NaN and +-inf
+SUM_SET_ELEMENTS = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.sampled_from([-8.0, 8.0, 0.0, float(EDGES[1]), float(EDGES[-2]), np.nan, np.inf, -np.inf]),
+)
+
+
+@given(
+    st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
+    st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
+)
+@example([-np.inf, 0.0, 2.0], [np.inf, -0.5])  # inf + -inf is NaN in front of the sorted block
+def test_histogram_of_sum_set_matches_materialised(values, offsets):
+    """Counts, below, above and NaN of the sum-set equal those of its materialised values."""
+    with np.errstate(invalid="ignore"):
+        hist = Histogram.of(values, offsets)
+        want = _materialised_histogram(sum_set_values(np.array(values), offsets))
+    assert np.array_equal(hist.counts, want[0])
+    assert (hist.below, hist.above, hist.nan) == want[1:]
+    assert hist.count == len(values) * len(offsets)
+
+
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
+)
+def test_power_sums_of_sum_set_match_materialised(values, offsets):
+    """Binomial power sums equal the direct ones to 1e-12 of ``sum (|o| + |v|)^k``, their rounding scale."""
+    got = power_sums(values, offsets)
+    x = sum_set_values(np.array(values), offsets)
+    size = sum_set_values(np.abs(values), np.abs(offsets))
+    for k in range(1, MAX_MOMENT + 1):
+        assert abs(got[k - 1] - np.sum(x**k)) <= 1e-12 * max(np.sum(size**k), 1e-300), k
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
 def test_sum_set_histogram_matches_np_histogram(chunk_bits):
     """Counts, below and above of the sum-set equal np.histogram of the materialised values."""
-    # the narrow ranges make below/above nonzero; at eps=0, scale=1 every value
-    # is an even integer and lies exactly on a bin edge
-    for eps, scale, lo, hi in ((0.6, None, -2.5, 2.5), (0.0, 1.0, -16.0, 16.0)):
-        hist = HistogramAccumulator(lo=lo, hi=hi)
-        values = _exyz_stream(20, eps, chunk_bits, [hist], scale=scale)
-        edges = hist.edges
-        inside = (values >= edges[0]) & (values < edges[-1])
-        want, _ = np.histogram(values[inside], bins=edges)
-        assert np.array_equal(hist.counts, want)
-        assert hist.below == int(np.sum(values < edges[0])) > 0
-        assert hist.above == int(np.sum(values >= edges[-1])) > 0
-        assert hist.nan == 0 and hist.count == 1 << 20
+    # the narrow ranges make below/above nonzero; at eps=0, scale=1/2 every value
+    # is an integer and lies exactly on a bin edge
+    for eps, scale in ((0.6, 3.2 / math.sqrt(20 * (1 + 0.6**2))), (0.0, 0.5)):
+        low, offsets = spectrum_sum_set(20, eps, scale=scale, chunk_bits=chunk_bits)
+        hist = Histogram.of(low, offsets)
+        values = sum_set_values(low, offsets)
+        counts, below, above, nan = _materialised_histogram(values)
+        assert np.array_equal(hist.counts, counts)
+        assert hist.below == below > 0
+        assert hist.above == above > 0
+        assert hist.nan == nan == 0 and hist.count == 1 << 20
         if eps == 0.0:
-            assert np.all(np.isin(values[inside], edges)) and hist.above == int(np.sum(values > 15))
+            inside = (values >= EDGES[0]) & (values < EDGES[-1])
+            assert np.all(np.isin(values[inside], EDGES)) and hist.above == int(np.sum(values > 7.5))
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
 def test_sum_set_power_sums_match_collected(chunk_bits):
-    mom = MomentAccumulator()
-    values = _exyz_stream(20, 0.6, chunk_bits, [mom])
+    n, eps = 20, 0.6
+    low, offsets = spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2)), chunk_bits=chunk_bits)
+    got = power_sums(low, offsets)
+    values = sum_set_values(low, offsets)
     want = EmpiricalDistribution.from_values(values).power_sums
     # odd power sums are ~0, so the scale is the sum of |value|^k
-    scale = np.array([np.sum(np.abs(values) ** k) for k in range(1, mom.k_max + 1)])
-    assert mom.count == 1 << 20
-    assert np.max(np.abs(mom.power_sums - want) / scale) < 1e-12
+    scale = np.array([np.sum(np.abs(values) ** k) for k in range(1, MAX_MOMENT + 1)])
+    assert len(low) * len(offsets) == 1 << 20
+    assert np.max(np.abs(got - want) / scale) < 1e-12
 
 
 def test_streamed_moments_match_rademacher_cumulants_n28():
@@ -154,18 +185,16 @@ def test_streamed_moments_match_rademacher_cumulants_n28():
     the 2r-th cumulant is ``kappa_2r(Rademacher) c^2r sum_j delta_j^2r`` with
     Rademacher cumulants 1, -2, 16, -272; odd cumulants vanish.
     """
-    from spinchain.free_fermion import enumerate_spectrum, mode_energies
-
     n, eps = 28, 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
-    mom = MomentAccumulator()
-    assert enumerate_spectrum(n, eps, mom, scale=scale) == 1 << n
+    low, offsets = spectrum_sum_set(n, eps, scale=scale)
+    assert len(low) * len(offsets) == 1 << n
     delta = mode_energies(n, eps).delta * scale
     kappa = {2 * r: c * float(np.sum(delta ** (2 * r))) for r, c in ((1, 1), (2, -2), (3, 16), (4, -272))}
     m = [1.0]
     for k in range(1, 9):
         m.append(sum(math.comb(k - 1, j - 1) * kappa.get(j, 0.0) * m[k - j] for j in range(1, k + 1)))
-    got = mom.moments()
+    got = power_sums(low, offsets) / (1 << n)
     for k in (2, 4, 6, 8):
         assert got[k - 1] == pytest.approx(m[k], rel=1e-12), k
     for k in (1, 3, 5, 7):

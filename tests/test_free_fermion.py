@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from spinchain import free_fermion
 from spinchain.free_fermion import (
     EXACT_CAP,
     STREAM_CAP,
     StreamCapExceededError,
     collect_spectrum,
-    enumerate_spectrum,
     min_gap_scan,
     mode_energies,
     resolve_parity_map,
     sector_parity,
+    spectrum_sum_set,
     sum_set_values,
 )
 
@@ -59,10 +60,9 @@ def test_gray_walk_independent_of_chunking():
     """The Gray-code streaming path must emit the same multiset as direct expansion."""
     direct = np.sort(collect_spectrum(10, 0.6))
     for chunk_bits in (3, 5, 9):
-        out = []
-        count = enumerate_spectrum(10, 0.6, lambda *s: out.append(sum_set_values(*s)), chunk_bits=chunk_bits)
-        assert count == 1 << 10
-        assert np.max(np.abs(np.sort(out[0]) - direct)) < 1e-10
+        values = sum_set_values(*spectrum_sum_set(10, 0.6, chunk_bits=chunk_bits))
+        assert len(values) == 1 << 10
+        assert np.max(np.abs(np.sort(values) - direct)) < 1e-10
 
 
 def test_stream_scale():
@@ -71,11 +71,13 @@ def test_stream_scale():
     assert np.allclose(a, b)
 
 
-def test_stream_cap():
-    calls = []
+def test_stream_cap(monkeypatch):
+    def expand_block(deltas):
+        raise AssertionError("expanded a block above the streaming cap")
+
+    monkeypatch.setattr(free_fermion, "_expand_block", expand_block)
     with pytest.raises(StreamCapExceededError):
-        enumerate_spectrum(STREAM_CAP + 1, 0.5, lambda values, offsets: calls.append(len(offsets)))
-    assert calls == []
+        spectrum_sum_set(STREAM_CAP + 1, 0.5)
     with pytest.raises(StreamCapExceededError):
         collect_spectrum(EXACT_CAP + 1, 0.5)
 
@@ -106,8 +108,3 @@ def test_min_gap_generic_eps_positive():
     for r in results:
         assert r.min_gap > 0.0, f"eps={r.epsilon}"
 
-
-def test_min_gap_warns_for_composite_n():
-    with pytest.warns(UserWarning):
-        _, odd_prime = min_gap_scan(4, [0.5])
-    assert not odd_prime
