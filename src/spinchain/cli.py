@@ -134,6 +134,9 @@ def cmd_purity_sweep(args):
 def cmd_dos(args):
     failures = 0
     reports = []
+    if args.cx_grid and args.model == "exyz" and max(args.n) > free_fermion.EXACT_CAP:
+        # F(x) is read off the sorted values, which only the exact mode keeps
+        raise ValueError(f"--cx-grid needs n <= exact cap {free_fermion.EXACT_CAP}, got n={max(args.n)}")
     for n in args.n:
         if args.model == "exyz":
             scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
@@ -166,7 +169,7 @@ def cmd_dos(args):
         if args.normalize and abs(m[1] - 1.0) > 1e-10:
             report["m2_identity"] = "FAIL"
             failures += 1
-        if args.cx_grid and d.exact:
+        if args.cx_grid:
             from scipy.special import ndtr
 
             table = []

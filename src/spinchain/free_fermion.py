@@ -3,11 +3,11 @@
 The full 2^n spectrum is ``lambda_x = sum_j (2 x_j - 1) delta_j`` with
 ``delta_j = eps*mu_j - sqrt(eps^2 mu_j^2 + 1)`` and ``mu_j = sin(2 pi j/n)``.
 Enumeration hands over the 2^n values without 2^n memory, as a sum-set: the
-low ``chunk_bits`` modes are expanded once into a block ``low`` of 2^chunk
-signed sums, and the remaining modes are walked in Gray-code order with an
-O(1) running-sum update per step, giving 2^(n - chunk) offsets. The spectrum
-is ``{o + v : o in offsets, v in low}``, and the density-of-states statistics
-are computed on that pair instead of on materialised chunks.
+signed sums of the low ``CHUNK_BITS`` modes form a block ``low`` and the
+signed sums of the remaining modes form the ``offsets``, both in binary
+occupation order. The spectrum is ``{o + v : o in offsets, v in low}``, and
+the density-of-states statistics are computed on that pair instead of on
+materialised values.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import build_exyz
+from .hamiltonians import SizeLimitError, build_exyz
 from .spectra import diagonalize_dense
 
 #: largest n whose spectrum is streamed (2^28 values); checked by ``spectrum_sum_set``
@@ -23,12 +23,8 @@ STREAM_CAP = 28
 #: largest n whose full spectrum is collected into one array (2^24 values);
 #: checked by ``collect_spectrum``; above it the density of states is streamed
 EXACT_CAP = 24
-#: refresh the incrementally maintained running sum this often (in values)
-RECOMPUTE_PERIOD = 1 << 20
-
-
-class StreamCapExceededError(ValueError):
-    """Raised before allocation when n exceeds :data:`STREAM_CAP` (stream) or :data:`EXACT_CAP` (collect)."""
+#: modes expanded into the ``low`` half of the sum-set; the rest give the offsets
+CHUNK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -64,47 +60,30 @@ def sum_set_values(values, offsets):
     return (np.asarray(offsets, dtype=float)[:, None] + values).ravel()
 
 
-def spectrum_sum_set(n, epsilon, scale=1.0, chunk_bits=16):
+def spectrum_sum_set(n, epsilon, scale=1.0):
     """All 2^n eigenvalues (times ``scale``) as one sum-set ``(low, offsets)``.
 
-    ``low`` holds the 2^k signed sums of the lowest ``k = min(chunk_bits, n)``
-    modes and ``offsets`` the 2^(n-k) Gray-walk running sums of the others;
-    together they stand for the values ``{o + v : o in offsets, v in low}``,
-    each exactly once. The running sum is recomputed from scratch every
-    :data:`RECOMPUTE_PERIOD` values to bound float drift. Memory is
+    ``low`` holds the 2^k signed sums of the lowest ``k = min(CHUNK_BITS, n)``
+    modes and ``offsets`` the 2^(n-k) signed sums of the others, both in
+    binary occupation order; together they stand for the values
+    ``{o + v : o in offsets, v in low}``, each exactly once. Memory is
     O(2^k + 2^(n-k)).
     """
     if n > STREAM_CAP:
-        raise StreamCapExceededError(f"n={n} exceeds streaming cap {STREAM_CAP}")
-    modes = mode_energies(n, epsilon)
-    deltas = modes.delta * scale
-    k = min(chunk_bits, n)
-    low = _expand_block(deltas[:k])
-    high = deltas[k:]
-    m = n - k
-    offsets = np.empty(1 << m)
-    base = -float(np.sum(high))
-    gray = 0
-    refresh_every = max(1, RECOMPUTE_PERIOD >> k)
-    for h in range(1 << m):
-        if h and h % refresh_every == 0:
-            # exact recomputation of the running sum at the current Gray word
-            signs = np.array([1.0 if gray >> b & 1 else -1.0 for b in range(m)])
-            base = float(np.dot(signs, high))
-        offsets[h] = base
-        if h == (1 << m) - 1:
-            break
-        step = h + 1
-        bit = (step & -step).bit_length() - 1
-        gray ^= 1 << bit
-        base += 2.0 * high[bit] if gray >> bit & 1 else -2.0 * high[bit]
-    return low, offsets
+        raise SizeLimitError(f"n={n} exceeds streaming cap {STREAM_CAP}")
+    deltas = mode_energies(n, epsilon).delta * scale
+    k = min(CHUNK_BITS, n)
+    return _expand_block(deltas[:k]), _expand_block(deltas[k:])
 
 
 def collect_spectrum(n, epsilon, scale=1.0):
-    """The full spectrum as one array, offset-major (exact mode; at most 2^EXACT_CAP values)."""
+    """The full spectrum as one array (exact mode; at most 2^EXACT_CAP values).
+
+    Entry ``i`` is the eigenvalue whose mode ``j`` is occupied exactly when
+    bit ``j - 1`` of ``i`` is set.
+    """
     if n > EXACT_CAP:
-        raise StreamCapExceededError(f"n={n} exceeds exact cap {EXACT_CAP}")
+        raise SizeLimitError(f"n={n} exceeds exact cap {EXACT_CAP}")
     return sum_set_values(*spectrum_sum_set(n, epsilon, scale=scale))
 
 
@@ -153,11 +132,11 @@ class MinGapResult:
     min_gap: float
 
 
-def min_gap_scan(n, epsilon_grid, scale=1.0):
+def min_gap_scan(n, epsilon_grid):
     """Minimum spectral gap for each epsilon, and whether n is an odd prime (non-degeneracy is predicted only then)."""
     results = []
     for eps in epsilon_grid:
-        vals = np.sort(collect_spectrum(n, eps, scale=scale))
+        vals = np.sort(collect_spectrum(n, eps))
         gap = float(np.min(np.diff(vals))) if len(vals) > 1 else float("inf")
         results.append(MinGapResult(float(eps), gap))
     return results, _is_odd_prime(n)

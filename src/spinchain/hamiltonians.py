@@ -14,13 +14,17 @@ from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
 
 #: largest n for which a 2^n x 2^n matrix is formed: checked by ``to_dense``
 #: for the dense path and by ``symmetry.sector_eigensystems`` for the sector
-#: path, which also serves the per-sector purities that form no such matrix;
-#: ``to_sparse`` allows up to twice this n
+#: path, which also serves the per-sector purities that form no such matrix
 DENSE_CAP = 13
 
 
-class DenseCapExceededError(ValueError):
-    """Raised before allocation when n exceeds :data:`DENSE_CAP` (or ``2 * DENSE_CAP`` for sparse)."""
+class SizeLimitError(ValueError):
+    """Raised before allocation when n exceeds a size cap.
+
+    The caps are :data:`DENSE_CAP` for 2^n x 2^n matrices, and
+    ``free_fermion.EXACT_CAP`` and ``free_fermion.STREAM_CAP`` for the
+    collected and the sum-set exyz spectrum.
+    """
 
 
 @dataclass(frozen=True)
@@ -147,31 +151,10 @@ class OperatorSum:
             out[idx ^ x] += diag[:, None] * mat
         return out
 
-    def to_sparse(self):
-        """Sparse CSR matrix; each x-mask group contributes one generalized diagonal."""
-        from scipy.sparse import csr_matrix
-
-        if self.n > 2 * DENSE_CAP:
-            raise DenseCapExceededError(f"n={self.n} exceeds sparse cap {2 * DENSE_CAP}")
-        dim = 1 << self.n
-        idx = np.arange(dim)
-        rows, cols, vals = [], [], []
-        for x, diag in self.x_groups(idx):
-            rows.append(idx ^ x)
-            cols.append(idx)
-            vals.append(diag)
-        if not rows:
-            return csr_matrix((dim, dim), dtype=complex)
-        return csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-            dtype=complex,
-        )
-
     def to_dense(self):
         """Dense Hermitian matrix; real-valued unless a term has an odd number of Y factors."""
         if self.n > DENSE_CAP:
-            raise DenseCapExceededError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
+            raise SizeLimitError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
         dim = 1 << self.n
         idx = np.arange(dim)
         is_real = not np.any(np.bitwise_count(self.xs & self.zs) & 1)
@@ -351,14 +334,14 @@ def build_pair_only(c):
     return OperatorSum.from_terms(n, terms)
 
 
-def build_general(g, scale=None):
-    """Graph Hamiltonian: two-body edge terms plus local fields.
+def build_general(g):
+    """Graph Hamiltonian: two-body edge terms plus local fields, 1/sqrt(n) prefactor.
 
-    ``scale`` defaults to ``1/sqrt(n)``; the nearest-neighbour ring is the
-    special case of ring edges plus matching fields.
+    The nearest-neighbour ring is the special case of ring edges plus
+    matching fields.
     """
     n = g.n
-    pref = 1.0 / np.sqrt(n) if scale is None else float(scale)
+    pref = 1.0 / np.sqrt(n)
     terms = []
     for j, k, alpha in g.edges:
         for a in range(1, 4):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import DENSE_CAP, DenseCapExceededError, OperatorSum
+from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, eigensystem
 
 COMMUTATION_TOL = 1e-10
@@ -217,7 +217,7 @@ def sector_eigensystems(h, want_vectors=True):
     """
     n = h.n
     if n > DENSE_CAP:
-        raise DenseCapExceededError(f"n={n} exceeds dense cap {DENSE_CAP}")
+        raise SizeLimitError(f"n={n} exceeds dense cap {DENSE_CAP}")
     for sector, block in momentum_blocks(h):
         yield sector, *eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
 

@@ -192,7 +192,7 @@ def test_size_limits_refuse_before_allocation(tmp_path, argv):
 
 
 def test_readme_cli_examples_parse(tmp_path):
-    """Every ``spinchain ...`` line of the README's CLI block parses and runs to exit 0."""
+    """Every ``spinchain ...`` line of the README's CLI block parses, runs to exit 0 and reruns byte-identically."""
     cli_section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```sh\n(.*?)```", cli_section, re.S).group(1)
     examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("spinchain ")]
@@ -202,7 +202,10 @@ def test_readme_cli_examples_parse(tmp_path):
         args = parser.parse_args(argv)
         assert args.command == argv[0]
         # the last --out wins, so the README's output path is overridden
-        assert main(argv + ["--out", str(tmp_path / f"example{i}")]) == 0, argv
+        outs = [tmp_path / f"example{i}{rerun}" for rerun in "ab"]
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 0, argv
+        assert outs[0].read_bytes() == outs[1].read_bytes(), argv
 
 
 def test_dos_sector_models_match_dense(tmp_path):
@@ -248,6 +251,19 @@ def test_dos_exyz_streaming_branch(tmp_path):
     assert m2 == pytest.approx(c2 * s2, rel=1e-12)
     assert m4 == pytest.approx(c2**2 * (3 * s2**2 - 2 * s4), rel=1e-12)
     assert abs(stream["ks"] - exact["ks"]) <= stream["ks_uncertainty"] + KS_DRIFT_24_25
+
+
+def test_dos_cx_grid_refuses_streamed_n(tmp_path, capsys):
+    """F(x) needs the sorted exact spectrum: --cx-grid above EXACT_CAP exits 2 before any n is computed."""
+    out = tmp_path / "cx.json"
+    assert main(["dos", "--n", "24", "25", "--cx-grid", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    code, out = run(tmp_path, "cx24.json", ["dos", "--n", "24", "--cx-grid", "0"])
+    assert code == 0
+    table = json.loads(out.read_text())["reports"][0]["cx_table"]
+    assert [row["x"] for row in table] == [0.0]
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

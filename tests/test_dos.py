@@ -24,6 +24,7 @@ from spinchain.dos import (
     moments,
     power_sums,
 )
+from spinchain import free_fermion
 from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     InteractionGraph,
@@ -147,12 +148,13 @@ def test_power_sums_of_sum_set_match_materialised(values, offsets):
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
-def test_sum_set_histogram_matches_np_histogram(chunk_bits):
+def test_sum_set_histogram_matches_np_histogram(monkeypatch, chunk_bits):
     """Counts, below and above of the sum-set equal np.histogram of the materialised values."""
+    monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
     # the narrow ranges make below/above nonzero; at eps=0, scale=1/2 every value
     # is an integer and lies exactly on a bin edge
     for eps, scale in ((0.6, 3.2 / math.sqrt(20 * (1 + 0.6**2))), (0.0, 0.5)):
-        low, offsets = spectrum_sum_set(20, eps, scale=scale, chunk_bits=chunk_bits)
+        low, offsets = spectrum_sum_set(20, eps, scale=scale)
         hist = Histogram.of(low, offsets)
         values = sum_set_values(low, offsets)
         counts, below, above, nan = _materialised_histogram(values)
@@ -166,9 +168,10 @@ def test_sum_set_histogram_matches_np_histogram(chunk_bits):
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
-def test_sum_set_power_sums_match_collected(chunk_bits):
+def test_sum_set_power_sums_match_collected(monkeypatch, chunk_bits):
+    monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
     n, eps = 20, 0.6
-    low, offsets = spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2)), chunk_bits=chunk_bits)
+    low, offsets = spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2)))
     got = power_sums(low, offsets)
     values = sum_set_values(low, offsets)
     want = EmpiricalDistribution.from_values(values).power_sums

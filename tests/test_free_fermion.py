@@ -5,7 +5,6 @@ from spinchain import free_fermion
 from spinchain.free_fermion import (
     EXACT_CAP,
     STREAM_CAP,
-    StreamCapExceededError,
     collect_spectrum,
     min_gap_scan,
     mode_energies,
@@ -14,6 +13,7 @@ from spinchain.free_fermion import (
     spectrum_sum_set,
     sum_set_values,
 )
+from spinchain.hamiltonians import SizeLimitError
 
 
 def test_modes_eps_zero():
@@ -56,13 +56,24 @@ def test_spectrum_sums_to_zero():
         assert abs(np.sum(collect_spectrum(n, eps))) < 1e-8
 
 
-def test_gray_walk_independent_of_chunking():
-    """The Gray-code streaming path must emit the same multiset as direct expansion."""
+def test_gray_walk_independent_of_chunking(monkeypatch):
+    """Splitting the modes between the two halves of the sum-set must not change the multiset."""
     direct = np.sort(collect_spectrum(10, 0.6))
     for chunk_bits in (3, 5, 9):
-        values = sum_set_values(*spectrum_sum_set(10, 0.6, chunk_bits=chunk_bits))
+        monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
+        values = sum_set_values(*spectrum_sum_set(10, 0.6))
         assert len(values) == 1 << 10
         assert np.max(np.abs(np.sort(values) - direct)) < 1e-10
+
+
+def test_collect_spectrum_index_is_occupation(monkeypatch):
+    """Entry i occupies mode j exactly when bit j-1 of i is set, across the split of the sum-set."""
+    monkeypatch.setattr(free_fermion, "CHUNK_BITS", 3)
+    n, eps = 8, 0.6
+    delta = mode_energies(n, eps).delta
+    i = np.arange(1 << n)
+    signs = 2.0 * ((i[:, None] >> np.arange(n)) & 1) - 1.0
+    assert np.max(np.abs(collect_spectrum(n, eps) - signs @ delta)) < 1e-12
 
 
 def test_stream_scale():
@@ -76,9 +87,9 @@ def test_stream_cap(monkeypatch):
         raise AssertionError("expanded a block above the streaming cap")
 
     monkeypatch.setattr(free_fermion, "_expand_block", expand_block)
-    with pytest.raises(StreamCapExceededError):
+    with pytest.raises(SizeLimitError):
         spectrum_sum_set(STREAM_CAP + 1, 0.5)
-    with pytest.raises(StreamCapExceededError):
+    with pytest.raises(SizeLimitError):
         collect_spectrum(EXACT_CAP + 1, 0.5)
 
 

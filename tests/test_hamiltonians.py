@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from spinchain.hamiltonians import (
     ChainCoefficients,
     DENSE_CAP,
-    DenseCapExceededError,
     InteractionGraph,
     OperatorSum,
+    SizeLimitError,
     build_ba,
     build_exyz,
     build_general,
@@ -251,13 +251,6 @@ def test_apply_matches_dense(kind, n):
 
 
 @pytest.mark.parametrize("kind", BUILDERS)
-@pytest.mark.parametrize("n", [6, 8])
-def test_to_sparse_matches_dense(kind, n):
-    h = BUILDERS[kind](n)
-    assert np.max(np.abs(h.to_sparse().toarray() - h.to_dense())) < 1e-12
-
-
-@pytest.mark.parametrize("kind", BUILDERS)
 def test_apply_matrix_matches_term_sum(kind):
     """Oracle: the sum over terms of ``c * PauliString.to_dense() @ M``."""
     n = 6
@@ -279,20 +272,17 @@ def operator_sums(draw):
 
 @given(h=operator_sums(), seed=st.integers(0, 2**32 - 1))
 def test_operator_forms_agree(h, seed):
-    """Dense, sparse, matrix-free block and matrix-free vector forms of one sum agree."""
+    """Dense, matrix-free block and matrix-free vector forms of one sum agree."""
     dense = h.to_dense()
-    assert np.max(np.abs(h.to_sparse().toarray() - dense), initial=0.0) < 1e-12
     assert np.max(np.abs(h.apply_matrix(np.eye(1 << h.n)) - dense), initial=0.0) < 1e-12
     v = StateVector.random(h.n, np.random.default_rng(seed))
     assert np.max(np.abs(h.apply(v).amplitudes - dense @ v.amplitudes)) < 1e-12
 
 
 def test_dense_cap_enforced():
-    # both checks run before the 2^n index array is allocated
-    with pytest.raises(DenseCapExceededError):
+    # the check runs before the 2^n index array is allocated
+    with pytest.raises(SizeLimitError):
         build_exyz(0.5, DENSE_CAP + 1).to_dense()
-    with pytest.raises(DenseCapExceededError):
-        build_exyz(0.5, 2 * DENSE_CAP + 1).to_sparse()
 
 
 def test_real_dense_when_no_y():

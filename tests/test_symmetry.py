@@ -7,8 +7,8 @@ from spinchain.entanglement import average_purity
 from spinchain.hamiltonians import (
     ChainCoefficients,
     DENSE_CAP,
-    DenseCapExceededError,
     OperatorSum,
+    SizeLimitError,
     build_ba,
     build_exyz,
     build_invariant,
@@ -238,7 +238,7 @@ def test_spectrum_only_path_matches_vector_path():
 
 
 def test_joint_eigenbasis_cap():
-    with pytest.raises(DenseCapExceededError):
+    with pytest.raises(SizeLimitError):
         joint_eigenbasis(build_ba(0.5, 0.5, DENSE_CAP + 1), want_vectors=False)
 
 
@@ -262,7 +262,7 @@ def _full_space_residual(h, e):
     perm = translation_permutation(n)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
-    res_h = h.to_sparse() @ vecs - vecs * e.eigenvalues
+    res_h = h.to_dense() @ vecs - vecs * e.eigenvalues
     res_t = vecs[inv] - np.exp(2j * np.pi * e.momenta / n) * vecs
     return max(float(np.max(np.linalg.norm(r, axis=0))) for r in (res_h, res_t))
 
