@@ -6,9 +6,6 @@ __version__ = "0.1.0"
 from .pauli import (
     PauliString,
     PhasedString,
-    StateVector,
-    apply,
-    expectation,
     multiply,
 )
 from .hamiltonians import (
@@ -28,14 +25,13 @@ from .hamiltonians import (
 from .spectra import (
     EigenDecomposition,
     commutator_norm,
-    detect_degeneracy,
     diagonalize_dense,
+    min_gap,
 )
 from .symmetry import (
     MomentumSector,
     build_momentum_basis,
     joint_eigenbasis,
-    translate_index,
     translation_defect,
     translation_permutation,
 )
@@ -44,8 +40,6 @@ from .entanglement import (
     build_M,
     epsilon_fraction,
     pair_only_checks,
-    pauli_coefficients,
-    reduce_contiguous,
     sector_purities,
 )
 from .free_fermion import (
@@ -53,8 +47,6 @@ from .free_fermion import (
     collect_spectrum,
     min_gap_scan,
     mode_energies,
-    resolve_parity_map,
-    sector_parity,
     spectrum_sum_set,
 )
 from .dos import (
@@ -63,9 +55,7 @@ from .dos import (
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
-    characteristic_fn,
     clt_bound_check,
-    geometry_conditions,
     ks_distance,
     lyapunov_quantities,
     moments,

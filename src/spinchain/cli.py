@@ -2,9 +2,10 @@
 bound checks, degeneracy scans and moment tables, emitted as CSV/JSON.
 
 Exit codes: 0 = all asserted bounds passed, 1 = a theorem-backed bound
-failed (bug indicator), 2 = usage error, 3 = internal or numerical failure
-(an eigensolver that did not converge, an inconsistent parity assignment,
-a reduced density matrix failing its trace/Hermitian/positivity check).
+failed (bug indicator), 2 = usage error (a bad flag value, a size above a
+cap, an output path that cannot be written), 3 = internal or numerical
+failure (an eigensolver that did not converge, a reduced density matrix
+failing its trace/Hermitian/positivity check).
 Every output embeds its full config so a re-run with the same flags is
 byte-identical.
 """
@@ -12,6 +13,7 @@ byte-identical.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,7 +80,7 @@ def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alph
 def _spectrum_only(h, model):
     """Eigenvalues only; translation-invariant rings go through momentum sectors."""
     if model in ("invariant", "ba"):
-        return symmetry.joint_eigenbasis(h, want_vectors=False)
+        return symmetry.joint_eigenbasis(h)
     return spectra.diagonalize_dense(h, want_vectors=False)
 
 
@@ -166,7 +168,8 @@ def cmd_dos(args):
             "ks_uncertainty": ks.uncertainty,
             "moments": list(m),
         }
-        if args.normalize and abs(m[1] - 1.0) > 1e-10:
+        # written so that a NaN moment fails too
+        if args.normalize and not abs(m[1] - 1.0) <= 1e-10:
             report["m2_identity"] = "FAIL"
             failures += 1
         if args.cx_grid:
@@ -217,8 +220,7 @@ def cmd_degeneracy_scan(args):
     for sample in range(args.samples):
         h = _build_model("invariant", args.n, seed=args.seed, sample_id=sample)
         e = spectra.diagonalize_dense(h, want_vectors=False)
-        rep = spectra.detect_degeneracy(e)
-        rows.append(["invariant", args.n, "", sample, repr(rep.min_gap)])
+        rows.append(["invariant", args.n, "", sample, repr(spectra.min_gap(e.eigenvalues))])
     _write_csv(
         args.out,
         _config_dict(args, "degeneracy-scan"),
@@ -238,7 +240,7 @@ def cmd_ba_moments(args):
         e = _spectrum_only(h, "ba")
         d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         m = dos.moments(d, 6)
-        if abs(m[1] - sigma2) > 1e-10:
+        if not abs(m[1] - sigma2) <= 1e-10:
             failures += 1
         entries.append({"n": n, "m2": m[1], "m4": m[3], "m6": m[5]})
     predictions = {
@@ -272,6 +274,28 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text):
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_int(text):
+    """argparse type of counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="spinchain", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -285,33 +309,33 @@ def build_parser():
     sp = sub.add_parser("purity-sweep", help="eigenstate linear-entropy sweep")
     common(sp, ("invariant", "nn", "pair_only"), "invariant")
     sp.add_argument("--l", type=int, nargs="+", default=[1, 2, 3])
-    sp.add_argument("--samples", type=int, default=8)
+    sp.add_argument("--samples", type=_positive_int, default=8)
     sp.set_defaults(func=cmd_purity_sweep)
 
     sp = sub.add_parser("dos", help="density-of-states report")
     sp.add_argument("--n", type=int, nargs="+", required=True)
     sp.add_argument("--model", choices=("exyz", "nn", "invariant", "ba"), default="exyz")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epsilon", type=float, default=0.5)
-    sp.add_argument("--alpha1", type=float, default=0.0)
-    sp.add_argument("--alpha3", type=float, default=0.0)
+    sp.add_argument("--epsilon", type=_finite_float, default=0.5)
+    sp.add_argument("--alpha1", type=_finite_float, default=0.0)
+    sp.add_argument("--alpha3", type=_finite_float, default=0.0)
     sp.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--cx-grid", type=float, nargs="*", default=None)
+    sp.add_argument("--cx-grid", type=_finite_float, nargs="*", default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_dos)
 
     sp = sub.add_parser("clt-check", help="block/link characteristic-function bound")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, nargs="+", default=[2, 3])
-    sp.add_argument("--t", type=float, nargs="+", default=[0.5, 1.0, 2.0])
+    sp.add_argument("--t", type=_finite_float, nargs="+", default=[0.5, 1.0, 2.0])
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--coeff-bound", type=float, default=None)
+    sp.add_argument("--coeff-bound", type=_finite_float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_clt_check)
 
     sp = sub.add_parser("degeneracy-scan", help="minimum spectral gaps")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, nargs="*", default=[])
+    sp.add_argument("--epsilon", type=_finite_float, nargs="*", default=[])
     sp.add_argument("--samples", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -319,16 +343,16 @@ def build_parser():
 
     sp = sub.add_parser("ba-moments", help="Ising-with-fields moment table")
     sp.add_argument("--n", type=int, nargs="+", default=[10, 12])
-    sp.add_argument("--alpha1", type=float, default=0.5)
-    sp.add_argument("--alpha3", type=float, default=0.5)
+    sp.add_argument("--alpha1", type=_finite_float, default=0.5)
+    sp.add_argument("--alpha3", type=_finite_float, default=0.5)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_ba_moments)
 
     sp = sub.add_parser("spectrum", help="export one spectrum as CSV")
     common(sp, ("invariant", "nn", "pair_only", "ba", "exyz"), "invariant")
-    sp.add_argument("--epsilon", type=float, default=0.5)
-    sp.add_argument("--alpha1", type=float, default=0.0)
-    sp.add_argument("--alpha3", type=float, default=0.0)
+    sp.add_argument("--epsilon", type=_finite_float, default=0.5)
+    sp.add_argument("--alpha1", type=_finite_float, default=0.0)
+    sp.add_argument("--alpha3", type=_finite_float, default=0.0)
     sp.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=False)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -342,7 +366,7 @@ def main(argv=None):
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Density-of-states diagnostics: KS distance to the standard normal,
-spectral moments, characteristic functions, the block/link decomposition
-with its central-limit bounds, and the conjectured Ising-with-fields
+spectral moments, the block/link decomposition with its central-limit
+(characteristic-function) bounds, and the conjectured Ising-with-fields
 moment predictions.
 """
 
@@ -171,13 +171,6 @@ def moments(d, k_max=MAX_MOMENT):
     return d.power_sums[:k_max] / d.count
 
 
-def characteristic_fn(d, t):
-    """``(1/2^n) sum_k exp(i t lambda_k)``; exact mode only."""
-    if not d.exact:
-        raise ValueError("characteristic function requires exact mode")
-    return complex(np.mean(np.exp(1j * float(t) * d.values)))
-
-
 # ---------------------------------------------------------------------------
 # Block/link decomposition of a nearest-neighbour ring
 
@@ -343,38 +336,3 @@ def ba_prediction_printed(alpha1, alpha3, k):
     """The published formula ``(1+a1^2+a3^2)^{2k} (2k)!/(2^k k!)`` verbatim."""
     sigma2 = 1.0 + alpha1**2 + alpha3**2
     return sigma2 ** (2 * k) * math.factorial(2 * k) / (2**k * math.factorial(k))
-
-
-# ---------------------------------------------------------------------------
-# General-geometry partition diagnostics
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    r: int
-    m: int
-    q: int
-    r_over_n: float
-    mq2_over_n2: float
-
-
-def geometry_conditions(g, partition):
-    """Crossing-link count and block statistics for a site partition.
-
-    ``partition`` is a list of site collections covering 1..n disjointly;
-    ``r`` counts graph edges crossing between blocks, ``m`` the block
-    count, ``q`` the largest block.
-    """
-    n = g.n
-    owner = {}
-    for b, block in enumerate(partition):
-        for site in block:
-            if site in owner:
-                raise ValueError(f"site {site} appears in two blocks")
-            owner[site] = b
-    if set(owner) != set(range(1, n + 1)):
-        raise ValueError("partition must cover all sites exactly once")
-    r = sum(1 for j, k, _ in g.edges if owner[j] != owner[k])
-    m = len(partition)
-    q = max(len(block) for block in partition)
-    return GeometryReport(r, m, q, r / n, m * q**2 / n**2)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .hamiltonians import OperatorSum
 from .pauli import PauliString
-from .spectra import EigenDecomposition
+from .spectra import EigenDecomposition, min_gap
 from .symmetry import sector_eigensystems, sorted_spectrum
 
 #: trace, Hermitian and positivity tolerance of every reduced density matrix
@@ -77,12 +77,6 @@ def _purities(columns, n, l):
     return out
 
 
-def reduce_contiguous(v, l):
-    """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
-    _, rhos = next(_reduced_states(v.amplitudes[:, None], v.n, l))
-    return rhos[0]
-
-
 def _pauli_stack(rhos, l):
     """Pauli coefficients of a (c, 2^l, 2^l) stack, shape (c,) + (4,)*l.
 
@@ -98,15 +92,6 @@ def _pauli_stack(rhos, l):
         # contracts the leading qubit index and appends its Pauli code last
         out = np.tensordot(out, _PAULI_TRACE, axes=(1, 1))
     return out.real
-
-
-def pauli_coefficients(v, l):
-    """Expectation ``<v| sigma^(a_1) ... sigma^(a_l) |v>`` for all index tuples.
-
-    Returned as a real array of shape (4,)*l; the identity entry is 1 and
-    ``purity = 2^-l * sum(coeffs^2)`` (Parseval).
-    """
-    return _pauli_stack(reduce_contiguous(v, l)[None], l)[0]
 
 
 def build_M(a, n):
@@ -172,8 +157,9 @@ def sector_purities(h, ls):
     into a Fortran-ordered (2^n x dim_k) block, its purities of sites 1..l
     are taken for every l in ``ls``, and the block is dropped, so no 2^n x
     2^n array is formed. The purities are then put in the global state
-    order of :func:`symmetry.joint_eigenbasis` and averaged over that order,
-    so every value equals ``average_purity(joint_eigenbasis(h), l)``.
+    order of :func:`symmetry.sorted_spectrum` and averaged over that order,
+    so every value equals :func:`average_purity` of the full lifted
+    eigenbasis in that order.
 
     Returns an :class:`EigenDecomposition` without eigenvectors (its
     ``residual`` is the largest sector residual) and a dict mapping each l
@@ -249,9 +235,8 @@ def pair_only_checks(e, l):
     if e.eigenvectors is None:
         raise ValueError("eigenvectors are required")
     n = int(np.log2(e.eigenvectors.shape[0]))
-    gaps = np.diff(e.eigenvalues)
-    min_gap = float(gaps.min()) if len(gaps) else float("inf")
-    degenerate = min_gap < GAP_RTOL * (e.eigenvalues[-1] - e.eigenvalues[0])
+    gap = min_gap(e.eigenvalues)
+    degenerate = gap < GAP_RTOL * (e.eigenvalues[-1] - e.eigenvalues[0])
 
     purities = np.empty(e.eigenvectors.shape[1])
     # index tuples of shape (4,)*l with an odd number of non-identity codes
@@ -262,4 +247,4 @@ def pair_only_checks(e, l):
         max_odd = max(max_odd, float(np.max(np.abs(_pauli_stack(rhos, l)[:, odd]))))
     max_dev = float(np.max(np.abs(purities - 0.5))) if l == 1 else None
 
-    return PairOnlyReport(l, degenerate, min_gap, purities, max_dev, max_odd)
+    return PairOnlyReport(l, degenerate, gap, purities, max_dev, max_odd)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import SizeLimitError, build_exyz
-from .spectra import diagonalize_dense
+from .hamiltonians import SizeLimitError
+from .spectra import min_gap
 
 #: largest n whose spectrum is streamed (2^28 values); checked by ``spectrum_sum_set``
 STREAM_CAP = 28
@@ -87,45 +87,6 @@ def collect_spectrum(n, epsilon, scale=1.0):
     return sum_set_values(*spectrum_sum_set(n, epsilon, scale=scale))
 
 
-def sector_parity(x):
-    """Fermion-number parity ``r mod 2`` of an occupation multi-index."""
-    return int(sum(x)) % 2
-
-
-def resolve_parity_map(n, epsilon):
-    """Match occupation parities to eigenvalues of the ring's Z-parity operator.
-
-    The analytic construction fixes the parity classes only up to a global
-    sign that depends on the parity of the fermionic vacuum; it is resolved
-    here numerically by comparing the two analytic parity sub-multisets with
-    the dense spectrum split by the Z-parity expectation of each eigenvector.
-    Returns ``{0: eta_even, 1: eta_odd}``.
-    """
-    # the dense solve checks DENSE_CAP before anything of size 2^n exists
-    e = diagonalize_dense(build_exyz(epsilon, n))
-    parities = np.bitwise_count(np.arange(1 << n)) & 1
-    spectrum = collect_spectrum(n, epsilon)
-    even = np.sort(spectrum[parities == 0])
-    odd = np.sort(spectrum[parities == 1])
-
-    eta_diag = 1.0 - 2.0 * parities
-    eta_exp = np.einsum("ij,i,ij->j", e.eigenvectors.conj(), eta_diag, e.eigenvectors).real
-    if np.max(np.abs(np.abs(eta_exp) - 1.0)) > 1e-6:
-        raise RuntimeError("eigenvectors are not parity eigenstates (degenerate spectrum?)")
-    plus = np.sort(e.eigenvalues[eta_exp > 0])
-    minus = np.sort(e.eigenvalues[eta_exp < 0])
-
-    if len(plus) == len(even) and np.allclose(plus, even, atol=1e-8):
-        if not (len(minus) == len(odd) and np.allclose(minus, odd, atol=1e-8)):
-            raise RuntimeError("inconsistent parity assignment")
-        return {0: +1, 1: -1}
-    if len(minus) == len(even) and np.allclose(minus, even, atol=1e-8):
-        if not (len(plus) == len(odd) and np.allclose(plus, odd, atol=1e-8)):
-            raise RuntimeError("inconsistent parity assignment")
-        return {0: -1, 1: +1}
-    raise RuntimeError("analytic parity classes do not match the dense spectrum")
-
-
 @dataclass(frozen=True)
 class MinGapResult:
     epsilon: float
@@ -136,9 +97,7 @@ def min_gap_scan(n, epsilon_grid):
     """Minimum spectral gap for each epsilon, and whether n is an odd prime (non-degeneracy is predicted only then)."""
     results = []
     for eps in epsilon_grid:
-        vals = np.sort(collect_spectrum(n, eps))
-        gap = float(np.min(np.diff(vals))) if len(vals) > 1 else float("inf")
-        results.append(MinGapResult(float(eps), gap))
+        results.append(MinGapResult(float(eps), min_gap(np.sort(collect_spectrum(n, eps)))))
     return results, _is_odd_prime(n)
 
 

@@ -10,18 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import DimensionMismatchError, PauliString, StateVector, _z_signs
+from .pauli import DimensionMismatchError, PauliString, _z_signs
 
-#: largest n for which a 2^n x 2^n matrix is formed: checked by ``to_dense``
-#: for the dense path and by ``symmetry.sector_eigensystems`` for the sector
-#: path, which also serves the per-sector purities that form no such matrix
+#: largest n of an exact diagonalization: checked by ``to_dense`` before a
+#: 2^n x 2^n matrix is formed, and by ``symmetry.sector_eigensystems``, whose
+#: momentum-sector blocks and per-sector lifts form no such matrix
 DENSE_CAP = 13
 
 
 class SizeLimitError(ValueError):
     """Raised before allocation when n exceeds a size cap.
 
-    The caps are :data:`DENSE_CAP` for 2^n x 2^n matrices, and
+    The caps are :data:`DENSE_CAP` for exact diagonalization, and
     ``free_fermion.EXACT_CAP`` and ``free_fermion.STREAM_CAP`` for the
     collected and the sum-set exyz spectrum.
     """
@@ -113,12 +113,6 @@ class OperatorSum:
 
     def __rmul__(self, scalar):
         return OperatorSum(self.n, self.xs, self.zs, float(scalar) * self.coeffs)
-
-    def apply(self, v):
-        """Matrix-free action on a :class:`StateVector`."""
-        if v.n != self.n:
-            raise DimensionMismatchError(f"site counts differ: {self.n} != {v.n}")
-        return StateVector(self.n, self.apply_matrix(v.amplitudes[:, None])[:, 0])
 
     def x_groups(self, idx):
         """Yield ``(x, D_x(idx))`` for each distinct x-mask, in canonical order.

@@ -1,4 +1,4 @@
-"""Bit-mask Pauli strings, their group algebra and matrix-free action on state vectors.
+"""Bit-mask Pauli strings, their group algebra and the scaled Hilbert-Schmidt inner product.
 
 Conventions used throughout the library:
 
@@ -13,9 +13,6 @@ Conventions used throughout the library:
 from dataclasses import dataclass
 
 import numpy as np
-
-#: default absolute tolerance for floating point identities
-ATOL = 1e-12
 
 _CODE_TO_CHAR = "IXYZ"
 _CHAR_TO_CODE = {c: a for a, c in enumerate(_CODE_TO_CHAR)}
@@ -197,69 +194,9 @@ def multiply(a, b):
     return PhasedString(power, PauliString(a.n, xc, zc))
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """2^n complex amplitudes; index b encodes ``|x_1 ... x_n>``, x_1 as MSB."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis_state(cls, n, index):
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[index] = 1.0
-        return cls(n, amps)
-
-    @classmethod
-    def random(cls, n, rng):
-        dim = 1 << n
-        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return cls(n, amps / np.linalg.norm(amps))
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, atol=ATOL):
-        return abs(self.norm - 1.0) <= atol
-
-
 def _z_signs(indices, z_mask):
     """(-1)^popcount(index & z_mask) as a float array."""
     return 1.0 - 2.0 * (np.bitwise_count(indices & z_mask) & 1)
-
-
-def apply(p, v):
-    """Apply a (phased) Pauli string to a state vector, matrix-free.
-
-    Bit-flips come from the x-mask, sign/phase flips from the z-mask; the
-    Euclidean norm is preserved exactly.
-    """
-    if isinstance(p, PauliString):
-        p = PhasedString(0, p)
-    if p.string.n != v.n:
-        raise DimensionMismatchError(f"site counts differ: {p.string.n} != {v.n}")
-    s = p.string
-    idx = np.arange(1 << v.n)
-    out = np.empty_like(v.amplitudes)
-    phase = _PHASE_VALUES[(p.phase_power + s.y_count) % 4]
-    out[idx ^ s.x_mask] = phase * _z_signs(idx, s.z_mask) * v.amplitudes
-    return StateVector(v.n, out)
-
-
-def expectation(p, v):
-    """<v|P|v> for a (phased) Pauli string; real when P is Hermitian."""
-    if not v.is_normalized(atol=1e-9):
-        import warnings
-
-        warnings.warn("state vector is not normalized", stacklevel=2)
-    return complex(np.vdot(v.amplitudes, apply(p, v).amplitudes))
 
 
 def hs_inner(a, b):

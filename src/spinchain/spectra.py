@@ -1,4 +1,4 @@
-"""Dense Hermitian diagonalization, degeneracy detection and spectral diagnostics."""
+"""Dense Hermitian diagonalization, minimum gaps, commutator norms and the CSV spectrum table."""
 
 from dataclasses import dataclass
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .hamiltonians import OperatorSum
 
-#: default relative tolerance (vs spectral range) for degeneracy clustering
+#: gaps below this fraction of the spectral range are flagged by ``spectrum_table``
 DEGENERACY_RTOL = 1e-10
 
 
@@ -38,23 +38,6 @@ class EigenDecomposition:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    min_gap: float
-    spectral_range: float
-    cluster_sizes: tuple
-    rel_tol: float
-
-    @property
-    def has_degeneracy(self):
-        return any(s > 1 for s in self.cluster_sizes)
-
-    @property
-    def all_doubly_degenerate(self):
-        """True when the whole spectrum splits into exact pairs (Kramers style)."""
-        return all(s == 2 for s in self.cluster_sizes)
-
-
 def eigensystem(matrix, want_vectors, failure):
     """``(vals, vecs, residual)`` of a Hermitian matrix; shared by the dense and the sector path.
 
@@ -81,25 +64,10 @@ def diagonalize_dense(h, want_vectors=True):
     return EigenDecomposition(*eigensystem(h.to_dense(), want_vectors, f"dense eigensolver failed for n={h.n}"))
 
 
-def detect_degeneracy(e, rel_tol=DEGENERACY_RTOL):
-    """Cluster eigenvalues whose consecutive gaps fall below ``rel_tol * range``."""
-    vals = e.eigenvalues
-    if len(vals) == 0:
-        raise ValueError("empty spectrum")
+def min_gap(vals):
+    """Smallest gap between consecutive ascending eigenvalues; ``inf`` for fewer than two."""
     gaps = np.diff(vals)
-    rng = e.spectral_range
-    threshold = rel_tol * rng
-    sizes = []
-    current = 1
-    for g in gaps:
-        if g < threshold:
-            current += 1
-        else:
-            sizes.append(current)
-            current = 1
-    sizes.append(current)
-    min_gap = float(gaps.min()) if len(gaps) else float("inf")
-    return DegeneracyReport(min_gap, rng, tuple(sizes), rel_tol)
+    return float(gaps.min()) if len(gaps) else float("inf")
 
 
 def commutator_norm(a, b):

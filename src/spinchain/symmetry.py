@@ -5,8 +5,7 @@ site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
 
 Sector blocks are built straight from the Pauli term list and a table of
 translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved one at
-a time by :func:`sector_eigensystems`; only :func:`joint_eigenbasis` with
-eigenvectors forms a 2^n x 2^n array.
+a time by :func:`sector_eigensystems`; no 2^n x 2^n array is formed.
 """
 
 from dataclasses import dataclass
@@ -17,13 +16,6 @@ from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, eigensystem
 
 COMMUTATION_TOL = 1e-10
-
-
-def translate_index(b, n):
-    """Rotate-right of the n-bit basis index: ``|x_1..x_n> -> |x_n x_1..x_{n-1}>``."""
-    if not 0 <= b < (1 << n):
-        raise ValueError(f"index {b} out of range for n={n}")
-    return (b >> 1) | ((b & 1) << (n - 1))
 
 
 def _rotate(masks, n):
@@ -132,10 +124,6 @@ class MomentumSector:
         out[rows] = amps[:, None] * vecs[np.searchsorted(self.reps, t.rep[rows])]
         return np.asfortranarray(out)
 
-    def dense_basis(self):
-        """2^n x dim complex matrix ``B_k`` of the sector basis vectors (test oracle)."""
-        return self.lift(np.eye(self.dim))
-
 
 def build_momentum_basis(n):
     """All momentum sectors; an orbit of length d feeds every k with kd = 0 mod n."""
@@ -175,7 +163,7 @@ def momentum_blocks(h):
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
-    the basis ``B_k`` of :meth:`MomentumSector.dense_basis`. A block is real
+    the basis ``B_k = sector.lift(I)``. A block is real
     when every entry is. Raises ``ValueError`` when H is not translation
     invariant to within :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
     """
@@ -235,28 +223,14 @@ def sorted_spectrum(solved):
     return vals[order], ks[order], order
 
 
-def joint_eigenbasis(h, want_vectors=True):
-    """Diagonalize a translation-invariant H sector by sector.
+def joint_eigenbasis(h):
+    """Eigenvalues and momenta of a translation-invariant H, sector by sector.
 
-    Per-sector diagonalization guarantees T-eigenvectors even when H is
-    degenerate across momenta; a plain dense eigensolver would not.
-    Eigenvalues are globally sorted as in :func:`sorted_spectrum`. With
-    ``want_vectors`` the lifted eigenvectors come back as one
-    Fortran-ordered 2^n x 2^n array, with the largest residual of
-    :func:`sector_eigensystems` as ``residual``; without, only eigenvalues
-    and momenta are computed.
+    Per-sector diagonalization gives every state a momentum label even when
+    H is degenerate across momenta; a plain dense eigensolver would not.
+    Eigenvalues are globally sorted as in :func:`sorted_spectrum`. Only
+    ``eigvalsh`` runs, so the result carries no eigenvectors.
     """
-    solved = list(sector_eigensystems(h, want_vectors=want_vectors))
-    vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
-    if not want_vectors:
-        return EigenDecomposition(vals, None, 0.0, ks)
-
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
-    start = 0
-    for sector, _, vecs, _ in solved:
-        lifted[:, column[start:start + sector.dim]] = sector.lift(vecs)
-        start += sector.dim
-    residual = max(r for _, _, _, r in solved)
-    return EigenDecomposition(vals, lifted, residual, ks)
+    solved = [(s, v) for s, v, _, _ in sector_eigensystems(h, want_vectors=False)]
+    vals, ks, _ = sorted_spectrum(solved)
+    return EigenDecomposition(vals, None, 0.0, ks)

@@ -1,0 +1,155 @@
+"""Independent references the tests hold the library's fast paths against.
+
+No CLI path runs any of these; each is the slow, direct form of one path:
+
+* :class:`StateVector`, :func:`apply`, :func:`expectation` and
+  :func:`apply_sum` act with one Pauli string at a time, the per-string
+  oracle of ``OperatorSum.x_groups``;
+* :func:`dense_basis` and :func:`joint_eigenbasis_lifted` form the 2^n x dim
+  momentum-sector bases and the 2^n x 2^n lifted joint (H, T) eigenbasis,
+  the oracle of ``symmetry.momentum_blocks`` and
+  ``entanglement.sector_purities``;
+* :func:`reduce_contiguous` and :func:`pauli_coefficients` give one state's
+  reduced density matrix and Pauli coefficients, the per-state oracle of
+  the batched reduced states;
+* :func:`resolve_parity_map` matches the analytic parity classes of the
+  ``eps*XY + Z`` ring to a dense eigensolve.
+"""
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from spinchain.entanglement import _pauli_stack, _reduced_states
+from spinchain.free_fermion import collect_spectrum
+from spinchain.hamiltonians import build_exyz
+from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
+from spinchain.spectra import EigenDecomposition, diagonalize_dense
+from spinchain.symmetry import sector_eigensystems, sorted_spectrum
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """2^n complex amplitudes; index b encodes ``|x_1 ... x_n>``, x_1 as MSB."""
+
+    n: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (1 << self.n,):
+            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def basis_state(cls, n, index):
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[index] = 1.0
+        return cls(n, amps)
+
+    @classmethod
+    def random(cls, n, rng):
+        dim = 1 << n
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return cls(n, amps / np.linalg.norm(amps))
+
+    @property
+    def norm(self):
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def apply(p, v):
+    """A (phased) Pauli string applied to a state vector: bit flips from the x-mask, signs from the z-mask."""
+    if isinstance(p, PauliString):
+        p = PhasedString(0, p)
+    s = p.string
+    if s.n != v.n:
+        raise DimensionMismatchError(f"site counts differ: {s.n} != {v.n}")
+    idx = np.arange(1 << v.n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & s.z_mask) & 1)
+    out = np.empty_like(v.amplitudes)
+    out[idx ^ s.x_mask] = 1j ** ((p.phase_power + s.y_count) % 4) * signs * v.amplitudes
+    return StateVector(v.n, out)
+
+
+def expectation(p, v):
+    """``<v|P|v>`` for a (phased) Pauli string; warns when v is not normalized."""
+    if abs(v.norm - 1.0) > 1e-9:
+        warnings.warn("state vector is not normalized", stacklevel=2)
+    return complex(np.vdot(v.amplitudes, apply(p, v).amplitudes))
+
+
+def apply_sum(h, v):
+    """``H v`` as the sum over terms of ``c P v``, one string at a time."""
+    out = np.zeros(1 << h.n, dtype=complex)
+    for c, p in h.terms:
+        out += c * apply(p, v).amplitudes
+    return StateVector(h.n, out)
+
+
+def dense_basis(sector):
+    """2^n x dim matrix ``B_k`` of a momentum sector's basis vectors."""
+    return sector.lift(np.eye(sector.dim))
+
+
+def joint_eigenbasis_lifted(h):
+    """Joint (H, T) eigenbasis with every sector's eigenvectors lifted into one 2^n x 2^n array.
+
+    States are in the global order of :func:`symmetry.sorted_spectrum`;
+    ``residual`` is the largest sector residual.
+    """
+    solved = list(sector_eigensystems(h))
+    vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
+    start = 0
+    for sector, _, vecs, _ in solved:
+        lifted[:, column[start:start + sector.dim]] = sector.lift(vecs)
+        start += sector.dim
+    return EigenDecomposition(vals, lifted, max(r for _, _, _, r in solved), ks)
+
+
+def reduce_contiguous(v, l):
+    """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
+    _, rhos = next(_reduced_states(v.amplitudes[:, None], v.n, l))
+    return rhos[0]
+
+
+def pauli_coefficients(v, l):
+    """Real array of shape (4,)*l of ``<v| sigma^(a_1) ... sigma^(a_l) |v>``; the identity entry is 1."""
+    return _pauli_stack(reduce_contiguous(v, l)[None], l)[0]
+
+
+def resolve_parity_map(n, epsilon):
+    """Match occupation parities to eigenvalues of the ring's Z-parity operator.
+
+    The analytic construction fixes the parity classes only up to a global
+    sign that depends on the parity of the fermionic vacuum; it is resolved
+    here numerically by comparing the two analytic parity sub-multisets with
+    the dense spectrum split by the Z-parity expectation of each eigenvector.
+    Returns ``{0: eta_even, 1: eta_odd}``.
+    """
+    e = diagonalize_dense(build_exyz(epsilon, n))
+    parities = np.bitwise_count(np.arange(1 << n)) & 1
+    spectrum = collect_spectrum(n, epsilon)
+    even = np.sort(spectrum[parities == 0])
+    odd = np.sort(spectrum[parities == 1])
+
+    eta_diag = 1.0 - 2.0 * parities
+    eta_exp = np.einsum("ij,i,ij->j", e.eigenvectors.conj(), eta_diag, e.eigenvectors).real
+    if np.max(np.abs(np.abs(eta_exp) - 1.0)) > 1e-6:
+        raise RuntimeError("eigenvectors are not parity eigenstates (degenerate spectrum?)")
+    plus = np.sort(e.eigenvalues[eta_exp > 0])
+    minus = np.sort(e.eigenvalues[eta_exp < 0])
+
+    if len(plus) == len(even) and np.allclose(plus, even, atol=1e-8):
+        if not (len(minus) == len(odd) and np.allclose(minus, odd, atol=1e-8)):
+            raise RuntimeError("inconsistent parity assignment")
+        return {0: +1, 1: -1}
+    if len(minus) == len(even) and np.allclose(minus, even, atol=1e-8):
+        if not (len(plus) == len(odd) and np.allclose(plus, odd, atol=1e-8)):
+            raise RuntimeError("inconsistent parity assignment")
+        return {0: -1, 1: +1}
+    raise RuntimeError("analytic parity classes do not match the dense spectrum")

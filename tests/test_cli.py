@@ -313,7 +313,7 @@ def test_spectrum_ba_goes_through_sectors(tmp_path):
     rows = list(csv.reader(line for line in out.read_text().splitlines() if not line.startswith("#")))
     assert rows[0] == ["index", "eigenvalue", "momentum_k", "min_gap_flag"]
     h = build_ba(0.5, 0.0, n)
-    want = joint_eigenbasis(h, want_vectors=False)
+    want = joint_eigenbasis(h)
     assert [float(r[1]) for r in rows[1:]] == list(want.eigenvalues)
     assert [int(r[2]) for r in rows[1:]] == list(want.momenta)
     dense = np.linalg.eigvalsh(h.to_dense())
@@ -333,7 +333,8 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     """Every CSV row and theorem1 line equals the text built from the lifted joint eigenbasis."""
     from spinchain.entanglement import average_purity
     from spinchain.hamiltonians import sample_random
-    from spinchain.symmetry import joint_eigenbasis
+
+    from oracles import joint_eigenbasis_lifted
 
     n, ls, samples = 8, (1, 2, 3), 2
     argv = ["purity-sweep", "--model", "invariant", "--n", str(n), "--samples", str(samples),
@@ -344,7 +345,7 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     rows, verdicts = [], []
     rank_sums = {l: np.zeros(1 << n) for l in ls}
     for sample in range(samples):
-        e = joint_eigenbasis(sample_random("invariant", n, [0, sample]))
+        e = joint_eigenbasis_lifted(sample_random("invariant", n, [0, sample]))
         for l in ls:
             res = average_purity(e, l)
             ent = 1.0 - res.per_state
@@ -364,3 +365,25 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     got = list(csv.reader(line for line in lines if not line.startswith("#")))
     assert got[0] == ["state_index", "eigenvalue", "l", "linear_entropy", "sample_id"]
     assert got[1:] == rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dos", "--model", "exyz", "--n", "6", "--epsilon", "nan"],
+        ["degeneracy-scan", "--n", "5", "--epsilon", "nan"],
+        ["ba-moments", "--n", "6", "--alpha1", "inf"],
+        ["clt-check", "--n", "6", "--t", "inf"],
+        ["purity-sweep", "--n", "4", "--samples", "0"],
+        ["spectrum", "--n", "4", "--out", "{missing}/x.csv"],
+    ],
+)
+def test_bad_input_is_a_usage_error(tmp_path, argv):
+    """Non-finite floats, ``--samples 0`` and an unwritable ``--out`` exit 2 without a traceback."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    res = subprocess.run([sys.executable, "-m", "spinchain.cli", *argv], capture_output=True, text=True, env=env)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""

@@ -15,10 +15,8 @@ from spinchain.dos import (
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
-    characteristic_fn,
     clt_bound_check,
     double_factorial_odd,
-    geometry_conditions,
     ks_distance,
     lyapunov_quantities,
     moments,
@@ -222,20 +220,6 @@ def test_normal_reference_moments():
     assert [double_factorial_odd(k) for k in (1, 2, 3)] == [1, 3, 15]
 
 
-def test_characteristic_fn_basics():
-    d = EmpiricalDistribution.from_values([math.pi])
-    assert characteristic_fn(d, 0.0) == pytest.approx(1.0)
-    assert characteristic_fn(d, 1.0) == pytest.approx(-1.0)
-
-
-def test_characteristic_fn_field_chain_product_formula():
-    n = 12
-    d = EmpiricalDistribution.from_values(field_chain_values(n))
-    for t in (0.3, 1.0, 2.7):
-        want = math.cos(t / math.sqrt(n)) ** n
-        assert characteristic_fn(d, t) == pytest.approx(want, abs=1e-12)
-
-
 def test_block_link_split_n6_l3():
     h = sample_random("nn", 6, 1)
     split = block_link_split(h, 3)
@@ -342,51 +326,3 @@ def test_ba_predictions():
     # published reading, reported verbatim alongside
     assert ba_prediction_printed(0.5, 0.5, 1) == pytest.approx(1.5**2 * 1.0)
     assert ba_prediction_printed(0.5, 0.5, 2) == pytest.approx(1.5**4 * 3.0)
-
-
-def torus_graph(p):
-    def site(i, j):
-        return (i % p) * p + (j % p) + 1
-
-    edges = set()
-    for i in range(p):
-        for j in range(p):
-            for a, b in ((i, j + 1), (i + 1, j)):
-                u, v = site(i, j), site(a, b)
-                edges.add((min(u, v), max(u, v)))
-    return InteractionGraph.zero(p * p, sorted(edges))
-
-
-def test_geometry_torus_partition():
-    p, l = 4, 2
-    g = torus_graph(p)
-    partition = []
-    for bi in range(0, p, l):
-        for bj in range(0, p, l):
-            partition.append(
-                [i * p + j + 1 for i in range(bi, bi + l) for j in range(bj, bj + l)]
-            )
-    rep = geometry_conditions(g, partition)
-    assert rep.r == 2 * p * math.ceil(p / l)
-    assert rep.q == l * l
-
-
-def test_geometry_single_block():
-    g = torus_graph(3)
-    rep = geometry_conditions(g, [list(range(1, 10))])
-    assert (rep.r, rep.m, rep.q) == (0, 1, 9)
-
-
-def test_geometry_ring():
-    n = 12
-    edges = sorted({(min(j, j % n + 1), max(j, j % n + 1)) for j in range(1, n + 1)})
-    g = InteractionGraph.zero(n, edges)
-    partition = [list(range(1, 5)), list(range(5, 9)), list(range(9, 13))]
-    rep = geometry_conditions(g, partition)
-    assert (rep.r, rep.m, rep.q) == (3, 3, 4)
-
-
-def test_geometry_rejects_bad_partition():
-    g = torus_graph(3)
-    with pytest.raises(ValueError):
-        geometry_conditions(g, [[1, 2], [2, 3]])

@@ -10,8 +10,6 @@ from spinchain.entanglement import (
     build_M,
     epsilon_fraction,
     pair_only_checks,
-    pauli_coefficients,
-    reduce_contiguous,
     sector_purities,
 )
 from spinchain.hamiltonians import (
@@ -21,9 +19,11 @@ from spinchain.hamiltonians import (
     hs_inner,
     sample_random,
 )
-from spinchain.pauli import PauliString, StateVector
+from spinchain.pauli import PauliString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
 from spinchain.symmetry import joint_eigenbasis
+
+from oracles import StateVector, apply_sum, joint_eigenbasis_lifted, pauli_coefficients, reduce_contiguous
 
 
 _SIGMA = (
@@ -180,13 +180,13 @@ def test_build_M_rejects_bad_input():
 def test_build_M_expectation_identity():
     """On T eigenvectors, <psi|sigma_1^(a)|psi> = (1/sqrt(n)) <psi|M|psi>."""
     h = sample_random("invariant", 9, 0)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     m = build_M((1,), 9)
     sigma1 = PauliString.single(9, 1, 1)
     for j in (0, 17, 100, 511):
         v = StateVector(9, e.eigenvectors[:, j])
-        lhs = np.vdot(v.amplitudes, OperatorSum.from_terms(9, [(1.0, sigma1)]).apply(v).amplitudes)
-        rhs = np.vdot(v.amplitudes, m.apply(v).amplitudes) / np.sqrt(9)
+        lhs = np.vdot(v.amplitudes, apply_sum(OperatorSum.from_terms(9, [(1.0, sigma1)]), v).amplitudes)
+        rhs = np.vdot(v.amplitudes, apply_sum(m, v).amplitudes) / np.sqrt(9)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -199,7 +199,7 @@ def test_average_purity_lower_bound_floor():
 
 def test_average_purity_theorem_bound():
     h = sample_random("invariant", 10, 5)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     res = average_purity(e, 2)
     assert res.bound_claimed
     assert res.mean <= 0.25 + 4 / 10 + 1e-9
@@ -226,7 +226,7 @@ def test_epsilon_fraction_trivial():
 
 def test_epsilon_fraction_markov():
     h = sample_random("invariant", 12, 0)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     res_purity = average_purity(e, 1)
     loose = epsilon_fraction(res_purity.per_state, 1, 0.1, 12)
     assert loose.markov_bound == pytest.approx((2 / 12) / 0.1)
@@ -298,11 +298,11 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
     """
     h = sample_random("invariant", n, 4)
     spectrum, results = sector_purities(h, (1, 2, 3))
-    values_only = joint_eigenbasis(h, want_vectors=False)
+    values_only = joint_eigenbasis(h)
     assert spectrum.eigenvectors is None
     assert np.max(np.abs(spectrum.eigenvalues - values_only.eigenvalues)) < 1e-12
     assert np.array_equal(spectrum.momenta, values_only.momenta)
-    lifted = joint_eigenbasis(h)
+    lifted = joint_eigenbasis_lifted(h)
     assert np.array_equal(spectrum.eigenvalues, lifted.eigenvalues)
     assert np.array_equal(spectrum.momenta, lifted.momenta)
     assert spectrum.residual == lifted.residual < 1e-10

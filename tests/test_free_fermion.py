@@ -8,12 +8,12 @@ from spinchain.free_fermion import (
     collect_spectrum,
     min_gap_scan,
     mode_energies,
-    resolve_parity_map,
-    sector_parity,
     spectrum_sum_set,
     sum_set_values,
 )
 from spinchain.hamiltonians import SizeLimitError
+
+from oracles import resolve_parity_map
 
 
 def test_modes_eps_zero():
@@ -91,15 +91,6 @@ def test_stream_cap(monkeypatch):
         spectrum_sum_set(STREAM_CAP + 1, 0.5)
     with pytest.raises(SizeLimitError):
         collect_spectrum(EXACT_CAP + 1, 0.5)
-
-
-def test_sector_parity():
-    assert sector_parity((0, 0, 0)) == 0
-    assert sector_parity((0, 1, 0)) == 1
-    x = [1, 0, 1, 1]
-    p = sector_parity(x)
-    x[1] ^= 1
-    assert sector_parity(x) == 1 - p
 
 
 def test_resolve_parity_map_partitions_spectrum():

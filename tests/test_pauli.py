@@ -9,12 +9,11 @@ from spinchain.pauli import (
     DimensionMismatchError,
     PauliString,
     PhasedString,
-    StateVector,
-    apply,
-    expectation,
     hs_inner,
     multiply,
 )
+
+from oracles import StateVector, apply, expectation
 
 # independent dense oracle: kron products built from explicit 2x2 matrices
 SIGMA = [

@@ -24,34 +24,37 @@ from spinchain.symmetry import (
     joint_eigenbasis,
     momentum_blocks,
     sector_eigensystems,
-    translate_index,
     translation_defect,
     translation_permutation,
 )
 
+from oracles import dense_basis, joint_eigenbasis_lifted
+
+
+def translate_index(b, n):
+    """Scalar oracle of T: ``|x_1..x_n> -> |x_n x_1..x_{n-1}>`` on one basis index."""
+    bits = format(b, f"0{n}b")
+    return int(bits[-1] + bits[:-1], 2)
+
 
 def test_translate_index_example():
     # |011> -> |101> for n=3 (site n wraps to site 1)
-    assert translate_index(0b011, 3) == 0b101
+    assert translation_permutation(3)[0b011] == 0b101
 
 
 def test_translate_fixed_points():
-    assert translate_index(0, 6) == 0
-    assert translate_index((1 << 6) - 1, 6) == (1 << 6) - 1
+    perm = translation_permutation(6)
+    assert perm[0] == 0
+    assert perm[(1 << 6) - 1] == (1 << 6) - 1
 
 
 def test_translate_n_applications_is_identity():
     n = 5
-    for b in range(1 << n):
-        t = b
-        for _ in range(n):
-            t = translate_index(t, n)
-        assert t == b
-
-
-def test_translate_index_range_check():
-    with pytest.raises(ValueError):
-        translate_index(8, 3)
+    perm = translation_permutation(n)
+    t = np.arange(1 << n)
+    for _ in range(n):
+        t = perm[t]
+    assert np.array_equal(t, np.arange(1 << n))
 
 
 def test_permutation_matches_scalar_map():
@@ -81,14 +84,14 @@ def test_sector_vectors_are_t_eigenvectors():
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     for sector in build_momentum_basis(n):
-        basis = sector.dense_basis()
+        basis = dense_basis(sector)
         phase = np.exp(2j * np.pi * sector.k / n)
         assert np.max(np.abs(basis[inv] - phase * basis)) < 1e-12
 
 
 def test_sector_bases_orthonormal_and_complete():
     n = 5
-    full = np.concatenate([s.dense_basis() for s in build_momentum_basis(n)], axis=1)
+    full = np.concatenate([dense_basis(s) for s in build_momentum_basis(n)], axis=1)
     assert full.shape == (32, 32)
     assert np.max(np.abs(full.conj().T @ full - np.eye(32))) < 1e-12
 
@@ -97,7 +100,7 @@ def test_joint_eigenbasis_ising():
     alpha = np.zeros((4, 3))
     alpha[3, 2] = 1.0
     h = build_invariant(alpha, 4)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     perm = translation_permutation(4)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
@@ -116,7 +119,7 @@ def test_joint_eigenbasis_zero_operator():
 
 def test_joint_eigenbasis_matches_dense_spectrum():
     h = sample_random("invariant", 6, 0)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     dense = diagonalize_dense(h, want_vectors=False)
     assert np.max(np.abs(e.eigenvalues - dense.eigenvalues)) < 1e-9
     assert e.residual < 1e-10
@@ -130,7 +133,7 @@ def test_joint_eigenbasis_rejects_non_invariant():
 
 def test_joint_eigenbasis_columns_orthonormal():
     h = sample_random("invariant", 5, 4)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     gram = e.eigenvectors.conj().T @ e.eigenvectors
     assert np.max(np.abs(gram - np.eye(e.size))) < 1e-10
 
@@ -213,7 +216,7 @@ def test_momentum_blocks_match_projected_dense(n):
         dense = h.to_dense()
         seen = []
         for sector, block in momentum_blocks(h):
-            basis = sector.dense_basis()
+            basis = dense_basis(sector)
             assert np.max(np.abs(block - basis.conj().T @ dense @ basis)) < 1e-12
             seen.append(sector.k)
         assert seen == list(range(n))
@@ -228,8 +231,8 @@ def test_momentum_blocks_real_where_phases_are():
 def test_spectrum_only_path_matches_vector_path():
     for n in (6, 9):
         h = sample_random("invariant", n, 7)
-        full = joint_eigenbasis(h)
-        vals_only = joint_eigenbasis(h, want_vectors=False)
+        full = joint_eigenbasis_lifted(h)
+        vals_only = joint_eigenbasis(h)
         assert vals_only.eigenvectors is None
         assert np.max(np.abs(full.eigenvalues - vals_only.eigenvalues)) < 1e-12
         assert np.array_equal(full.momenta, vals_only.momenta)
@@ -239,14 +242,14 @@ def test_spectrum_only_path_matches_vector_path():
 
 def test_joint_eigenbasis_cap():
     with pytest.raises(SizeLimitError):
-        joint_eigenbasis(build_ba(0.5, 0.5, DENSE_CAP + 1), want_vectors=False)
+        joint_eigenbasis(build_ba(0.5, 0.5, DENSE_CAP + 1))
 
 
 def test_joint_purities_match_dense_eigenbasis():
     """Non-degenerate spectrum: both bases hold the same states up to phase."""
     n = 8
     h = sample_random("invariant", n, 3)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     assert np.min(np.diff(e.eigenvalues)) > 1e-6
     dense = diagonalize_dense(h)
     for l in (1, 2, 3):
@@ -271,7 +274,7 @@ def _full_space_residual(h, e):
 def test_sector_residual_equals_full_space_residual(n):
     """||H_k v - lambda v|| in sector space is the full-space H and T residual of B_k v."""
     h = sample_random("invariant", n, 2)
-    e = joint_eigenbasis(h)
+    e = joint_eigenbasis_lifted(h)
     full = _full_space_residual(h, e)
     assert abs(e.residual - full) < 1e-12
     assert e.residual < 1e-10 and full < 1e-10
@@ -287,7 +290,7 @@ def test_values_only_sectors_use_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     stream = list(sector_eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False))
     assert all(vecs is None and res == 0.0 for _, _, vecs, res in stream)
-    assert joint_eigenbasis(build_ba(0.5, 0.25, 7), want_vectors=False).size == 128
+    assert joint_eigenbasis(build_ba(0.5, 0.25, 7)).size == 128
 
 
 def test_lift_is_fortran_ordered():
