@@ -5,7 +5,8 @@ Exit codes: 0 = all asserted bounds passed, 1 = a theorem-backed bound
 failed (bug indicator), 2 = usage error (a bad flag value, a size above a
 cap, an output path that cannot be written), 3 = internal or numerical
 failure (an eigensolver that did not converge, a reduced density matrix
-failing its trace/Hermitian/positivity check).
+failing its trace/Hermitian/positivity check, a non-finite value in a
+spectrum whose KS distance is exact).
 Every output embeds its full config so a re-run with the same flags is
 byte-identical.
 """
@@ -136,21 +137,10 @@ def cmd_purity_sweep(args):
 def cmd_dos(args):
     failures = 0
     reports = []
-    if args.cx_grid and args.model == "exyz" and max(args.n) > free_fermion.EXACT_CAP:
-        # F(x) is read off the sorted values, which only the exact mode keeps
-        raise ValueError(f"--cx-grid needs n <= exact cap {free_fermion.EXACT_CAP}, got n={max(args.n)}")
     for n in args.n:
         if args.model == "exyz":
             scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
-            if n <= free_fermion.EXACT_CAP:
-                # no name holds the unsorted spectrum, so it is freed when from_values returns
-                d = dos.EmpiricalDistribution.from_values(
-                    free_fermion.collect_spectrum(n, args.epsilon, scale=scale)
-                )
-            else:
-                d = dos.EmpiricalDistribution.from_sum_set(
-                    *free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale)
-                )
+            d = dos.EmpiricalDistribution.from_sum_set(*free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale))
         else:
             h = _build_model(
                 args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
@@ -175,11 +165,10 @@ def cmd_dos(args):
         if args.cx_grid:
             from scipy.special import ndtr
 
-            table = []
-            for x in args.cx_grid:
-                fn = float(np.searchsorted(d.values, x, side="right")) / d.count
-                table.append({"x": x, "n_times_dev": n * abs(fn - float(ndtr(x)))})
-            report["cx_table"] = table
+            report["cx_table"] = [
+                {"x": x, "n_times_dev": n * abs(float(fn) - float(ndtr(x)))}
+                for x, fn in zip(args.cx_grid, d.cdf(args.cx_grid))
+            ]
         reports.append(report)
     payload = {"config": _config_dict(args, "dos"), "reports": reports}
     _write_json(args.out, payload)
@@ -285,15 +274,23 @@ def _finite_float(text):
     return value
 
 
-def _positive_int(text):
-    """argparse type of counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest):
+    """argparse type of counts that must be at least ``lowest``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def build_parser():
@@ -336,7 +333,7 @@ def build_parser():
     sp = sub.add_parser("degeneracy-scan", help="minimum spectral gaps")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--epsilon", type=_finite_float, nargs="*", default=[])
-    sp.add_argument("--samples", type=int, default=0)
+    sp.add_argument("--samples", type=_non_negative_int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_degeneracy_scan)
@@ -368,6 +365,10 @@ def main(argv=None):
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # Python float ** raises where numpy gives inf: a finite flag too large for its formula
+        print(f"error: a flag value is out of range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .free_fermion import EXACT_CAP
 from .hamiltonians import OperatorSum, hs_inner
 from .spectra import diagonalize_dense
 
@@ -20,6 +21,16 @@ BOUND_SLACK = 1e-9
 HIST_BINS = 4096
 HIST_RANGE = 8.0
 EDGES = np.linspace(-HIST_RANGE, HIST_RANGE, HIST_BINS + 1)
+
+#: exact KS: the value range is cut into KS_BINS intervals, and an interval
+#: that may hold the sup is cut into KS_SPLIT; one holding at most KS_LEAF
+#: values is gathered, in batches of at most KS_BATCH values
+KS_BINS = 4096
+KS_SPLIT = 16
+KS_LEAF = 4096
+KS_BATCH = 1 << 16
+#: covers last-ulp non-monotonicity of the float CDF in the interval bounds
+KS_SLACK = 1e-12
 
 
 def _power_sums(x, k_max):
@@ -48,6 +59,36 @@ def power_sums(values, offsets=(0.0,)):
     return np.array([sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1)) for k in range(1, MAX_MOMENT + 1)])
 
 
+def _count_below(ordered, offsets, grid):
+    """``#{o + v < x}`` over the sum-set at each point x of the sorted ``grid``, and how many ``o + v`` are NaN.
+
+    ``ordered`` is sorted, so for each offset ``o``, ``o + ordered`` holds
+    exactly the floats ``o + v`` in sorted order, and one ``searchsorted``
+    of the grid counts them. Memory is one buffer the size of ``ordered``.
+    ``#{o + v <= x}`` is the count below ``np.nextafter(x, inf)``.
+    """
+    cum = np.zeros(len(grid), dtype=np.int64)
+    nan = 0
+    buf = np.empty_like(ordered)
+    for o in offsets:
+        np.add(ordered, o, out=buf)
+        if not math.isfinite(o):
+            buf.sort()  # inf + -inf is NaN at the front
+        # grid points at or below the smallest value count none, above the largest all
+        first, last = np.searchsorted(grid, buf[[0, -1]], side="right")
+        cum[first:last] += np.searchsorted(buf, grid[first:last], side="left")
+        cum[last:] += len(buf)
+        nan += len(buf) - int(np.searchsorted(buf, np.nan, side="left"))
+    return cum, nan
+
+
+def _larger_first(values, offsets):
+    values = np.asarray(values, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    # o + v == v + o exactly, so the loop runs over the smaller set
+    return (offsets, values) if len(offsets) > len(values) else (values, offsets)
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Counts of a sum-set in the bins ``[EDGES[i], EDGES[i+1])``, plus how many values lie below, above or are NaN."""
@@ -61,32 +102,17 @@ class Histogram:
     def of(cls, values, offsets=(0.0,)):
         """Bin the sum-set ``{o + v : o in offsets, v in values}`` without materialising it.
 
-        The larger of the two sets is sorted once; for each element ``o`` of
-        the smaller one, ``o + sorted`` holds exactly the floats ``o + v`` in
-        sorted order, so one ``searchsorted`` of the edges gives how many of
-        them lie below each edge. Bins are as in ``np.histogram`` of the
-        in-range values.
+        The larger of the two sets is sorted once and :func:`_count_below`
+        counts the values below each edge. Bins are as in ``np.histogram``
+        of the in-range values.
         """
-        values = np.asarray(values, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if len(offsets) > len(values):
-            # o + v == v + o exactly, so loop over the smaller set
-            values, offsets = offsets, values
-        ordered = np.sort(values)
-        buf = np.empty_like(ordered)
-        # cum[i] counts the values below EDGES[i]; NaNs sort last and count nowhere
-        cum = np.zeros(len(EDGES), dtype=np.int64)
-        nan = 0
-        for o in offsets:
-            np.add(ordered, o, out=buf)
-            if not math.isfinite(o):
-                buf.sort()  # inf + -inf is NaN at the front
-            # edges at or below the smallest value count none, above the largest all
-            first, last = np.searchsorted(EDGES, buf[[0, -1]], side="right")
-            cum[first:last] += np.searchsorted(buf, EDGES[first:last], side="left")
-            cum[last:] += len(buf)
-            nan += len(buf) - int(np.searchsorted(buf, np.nan, side="left"))
-        above = len(values) * len(offsets) - nan - int(cum[-1])
+        ordered, offsets = _larger_first(values, offsets)
+        return cls._of_sorted(np.sort(ordered), offsets)
+
+    @classmethod
+    def _of_sorted(cls, ordered, offsets):
+        cum, nan = _count_below(ordered, offsets, EDGES)
+        above = len(ordered) * len(offsets) - nan - int(cum[-1])
         return cls(np.diff(cum), int(cum[0]), above, nan)
 
     @property
@@ -96,31 +122,52 @@ class Histogram:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted eigenvalue list (exact) or histogram (streaming), plus power sums."""
+    """The sum-set ``{o + v : o in offsets, v in low}`` and its power sums.
 
-    count: int
-    values: np.ndarray | None = None
-    histogram: Histogram | None = None
-    power_sums: np.ndarray | None = None
+    ``low`` is the larger of the two sets, sorted. Every statistic is read
+    from the pair through :func:`_count_below`; nothing the size of the
+    sum-set is formed.
+    """
 
-    @classmethod
-    def from_values(cls, values):
-        values = np.sort(np.asarray(values, dtype=float))
-        if len(values) == 0:
-            raise ValueError("empty distribution")
-        return cls(len(values), values=values, power_sums=power_sums(values))
+    low: np.ndarray
+    offsets: np.ndarray
+    power_sums: np.ndarray
 
     @classmethod
     def from_sum_set(cls, low, offsets):
-        """Streaming mode: histogram and power sums of ``{o + v : o in offsets, v in low}``."""
-        hist = Histogram.of(low, offsets)
-        if hist.count == 0:
+        low, offsets = _larger_first(low, offsets)
+        if len(low) * len(offsets) == 0:
             raise ValueError("empty distribution")
-        return cls(hist.count, histogram=hist, power_sums=power_sums(low, offsets))
+        # sorted before the power sums, so they do not depend on the order the values come in
+        low = np.sort(low)
+        return cls(low, offsets, power_sums(low, offsets))
+
+    @classmethod
+    def from_values(cls, values):
+        """An explicit list of values, as the sum-set ``(values, (0.0,))``."""
+        return cls.from_sum_set(values, (0.0,))
+
+    @property
+    def count(self):
+        return len(self.low) * len(self.offsets)
 
     @property
     def exact(self):
-        return self.values is not None
+        """Whether :func:`ks_distance` is exact: at most 2^EXACT_CAP values."""
+        return self.count <= 1 << EXACT_CAP
+
+    @property
+    def histogram(self):
+        return Histogram._of_sorted(self.low, self.offsets)
+
+    def count_below(self, grid):
+        """``#{y < x}`` at each point x of the sorted ``grid``."""
+        return _count_below(self.low, self.offsets, grid)[0]
+
+    def cdf(self, xs):
+        """``F(x) = #{y <= x} / count`` at each x of ``xs``."""
+        grid, where = np.unique(np.nextafter(np.asarray(xs, dtype=float), np.inf), return_inverse=True)
+        return self.count_below(grid)[where] / self.count
 
 
 @dataclass(frozen=True)
@@ -132,28 +179,18 @@ class KSResult:
 def ks_distance(d):
     """``sup_x |F_n(x) - Phi(x)|`` against the standard normal CDF.
 
-    Exact mode evaluates the sup over the sample; streaming mode evaluates
-    it at bin edges, with the largest single-bin mass (plus any out-of-range
-    mass) attached as the uncertainty.
+    Exact mode (:attr:`EmpiricalDistribution.exact`) gives the sup over the
+    sample bit for bit as ``max_i max(Phi(y_i) - i/N, (i+1)/N - Phi(y_i))``
+    over the sorted values ``y``; see :func:`_exact_ks`. Streaming mode
+    evaluates it at bin edges, with the largest single-bin mass (plus any
+    out-of-range mass) attached as the uncertainty.
     """
+    if d.exact:
+        return KSResult(_exact_ks(d), 0.0)
+    hist = d.histogram
     # imported here: scipy.special alone takes about half of ``import spinchain.cli``
     from scipy.special import ndtr
 
-    if d.exact:
-        n = d.count
-        cdf = ndtr(d.values)
-        # one full-length buffer at a time: cdf - i / n, then (i + 1) / n - cdf
-        buf = np.arange(n, dtype=float)
-        np.divide(buf, n, out=buf)
-        np.subtract(cdf, buf, out=buf)
-        below = float(np.max(buf))
-        del buf
-        buf = np.arange(1, n + 1, dtype=float)
-        np.divide(buf, n, out=buf)
-        np.subtract(buf, cdf, out=buf)
-        stat = max(below, float(np.max(buf)))
-        return KSResult(stat, 0.0)
-    hist = d.histogram
     total = hist.count
     cum = hist.below + np.concatenate([[0], np.cumsum(hist.counts)])
     emp = cum / total
@@ -162,12 +199,106 @@ def ks_distance(d):
     return KSResult(stat, unc)
 
 
+def _exact_ks(d):
+    """Exact KS statistic of the sum-set, by branch and bound over intervals of the value range.
+
+    Over the sorted values ``y``, the value of rank ``i`` contributes
+    ``Phi(y_i) - i/N`` and ``(i+1)/N - Phi(y_i)``. The values in an interval
+    [a, b) have the ranks ``c_lo = C(a)`` to ``c_hi - 1 = C(b) - 1``, with
+    ``C(x)`` the count below x (:func:`_count_below`), so none of them
+    contributes more than ``max(Phi(b) - c_lo/N, c_hi/N - Phi(a))``, and the
+    first and the last contribute at least ``Phi(a) - c_lo/N`` and
+    ``c_hi/N - Phi(b)``. Intervals whose upper bound falls below the best
+    lower bound are dropped, the others are cut finer until they hold at
+    most ``KS_LEAF`` values, and those are gathered and evaluated point by
+    point with their global ranks (:func:`_gather_leaves`). Every
+    contribution is the same float expression as over the materialised
+    sorted values, so the statistic is the same float.
+    """
+    from scipy.special import ndtr
+
+    n = d.count
+    # o + v is monotone in both, so every value is finite iff both ends are (np.min/max carry a NaN)
+    lo = float(d.low[0]) + float(np.min(d.offsets))
+    hi = float(d.low[-1]) + float(np.max(d.offsets))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RuntimeError("exact KS distance: the spectrum holds a non-finite value")
+    floor = -math.inf
+    leaves = []
+    # [lo, hi+) holds every value
+    a, b, parts = np.array([lo]), np.array([np.nextafter(hi, np.inf)]), KS_BINS
+    while len(a):
+        x = _cut(a, b, parts)
+        parts = KS_SPLIT
+        grid, where = np.unique(x, return_inverse=True)
+        count, phi = d.count_below(grid)[where].reshape(x.shape), ndtr(x)
+        a, b, c_lo, c_hi = x[:, :-1].ravel(), x[:, 1:].ravel(), count[:, :-1].ravel(), count[:, 1:].ravel()
+        phi_a, phi_b = phi[:, :-1].ravel(), phi[:, 1:].ravel()
+        full = c_hi > c_lo
+        upper = np.maximum(phi_b - c_lo / n, c_hi / n - phi_a)
+        lower = np.maximum(phi_a - c_lo / n, c_hi / n - phi_b)[full]
+        floor = max(floor, float(np.max(lower, initial=-math.inf)) - KS_SLACK)
+        keep = full & (upper + KS_SLACK >= floor)
+        # an interval whose midpoint (a cut point) is no new float cannot be cut further
+        mid = 0.5 * a + 0.5 * b
+        leaf = keep & ((c_hi - c_lo <= KS_LEAF) | (mid <= a) | (mid >= b))
+        leaves.append(np.column_stack([a, b, c_lo, c_hi, upper])[leaf])
+        cut = keep & ~leaf
+        a, b = a[cut], b[cut]
+    return _gather_leaves(d, np.concatenate(leaves), floor, ndtr)
+
+
+def _cut(a, b, parts):
+    """Rows of ``parts + 1`` sorted points from ``a[k]`` to ``b[k]``; convex combinations, so nothing overflows."""
+    t = np.arange(parts + 1) / parts
+    return np.sort(np.clip(np.outer(a, 1 - t) + np.outer(b, t), a[:, None], b[:, None]), axis=1)
+
+
+def _gather_leaves(d, leaves, floor, ndtr):
+    """The largest contribution of the values in the leaf intervals, rows ``(a, b, c_lo, c_hi, upper bound)``.
+
+    Leaves are taken in order of falling upper bound, in batches of at most
+    ``KS_BATCH`` values (one leaf at least), and dropped once their bound
+    falls below the best contribution found. Per offset, ``searchsorted``
+    finds each leaf's values in ``o + low``; a batch is sorted, so each
+    leaf's values are contiguous and their global ranks start at its
+    ``c_lo``.
+    """
+    n = d.count
+    best = -math.inf
+    buf = np.empty_like(d.low)
+    leaves = leaves[np.argsort(-leaves[:, 4], kind="stable")]
+    while True:
+        leaves = leaves[leaves[:, 4] + KS_SLACK >= floor]
+        if not len(leaves):
+            return best
+        sizes = (leaves[:, 3] - leaves[:, 2]).astype(np.int64)
+        take = max(1, int(np.searchsorted(np.cumsum(sizes), KS_BATCH, side="right")))
+        batch, leaves = leaves[:take], leaves[take:]
+        batch = batch[np.argsort(batch[:, 0])]
+        sizes = (batch[:, 3] - batch[:, 2]).astype(np.int64)
+        parts = []
+        for o in d.offsets:
+            np.add(d.low, o, out=buf)
+            first = np.searchsorted(buf, batch[:, 0], side="left")
+            last = np.searchsorted(buf, batch[:, 1], side="left")
+            size = last - first
+            total = int(size.sum())
+            if total:
+                parts.append(buf[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(total)])
+        y = np.sort(np.concatenate(parts)) if parts else np.empty(0)
+        if len(y) != sizes.sum():
+            raise RuntimeError(f"exact KS distance: gathered {len(y)} values where the counts give {sizes.sum()}")
+        rank = np.repeat(batch[:, 2] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(y))
+        cdf = ndtr(y)
+        best = max(best, float(np.max(cdf - rank / n)), float(np.max((rank + 1) / n - cdf)))
+        floor = max(floor, best)
+
+
 def moments(d, k_max=MAX_MOMENT):
     """Raw moments ``m_k = (1/count) sum lambda^k`` for k = 1..k_max."""
     if k_max > MAX_MOMENT:
         raise ValueError(f"k_max limited to {MAX_MOMENT}")
-    if d.power_sums is None:
-        raise ValueError("no moment data recorded")
     return d.power_sums[:k_max] / d.count
 
 

@@ -13,7 +13,9 @@ No CLI path runs any of these; each is the slow, direct form of one path:
   reduced density matrix and Pauli coefficients, the per-state oracle of
   the batched reduced states;
 * :func:`resolve_parity_map` matches the analytic parity classes of the
-  ``eps*XY + Z`` ring to a dense eigensolve.
+  ``eps*XY + Z`` ring to a dense eigensolve;
+* :func:`exact_ks_distance` sorts the materialised values and scans them,
+  the oracle of the exact-mode ``dos.ks_distance`` of a sum-set.
 """
 
 import warnings
@@ -153,3 +155,24 @@ def resolve_parity_map(n, epsilon):
             raise RuntimeError("inconsistent parity assignment")
         return {0: -1, 1: +1}
     raise RuntimeError("analytic parity classes do not match the dense spectrum")
+
+
+def exact_ks_distance(values):
+    """``max_i max(Phi(y_i) - i/N, (i+1)/N - Phi(y_i))`` over the sorted values ``y``.
+
+    The KS distance to the standard normal CDF, evaluated over the whole
+    materialised sample, one full-length buffer at a time.
+    """
+    from scipy.special import ndtr
+
+    y = np.sort(np.asarray(values, dtype=float))
+    n = len(y)
+    cdf = ndtr(y)
+    buf = np.arange(n, dtype=float)
+    np.divide(buf, n, out=buf)
+    np.subtract(cdf, buf, out=buf)
+    below = float(np.max(buf))
+    buf = np.arange(1, n + 1, dtype=float)
+    np.divide(buf, n, out=buf)
+    np.subtract(buf, cdf, out=buf)
+    return max(below, float(np.max(buf)))

@@ -253,17 +253,55 @@ def test_dos_exyz_streaming_branch(tmp_path):
     assert abs(stream["ks"] - exact["ks"]) <= stream["ks_uncertainty"] + KS_DRIFT_24_25
 
 
-def test_dos_cx_grid_refuses_streamed_n(tmp_path, capsys):
-    """F(x) needs the sorted exact spectrum: --cx-grid above EXACT_CAP exits 2 before any n is computed."""
-    out = tmp_path / "cx.json"
-    assert main(["dos", "--n", "24", "25", "--cx-grid", "0", "--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    code, out = run(tmp_path, "cx24.json", ["dos", "--n", "24", "--cx-grid", "0"])
+def test_dos_cx_grid_reads_streamed_n(tmp_path):
+    """F(x) comes from the sum-set's counts at any n: one table per n, above EXACT_CAP too."""
+    code, out = run(tmp_path, "cx.json", ["dos", "--n", "24", "25", "--cx-grid", "0"])
     assert code == 0
-    table = json.loads(out.read_text())["reports"][0]["cx_table"]
-    assert [row["x"] for row in table] == [0.0]
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["n"] for r in reports] == [24, 25]
+    assert [[row["x"] for row in r["cx_table"]] for r in reports] == [[0.0], [0.0]]
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.0])
+def test_dos_cx_grid_matches_sorted_spectrum(tmp_path, eps):
+    """Each row is n |F(x) - Phi(x)| with F read off the sorted spectrum, also at x on a (tied) value."""
+    from scipy.special import ndtr
+
+    from spinchain.free_fermion import collect_spectrum
+
+    n = 16
+    values = np.sort(collect_spectrum(n, eps, scale=1.0 / np.sqrt(n * (1.0 + eps**2))))
+    xs = [0.0, float(values[1000]), float(values[1 << 15]), -0.75, float(values[-1]), 9.0]
+    argv = ["dos", "--n", str(n), "--epsilon", repr(eps), "--cx-grid", *map(repr, xs)]
+    code, out = run(tmp_path, "cx.json", argv)
+    assert code == 0
+    want = [{"x": x, "n_times_dev": n * abs(float(np.searchsorted(values, x, side="right")) / len(values)
+                                            - float(ndtr(x)))} for x in xs]
+    assert json.loads(out.read_text())["reports"][0]["cx_table"] == want
+
+
+def test_dos_non_finite_spectrum_exit_code(tmp_path, monkeypatch, capsys):
+    """A NaN in an exact spectrum is a numerical failure: exit 3, one ``error:`` line, no report."""
+    from spinchain import free_fermion
+
+    monkeypatch.setattr(free_fermion, "spectrum_sum_set", lambda n, eps, scale: (np.array([0.0, np.nan]), np.zeros(1)))
+    out = tmp_path / "nan.json"
+    assert main(["dos", "--n", "6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact KS distance") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
+def test_dos_huge_epsilon_is_a_usage_error(normalize):
+    """A finite --epsilon whose square overflows exits 2 with one ``error:`` line, with or without normalisation."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e300", normalize]
+    res = subprocess.run([sys.executable, "-m", "spinchain.cli", *argv], capture_output=True, text=True, env=env)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+    assert res.stdout == ""
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -375,11 +413,12 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
         ["ba-moments", "--n", "6", "--alpha1", "inf"],
         ["clt-check", "--n", "6", "--t", "inf"],
         ["purity-sweep", "--n", "4", "--samples", "0"],
+        ["degeneracy-scan", "--n", "5", "--samples", "-1"],
         ["spectrum", "--n", "4", "--out", "{missing}/x.csv"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv):
-    """Non-finite floats, ``--samples 0`` and an unwritable ``--out`` exit 2 without a traceback."""
+    """Non-finite floats, ``--samples`` below its floor and an unwritable ``--out`` exit 2 without a traceback."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

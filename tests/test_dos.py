@@ -12,6 +12,7 @@ from spinchain.dos import (
     BlockLinkSplit,
     EmpiricalDistribution,
     Histogram,
+    KSResult,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,
@@ -22,10 +23,11 @@ from spinchain.dos import (
     moments,
     power_sums,
 )
-from spinchain import free_fermion
+from spinchain import dos, free_fermion
 from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     InteractionGraph,
+    build_ba,
     build_general,
     hs_inner,
     normalize,
@@ -33,6 +35,9 @@ from spinchain.hamiltonians import (
 )
 from spinchain.pauli import PauliString
 from spinchain.spectra import commutator_norm, diagonalize_dense
+from spinchain.symmetry import joint_eigenbasis
+
+from oracles import exact_ks_distance
 
 
 def field_chain_values(n):
@@ -66,12 +71,114 @@ def test_ks_field_chain_matches_binomial_oracle():
     assert got < 2.0 / math.sqrt(n)  # order n^-1/2
 
 
-def test_ks_streaming_consistent_with_exact():
+def test_ks_streaming_consistent_with_exact(monkeypatch):
     n, eps = 16, 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
-    exact = ks_distance(EmpiricalDistribution.from_values(collect_spectrum(n, eps, scale=scale)))
-    stream = ks_distance(EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale)))
+    d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale))
+    exact = ks_distance(d)
+    monkeypatch.setattr(dos, "EXACT_CAP", n - 1)  # the histogram bracket
+    stream = ks_distance(d)
+    assert exact.uncertainty == 0.0 < stream.uncertainty
     assert abs(stream.statistic - exact.statistic) <= stream.uncertainty + 1e-12
+
+
+#: branch-and-bound sizes so small that a dozen values take every branch: cuts, leaves, intervals too
+#: narrow to cut, and several batches
+TINY_KS = {"KS_BINS": 4, "KS_SPLIT": 2, "KS_LEAF": 2, "KS_BATCH": 3}
+
+
+def _tiny_ks(d):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in TINY_KS.items():
+            mp.setattr(dos, name, value)
+        return ks_distance(d)
+
+
+def _cut_points(lo, hi, rounds):
+    """Every point the exact KS can cut the values in [lo, hi] at, in its first ``rounds`` rounds under TINY_KS."""
+    a, b, parts = np.array([lo]), np.array([np.nextafter(hi, np.inf)]), TINY_KS["KS_BINS"]
+    points = []
+    for _ in range(rounds):
+        x = dos._cut(a, b, parts)
+        parts = TINY_KS["KS_SPLIT"]
+        points.append(x.ravel())
+        a, b = x[:, :-1].ravel(), x[:, 1:].ravel()
+    points = np.unique(np.concatenate(points))
+    return points[(points >= lo) & (points <= hi)]
+
+
+#: a few values drawn again and again make heavy ties, also between different (o, v) pairs
+TIED = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 1.5])
+
+
+@given(
+    st.lists(st.one_of(TIED, st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+)
+def test_exact_ks_of_sum_set_equals_oracle(values, offsets):
+    """The exact KS of a small tied sum-set is the oracle's float, at the real and at tiny branch-and-bound sizes."""
+    want = exact_ks_distance(sum_set_values(np.array(values), offsets))
+    d = EmpiricalDistribution.from_sum_set(values, offsets)
+    assert ks_distance(d) == KSResult(want, 0.0)
+    assert _tiny_ks(d) == KSResult(want, 0.0)
+
+
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=6),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 6)), min_size=1, max_size=8),
+)
+def test_exact_ks_with_values_on_cut_points_equals_oracle(base, picks):
+    """Values placed exactly on the points the branch and bound cuts at, with ties, give the oracle's float."""
+    points = _cut_points(min(base), max(base), 4)
+    values = base + [float(points[i % len(points)]) for i, times in picks for _ in range(times)]
+    assert _tiny_ks(EmpiricalDistribution.from_values(values)).statistic == exact_ks_distance(values)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_exact_ks_of_exyz_sum_set_equals_oracle(n):
+    eps = 0.5
+    scale = 1.0 / math.sqrt(n * (1 + eps**2))
+    d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale))
+    assert ks_distance(d) == KSResult(exact_ks_distance(collect_spectrum(n, eps, scale=scale)), 0.0)
+
+
+def test_exact_ks_of_degenerate_ba_spectrum_equals_oracle():
+    vals = joint_eigenbasis(normalize(build_ba(0.5, 0.25, 8))).eigenvalues
+    assert len(np.unique(vals)) < len(vals)  # exact ties across momentum sectors
+    assert ks_distance(EmpiricalDistribution.from_values(vals)) == KSResult(exact_ks_distance(vals), 0.0)
+
+
+@pytest.mark.parametrize(
+    "low, offsets",
+    [([0.0, np.nan], [0.0]), ([0.0, 1.0], [0.0, np.inf]), ([1e308, 0.0], [0.0, 1e308])],
+    ids=["nan", "inf", "overflowing-sum"],
+)
+def test_exact_ks_refuses_non_finite_values(low, offsets):
+    with np.errstate(all="ignore"):  # the power sums of these sets overflow or are NaN
+        d = EmpiricalDistribution.from_sum_set(low, offsets)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        ks_distance(d)
+
+
+def test_exact_dos_report_allocates_no_spectrum_sized_array():
+    """KS, moments and one F(x) of the n=22 exyz spectrum peak below one array of 2^22 floats."""
+    import tracemalloc
+
+    from scipy.special import ndtr
+
+    n, eps = 22, 0.5
+    ndtr(0.0)  # scipy.special loaded before tracing: its import is no part of the report
+    tracemalloc.start()
+    try:
+        d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2))))
+        ks_distance(d)
+        moments(d, 6)
+        d.cdf([0.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.exact
+    assert peak < (1 << n) * 8
 
 
 # the inputs below are scaled by 8 onto EDGES: [-1, 1) in 8 bins becomes [-8, 8) in 4096
@@ -83,13 +190,14 @@ def test_histogram_counts_every_value_once():
     assert hist.below == 1 and hist.above == 2
 
 
-def test_histogram_counts_nan_once():
+def test_histogram_counts_nan_once(monkeypatch):
     """A NaN is neither in range, below nor above; it is counted once, as NaN."""
     values = 8.0 * np.array([-2.0, np.nan, 0.0, 5.0])
     d = EmpiricalDistribution.from_sum_set(values, (0.0,))
     hist = d.histogram
     assert hist.nan == 1 and hist.below == 1 and hist.above == 1 and int(hist.counts.sum()) == 1
     assert hist.count == d.count == 4
+    monkeypatch.setattr(dos, "EXACT_CAP", 1)  # the histogram bracket; the exact KS refuses a NaN
     ks = ks_distance(d)
     assert ks.uncertainty == pytest.approx(1.0)  # max bin 1 + below 1 + above 1 + NaN 1 of 4
 
