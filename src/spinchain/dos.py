@@ -82,38 +82,17 @@ def _count_below(ordered, offsets, grid):
     return cum, nan
 
 
-def _larger_first(values, offsets):
-    values = np.asarray(values, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    # o + v == v + o exactly, so the loop runs over the smaller set
-    return (offsets, values) if len(offsets) > len(values) else (values, offsets)
-
-
 @dataclass(frozen=True)
 class Histogram:
-    """Counts of a sum-set in the bins ``[EDGES[i], EDGES[i+1])``, plus how many values lie below, above or are NaN."""
+    """Counts of a sum-set in the bins ``[EDGES[i], EDGES[i+1])``, plus how many values lie below, above or are NaN.
+
+    Bins are as in ``np.histogram`` of the in-range values.
+    """
 
     counts: np.ndarray
     below: int
     above: int
     nan: int
-
-    @classmethod
-    def of(cls, values, offsets=(0.0,)):
-        """Bin the sum-set ``{o + v : o in offsets, v in values}`` without materialising it.
-
-        The larger of the two sets is sorted once and :func:`_count_below`
-        counts the values below each edge. Bins are as in ``np.histogram``
-        of the in-range values.
-        """
-        ordered, offsets = _larger_first(values, offsets)
-        return cls._of_sorted(np.sort(ordered), offsets)
-
-    @classmethod
-    def _of_sorted(cls, ordered, offsets):
-        cum, nan = _count_below(ordered, offsets, EDGES)
-        above = len(ordered) * len(offsets) - nan - int(cum[-1])
-        return cls(np.diff(cum), int(cum[0]), above, nan)
 
     @property
     def count(self):
@@ -135,7 +114,11 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_sum_set(cls, low, offsets):
-        low, offsets = _larger_first(low, offsets)
+        low = np.asarray(low, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if len(offsets) > len(low):
+            # o + v == v + o exactly, so the counting loop runs over the smaller set
+            low, offsets = offsets, low
         if len(low) * len(offsets) == 0:
             raise ValueError("empty distribution")
         # sorted before the power sums, so they do not depend on the order the values come in
@@ -158,7 +141,9 @@ class EmpiricalDistribution:
 
     @property
     def histogram(self):
-        return Histogram._of_sorted(self.low, self.offsets)
+        """The sum-set binned on ``EDGES``."""
+        cum, nan = _count_below(self.low, self.offsets, EDGES)
+        return Histogram(np.diff(cum), int(cum[0]), self.count - nan - int(cum[-1]), nan)
 
     def count_below(self, grid):
         """``#{y < x}`` at each point x of the sorted ``grid``."""

@@ -11,7 +11,6 @@ from spinchain.dos import (
     MAX_MOMENT,
     BlockLinkSplit,
     EmpiricalDistribution,
-    Histogram,
     KSResult,
     ba_prediction,
     ba_prediction_printed,
@@ -184,8 +183,12 @@ def test_exact_dos_report_allocates_no_spectrum_sized_array():
 # the inputs below are scaled by 8 onto EDGES: [-1, 1) in 8 bins becomes [-8, 8) in 4096
 
 
+def _histogram(values, offsets=(0.0,)):
+    return EmpiricalDistribution.from_sum_set(values, offsets).histogram
+
+
 def test_histogram_counts_every_value_once():
-    hist = Histogram.of(8.0 * np.array([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0]))
+    hist = _histogram(8.0 * np.array([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0]))
     assert hist.count == 6
     assert hist.below == 1 and hist.above == 2
 
@@ -201,12 +204,12 @@ def test_histogram_counts_nan_once(monkeypatch):
     ks = ks_distance(d)
     assert ks.uncertainty == pytest.approx(1.0)  # max bin 1 + below 1 + above 1 + NaN 1 of 4
 
-    sums = Histogram.of(8.0 * np.array([0.25, np.nan]), offsets=8.0 * np.array([0.0, 0.5, np.nan]))
+    sums = _histogram(8.0 * np.array([0.25, np.nan]), 8.0 * np.array([0.0, 0.5, np.nan]))
     assert sums.nan == 4 and int(sums.counts.sum()) == 2 and sums.count == 6
 
     # inf + -inf is NaN and lands in front of the sorted block
     with np.errstate(invalid="ignore"):
-        infs = Histogram.of(8.0 * np.array([-np.inf, 0.0, 2.0]), offsets=8.0 * np.array([np.inf, -0.5]))
+        infs = _histogram(8.0 * np.array([-np.inf, 0.0, 2.0]), 8.0 * np.array([np.inf, -0.5]))
     assert (infs.nan, infs.below, infs.above, int(infs.counts.sum())) == (1, 1, 3, 1)
 
 
@@ -233,7 +236,7 @@ SUM_SET_ELEMENTS = st.one_of(
 def test_histogram_of_sum_set_matches_materialised(values, offsets):
     """Counts, below, above and NaN of the sum-set equal those of its materialised values."""
     with np.errstate(invalid="ignore"):
-        hist = Histogram.of(values, offsets)
+        hist = _histogram(values, offsets)
         want = _materialised_histogram(sum_set_values(np.array(values), offsets))
     assert np.array_equal(hist.counts, want[0])
     assert (hist.below, hist.above, hist.nan) == want[1:]
@@ -261,7 +264,7 @@ def test_sum_set_histogram_matches_np_histogram(monkeypatch, chunk_bits):
     # is an integer and lies exactly on a bin edge
     for eps, scale in ((0.6, 3.2 / math.sqrt(20 * (1 + 0.6**2))), (0.0, 0.5)):
         low, offsets = spectrum_sum_set(20, eps, scale=scale)
-        hist = Histogram.of(low, offsets)
+        hist = _histogram(low, offsets)
         values = sum_set_values(low, offsets)
         counts, below, above, nan = _materialised_histogram(values)
         assert np.array_equal(hist.counts, counts)
