@@ -64,8 +64,9 @@ def _count_below(ordered, offsets, grid):
 
     ``ordered`` is sorted, so for each offset ``o``, ``o + ordered`` holds
     exactly the floats ``o + v`` in sorted order, and one ``searchsorted``
-    of the grid counts them. Memory is one buffer the size of ``ordered``.
-    ``#{o + v <= x}`` is the count below ``np.nextafter(x, inf)``.
+    of the grid counts them; NaNs sort last and count at no grid point.
+    Memory is one buffer the size of ``ordered``. ``#{o + v <= x}`` is the
+    count below ``np.nextafter(x, inf)``.
     """
     cum = np.zeros(len(grid), dtype=np.int64)
     nan = 0
