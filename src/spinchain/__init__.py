@@ -51,7 +51,6 @@ from .free_fermion import (
 )
 from .dos import (
     EmpiricalDistribution,
-    Histogram,
     ba_prediction,
     ba_prediction_printed,
     block_link_split,

@@ -6,7 +6,7 @@ failed (bug indicator), 2 = usage error (a bad flag value, a size above a
 cap, an output path that cannot be written), 3 = internal or numerical
 failure (an eigensolver that did not converge, a reduced density matrix
 failing its trace/Hermitian/positivity check, a non-finite value in a
-spectrum whose KS distance is exact).
+spectrum).
 Every output embeds its full config so a re-run with the same flags is
 byte-identical.
 """
@@ -139,7 +139,7 @@ def cmd_dos(args):
     reports = []
     for n in args.n:
         if args.model == "exyz":
-            scale = 1.0 / np.sqrt(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
+            scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
             d = dos.EmpiricalDistribution.from_sum_set(*free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale))
         else:
             h = _build_model(
@@ -163,11 +163,9 @@ def cmd_dos(args):
             report["m2_identity"] = "FAIL"
             failures += 1
         if args.cx_grid:
-            from scipy.special import ndtr
-
             report["cx_table"] = [
-                {"x": x, "n_times_dev": n * abs(float(fn) - float(ndtr(x)))}
-                for x, fn in zip(args.cx_grid, d.cdf(args.cx_grid))
+                {"x": x, "n_times_dev": n * abs(float(fn) - float(phi))}
+                for x, fn, phi in zip(args.cx_grid, d.cdf(args.cx_grid), dos.normal_cdf(args.cx_grid))
             ]
         reports.append(report)
     payload = {"config": _config_dict(args, "dos"), "reports": reports}

@@ -17,14 +17,10 @@ MAX_MOMENT = 8
 #: slack of the characteristic-function bound
 BOUND_SLACK = 1e-9
 
-#: histogram layout for streaming mode: HIST_BINS bins of width 2 HIST_RANGE / HIST_BINS
-HIST_BINS = 4096
-HIST_RANGE = 8.0
-EDGES = np.linspace(-HIST_RANGE, HIST_RANGE, HIST_BINS + 1)
-
-#: exact KS: the value range is cut into KS_BINS intervals, and an interval
-#: that may hold the sup is cut into KS_SPLIT; one holding at most KS_LEAF
-#: values is gathered, in batches of at most KS_BATCH values
+#: KS branch and bound: the value range is cut into KS_BINS intervals (where
+#: it stops above 2^EXACT_CAP values), and an interval that may hold the sup
+#: is cut into KS_SPLIT; one holding at most KS_LEAF values is gathered, in
+#: batches of at most KS_BATCH values
 KS_BINS = 4096
 KS_SPLIT = 16
 KS_LEAF = 4096
@@ -59,53 +55,12 @@ def power_sums(values, offsets=(0.0,)):
     return np.array([sum(math.comb(k, j) * b[k - j] * s[j] for j in range(k + 1)) for k in range(1, MAX_MOMENT + 1)])
 
 
-def _count_below(ordered, offsets, grid):
-    """``#{o + v < x}`` over the sum-set at each point x of the sorted ``grid``, and how many ``o + v`` are NaN.
-
-    ``ordered`` is sorted, so for each offset ``o``, ``o + ordered`` holds
-    exactly the floats ``o + v`` in sorted order, and one ``searchsorted``
-    of the grid counts them; NaNs sort last and count at no grid point.
-    Memory is one buffer the size of ``ordered``. ``#{o + v <= x}`` is the
-    count below ``np.nextafter(x, inf)``.
-    """
-    cum = np.zeros(len(grid), dtype=np.int64)
-    nan = 0
-    buf = np.empty_like(ordered)
-    for o in offsets:
-        np.add(ordered, o, out=buf)
-        if not math.isfinite(o):
-            buf.sort()  # inf + -inf is NaN at the front
-        # grid points at or below the smallest value count none, above the largest all
-        first, last = np.searchsorted(grid, buf[[0, -1]], side="right")
-        cum[first:last] += np.searchsorted(buf, grid[first:last], side="left")
-        cum[last:] += len(buf)
-        nan += len(buf) - int(np.searchsorted(buf, np.nan, side="left"))
-    return cum, nan
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Counts of a sum-set in the bins ``[EDGES[i], EDGES[i+1])``, plus how many values lie below, above or are NaN.
-
-    Bins are as in ``np.histogram`` of the in-range values.
-    """
-
-    counts: np.ndarray
-    below: int
-    above: int
-    nan: int
-
-    @property
-    def count(self):
-        return int(self.counts.sum()) + self.below + self.above + self.nan
-
-
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """The sum-set ``{o + v : o in offsets, v in low}`` and its power sums.
 
     ``low`` is the larger of the two sets, sorted. Every statistic is read
-    from the pair through :func:`_count_below`; nothing the size of the
+    from the pair through :meth:`count_below`; nothing the size of the
     sum-set is formed.
     """
 
@@ -140,20 +95,38 @@ class EmpiricalDistribution:
         """Whether :func:`ks_distance` is exact: at most 2^EXACT_CAP values."""
         return self.count <= 1 << EXACT_CAP
 
-    @property
-    def histogram(self):
-        """The sum-set binned on ``EDGES``."""
-        cum, nan = _count_below(self.low, self.offsets, EDGES)
-        return Histogram(np.diff(cum), int(cum[0]), self.count - nan - int(cum[-1]), nan)
-
     def count_below(self, grid):
-        """``#{y < x}`` at each point x of the sorted ``grid``."""
-        return _count_below(self.low, self.offsets, grid)[0]
+        """``#{o + v < x}`` at each point x of the sorted ``grid``.
+
+        ``low`` is sorted, so for each offset ``o``, ``o + low`` holds exactly
+        the floats ``o + v`` in sorted order, and one ``searchsorted`` of the
+        grid counts them; NaNs sort last and count at no grid point. (Only
+        ``o = inf`` breaks the order, by ``inf + -inf`` NaN in front; then every
+        value is inf or NaN and counts at no grid point either.) Memory is one
+        buffer the size of ``low``.
+        """
+        cum = np.zeros(len(grid), dtype=np.int64)
+        buf = np.empty_like(self.low)
+        for o in self.offsets:
+            np.add(self.low, o, out=buf)
+            # grid points at or below the smallest value count none, above the largest all
+            first, last = np.searchsorted(grid, buf[[0, -1]], side="right")
+            cum[first:last] += np.searchsorted(buf, grid[first:last], side="left")
+            cum[last:] += len(buf)
+        return cum
 
     def cdf(self, xs):
         """``F(x) = #{y <= x} / count`` at each x of ``xs``."""
         grid, where = np.unique(np.nextafter(np.asarray(xs, dtype=float), np.inf), return_inverse=True)
         return self.count_below(grid)[where] / self.count
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(x):
+    """The standard normal CDF ``Phi(x) = erfc(-x / sqrt(2)) / 2``, elementwise."""
+    return 0.5 * np.asarray(_erfc(np.negative(x) / math.sqrt(2)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -163,52 +136,32 @@ class KSResult:
 
 
 def ks_distance(d):
-    """``sup_x |F_n(x) - Phi(x)|`` against the standard normal CDF.
-
-    Exact mode (:attr:`EmpiricalDistribution.exact`) gives the sup over the
-    sample bit for bit as ``max_i max(Phi(y_i) - i/N, (i+1)/N - Phi(y_i))``
-    over the sorted values ``y``; see :func:`_exact_ks`. Streaming mode
-    evaluates it at bin edges, with the largest single-bin mass (plus any
-    out-of-range mass) attached as the uncertainty.
-    """
-    if d.exact:
-        return KSResult(_exact_ks(d), 0.0)
-    hist = d.histogram
-    # imported here: scipy.special alone takes about half of ``import spinchain.cli``
-    from scipy.special import ndtr
-
-    total = hist.count
-    cum = hist.below + np.concatenate([[0], np.cumsum(hist.counts)])
-    emp = cum / total
-    stat = float(np.max(np.abs(emp - ndtr(EDGES))))
-    unc = float(hist.counts.max() + hist.below + hist.above + hist.nan) / total
-    return KSResult(stat, unc)
-
-
-def _exact_ks(d):
-    """Exact KS statistic of the sum-set, by branch and bound over intervals of the value range.
+    """``sup_x |F_n(x) - Phi(x)|`` against the standard normal CDF, by branch and bound over intervals of the value range.
 
     Over the sorted values ``y``, the value of rank ``i`` contributes
     ``Phi(y_i) - i/N`` and ``(i+1)/N - Phi(y_i)``. The values in an interval
     [a, b) have the ranks ``c_lo = C(a)`` to ``c_hi - 1 = C(b) - 1``, with
-    ``C(x)`` the count below x (:func:`_count_below`), so none of them
-    contributes more than ``max(Phi(b) - c_lo/N, c_hi/N - Phi(a))``, and the
-    first and the last contribute at least ``Phi(a) - c_lo/N`` and
-    ``c_hi/N - Phi(b)``. Intervals whose upper bound falls below the best
-    lower bound are dropped, the others are cut finer until they hold at
-    most ``KS_LEAF`` values, and those are gathered and evaluated point by
-    point with their global ranks (:func:`_gather_leaves`). Every
-    contribution is the same float expression as over the materialised
-    sorted values, so the statistic is the same float.
-    """
-    from scipy.special import ndtr
+    ``C(x)`` the count below x (:meth:`EmpiricalDistribution.count_below`),
+    so none of them contributes more than ``max(Phi(b) - c_lo/N, c_hi/N -
+    Phi(a))``, and the first and the last contribute at least ``Phi(a) -
+    c_lo/N`` and ``c_hi/N - Phi(b)``.
 
+    In exact mode (:attr:`EmpiricalDistribution.exact`) intervals whose
+    upper bound falls below the best lower bound are dropped, the others are
+    cut finer until they hold at most ``KS_LEAF`` values, and those are
+    gathered and evaluated point by point with their global ranks
+    (:func:`_gather_leaves`). Every contribution is the same float
+    expression as over the materialised sorted values, so the statistic is
+    the same float, with uncertainty 0. Above that size the search stops
+    after the first ``KS_BINS`` intervals: the statistic is the best lower
+    bound, and the uncertainty how far the largest upper bound lies above it.
+    """
     n = d.count
     # o + v is monotone in both, so every value is finite iff both ends are (np.min/max carry a NaN)
     lo = float(d.low[0]) + float(np.min(d.offsets))
     hi = float(d.low[-1]) + float(np.max(d.offsets))
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise RuntimeError("exact KS distance: the spectrum holds a non-finite value")
+        raise RuntimeError("KS distance: the spectrum holds a non-finite value")
     floor = -math.inf
     leaves = []
     # [lo, hi+) holds every value
@@ -217,13 +170,15 @@ def _exact_ks(d):
         x = _cut(a, b, parts)
         parts = KS_SPLIT
         grid, where = np.unique(x, return_inverse=True)
-        count, phi = d.count_below(grid)[where].reshape(x.shape), ndtr(x)
+        count, phi = d.count_below(grid)[where].reshape(x.shape), normal_cdf(x)
         a, b, c_lo, c_hi = x[:, :-1].ravel(), x[:, 1:].ravel(), count[:, :-1].ravel(), count[:, 1:].ravel()
         phi_a, phi_b = phi[:, :-1].ravel(), phi[:, 1:].ravel()
         full = c_hi > c_lo
         upper = np.maximum(phi_b - c_lo / n, c_hi / n - phi_a)
-        lower = np.maximum(phi_a - c_lo / n, c_hi / n - phi_b)[full]
-        floor = max(floor, float(np.max(lower, initial=-math.inf)) - KS_SLACK)
+        lower = float(np.max(np.maximum(phi_a - c_lo / n, c_hi / n - phi_b)[full], initial=-math.inf))
+        if not d.exact:
+            return KSResult(lower, float(np.max(upper[full])) - lower)
+        floor = max(floor, lower - KS_SLACK)
         keep = full & (upper + KS_SLACK >= floor)
         # an interval whose midpoint (a cut point) is no new float cannot be cut further
         mid = 0.5 * a + 0.5 * b
@@ -231,7 +186,7 @@ def _exact_ks(d):
         leaves.append(np.column_stack([a, b, c_lo, c_hi, upper])[leaf])
         cut = keep & ~leaf
         a, b = a[cut], b[cut]
-    return _gather_leaves(d, np.concatenate(leaves), floor, ndtr)
+    return KSResult(_gather_leaves(d, np.concatenate(leaves), floor), 0.0)
 
 
 def _cut(a, b, parts):
@@ -240,7 +195,7 @@ def _cut(a, b, parts):
     return np.sort(np.clip(np.outer(a, 1 - t) + np.outer(b, t), a[:, None], b[:, None]), axis=1)
 
 
-def _gather_leaves(d, leaves, floor, ndtr):
+def _gather_leaves(d, leaves, floor):
     """The largest contribution of the values in the leaf intervals, rows ``(a, b, c_lo, c_hi, upper bound)``.
 
     Leaves are taken in order of falling upper bound, in batches of at most
@@ -276,7 +231,7 @@ def _gather_leaves(d, leaves, floor, ndtr):
         if len(y) != sizes.sum():
             raise RuntimeError(f"exact KS distance: gathered {len(y)} values where the counts give {sizes.sum()}")
         rank = np.repeat(batch[:, 2] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(y))
-        cdf = ndtr(y)
+        cdf = normal_cdf(y)
         best = max(best, float(np.max(cdf - rank / n)), float(np.max((rank + 1) / n - cdf)))
         floor = max(floor, best)
 

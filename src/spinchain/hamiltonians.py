@@ -6,6 +6,7 @@ index (bond ``j`` couples sites ``j+1`` and ``j+2``, cyclically),
 Pauli code ``b+1`` (the right factor is never the identity).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,12 +377,22 @@ def build_exyz(epsilon, n):
     return OperatorSum.from_terms(n, terms)
 
 
+def normalization_scale(norm2):
+    """``1 / sqrt(norm2)``, the factor that takes ``hs_inner(H, H) = norm2`` to 1.
+
+    A zero or non-finite ``norm2`` (the zero operator, or coefficients whose
+    squares overflow) has no such factor and is a ``ValueError``.
+    """
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(f"cannot normalize an operator of squared norm {norm2!r}")
+    return 1.0 / np.sqrt(norm2)
+
+
 def normalize(h):
     """Scale so that ``hs_inner(H, H) = 1`` (unit spectral second moment)."""
-    norm2 = float(np.dot(h.coeffs, h.coeffs))
-    if norm2 == 0.0:
-        raise ValueError("cannot normalize the zero operator")
-    return (1.0 / np.sqrt(norm2)) * h
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm2 = float(np.dot(h.coeffs, h.coeffs))
+    return normalization_scale(norm2) * h
 
 
 def sample_random(kind, n, seed, normalize_output=False):

@@ -19,7 +19,6 @@ _CHAR_TO_CODE = {c: a for a, c in enumerate(_CODE_TO_CHAR)}
 #: (x_bit, z_bit) per Pauli code 0..3
 _CODE_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
-_PHASE_TOKENS = {"+1": 0, "+i": 1, "-1": 2, "-i": 3}
 _PHASE_VALUES = (1, 1j, -1, -1j)
 
 
@@ -155,22 +154,6 @@ class PhasedString:
     @property
     def n(self):
         return self.string.n
-
-    @classmethod
-    def from_label(cls, label):
-        """Parse e.g. ``"-i XZY"`` or ``"XZY"`` (optional phase token)."""
-        parts = label.split()
-        if len(parts) == 2:
-            token, body = parts
-            if token not in _PHASE_TOKENS:
-                raise ValueError(f"invalid phase token {token!r}")
-            return cls(_PHASE_TOKENS[token], PauliString.from_label(body))
-        return cls(0, PauliString.from_label(label))
-
-    @property
-    def label(self):
-        token = ("+1", "+i", "-1", "-i")[self.phase_power]
-        return f"{token} {self.string.label}"
 
     def to_dense(self):
         return self.phase * self.string.to_dense()

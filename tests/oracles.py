@@ -15,7 +15,8 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 * :func:`resolve_parity_map` matches the analytic parity classes of the
   ``eps*XY + Z`` ring to a dense eigensolve;
 * :func:`exact_ks_distance` sorts the materialised values and scans them,
-  the oracle of the exact-mode ``dos.ks_distance`` of a sum-set.
+  the oracle of ``dos.ks_distance`` of a sum-set: its value in exact mode,
+  and what its bracket holds above ``EXACT_CAP``.
 """
 
 import warnings
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spinchain.dos import normal_cdf
 from spinchain.entanglement import _pauli_stack, _reduced_states
 from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import build_exyz
@@ -161,13 +163,13 @@ def exact_ks_distance(values):
     """``max_i max(Phi(y_i) - i/N, (i+1)/N - Phi(y_i))`` over the sorted values ``y``.
 
     The KS distance to the standard normal CDF, evaluated over the whole
-    materialised sample, one full-length buffer at a time.
+    materialised sample, one full-length buffer at a time. Phi is the
+    library's ``dos.normal_cdf`` (itself checked against scipy's ``ndtr``),
+    so an exact-mode KS equals this value bit for bit.
     """
-    from scipy.special import ndtr
-
     y = np.sort(np.asarray(values, dtype=float))
     n = len(y)
-    cdf = ndtr(y)
+    cdf = normal_cdf(y)
     buf = np.arange(n, dtype=float)
     np.divide(buf, n, out=buf)
     np.subtract(cdf, buf, out=buf)

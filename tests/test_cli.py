@@ -232,7 +232,7 @@ KS_DRIFT_24_25 = 3e-4
 
 
 def test_dos_exyz_streaming_branch(tmp_path):
-    """n=25 > EXACT_CAP streams into the histogram and moments; n=24 is the exact reference."""
+    """n=25 > EXACT_CAP gets the KS bracket of one counting pass and exact moments; n=24 is the exact reference."""
     from spinchain.free_fermion import EXACT_CAP, mode_energies
 
     eps = 0.5
@@ -265,8 +265,7 @@ def test_dos_cx_grid_reads_streamed_n(tmp_path):
 @pytest.mark.parametrize("eps", [0.5, 0.0])
 def test_dos_cx_grid_matches_sorted_spectrum(tmp_path, eps):
     """Each row is n |F(x) - Phi(x)| with F read off the sorted spectrum, also at x on a (tied) value."""
-    from scipy.special import ndtr
-
+    from spinchain.dos import normal_cdf
     from spinchain.free_fermion import collect_spectrum
 
     n = 16
@@ -276,7 +275,7 @@ def test_dos_cx_grid_matches_sorted_spectrum(tmp_path, eps):
     code, out = run(tmp_path, "cx.json", argv)
     assert code == 0
     want = [{"x": x, "n_times_dev": n * abs(float(np.searchsorted(values, x, side="right")) / len(values)
-                                            - float(ndtr(x)))} for x in xs]
+                                            - float(normal_cdf(x)))} for x in xs]
     assert json.loads(out.read_text())["reports"][0]["cx_table"] == want
 
 
@@ -288,16 +287,28 @@ def test_dos_non_finite_spectrum_exit_code(tmp_path, monkeypatch, capsys):
     out = tmp_path / "nan.json"
     assert main(["dos", "--n", "6", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: exact KS distance") and err.count("\n") == 1
+    assert err.startswith("error: KS distance") and err.count("\n") == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
-def test_dos_huge_epsilon_is_a_usage_error(normalize):
-    """A finite --epsilon whose square overflows exits 2 with one ``error:`` line, with or without normalisation."""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e300", "--normalize"], id="--normalize"),
+        pytest.param(["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e300", "--no-normalize"],
+                     id="--no-normalize"),
+        pytest.param(["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e154"], id="dos-norm-overflow"),
+        pytest.param(["spectrum", "--model", "exyz", "--n", "4", "--epsilon", "1e154", "--normalize"],
+                     id="spectrum-norm-overflow"),
+    ],
+)
+def test_dos_huge_epsilon_is_a_usage_error(argv):
+    """A finite --epsilon whose square, or the squared norm built from it, overflows exits 2 with one ``error:`` line.
+
+    That holds with or without normalisation, and for the exyz scale of ``dos`` as for ``hamiltonians.normalize``.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = ["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e300", normalize]
     res = subprocess.run([sys.executable, "-m", "spinchain.cli", *argv], capture_output=True, text=True, env=env)
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
@@ -359,12 +370,14 @@ def test_spectrum_ba_goes_through_sectors(tmp_path):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    """``scipy.special`` is loaded only by the KS distance, not by every subcommand's import."""
+    """No ``scipy`` module is loaded by importing the CLI, nor by a ``dos`` run with its KS distance and F(x) table."""
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, spinchain.cli; print('scipy.special' in sys.modules)"
+    probe = ("import os, sys, spinchain.cli; "
+             "code = spinchain.cli.main(['dos', '--n', '8', '--cx-grid', '0', '--out', os.devnull]); "
+             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "0 False"
 
 
 def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from spinchain.dos import (
-    EDGES,
+    KS_SLACK,
     MAX_MOMENT,
     BlockLinkSplit,
     EmpiricalDistribution,
@@ -20,6 +20,7 @@ from spinchain.dos import (
     ks_distance,
     lyapunov_quantities,
     moments,
+    normal_cdf,
     power_sums,
 )
 from spinchain import dos, free_fermion
@@ -75,10 +76,10 @@ def test_ks_streaming_consistent_with_exact(monkeypatch):
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
     d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale))
     exact = ks_distance(d)
-    monkeypatch.setattr(dos, "EXACT_CAP", n - 1)  # the histogram bracket
+    monkeypatch.setattr(dos, "EXACT_CAP", n - 1)  # the bracket of the first counting pass
     stream = ks_distance(d)
     assert exact.uncertainty == 0.0 < stream.uncertainty
-    assert abs(stream.statistic - exact.statistic) <= stream.uncertainty + 1e-12
+    assert stream.statistic - KS_SLACK <= exact.statistic <= stream.statistic + stream.uncertainty + KS_SLACK
 
 
 #: branch-and-bound sizes so small that a dozen values take every branch: cuts, leaves, intervals too
@@ -123,6 +124,38 @@ def test_exact_ks_of_sum_set_equals_oracle(values, offsets):
 
 
 @given(
+    st.lists(st.one_of(TIED, st.floats(-4.0, 4.0)), min_size=1, max_size=12),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+)
+def test_ks_bracket_above_exact_cap_holds_oracle(values, offsets):
+    """Above EXACT_CAP, ``[ks, ks + ks_uncertainty]`` holds the oracle's value, at the real and at tiny sizes."""
+    want = exact_ks_distance(sum_set_values(np.array(values), offsets))
+    d = EmpiricalDistribution.from_sum_set(values, offsets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dos, "EXACT_CAP", 0)  # only a single value is exact
+        for ks in (ks_distance(d), _tiny_ks(d)):
+            assert ks.statistic - KS_SLACK <= want <= ks.statistic + ks.uncertainty + KS_SLACK
+
+
+def test_ks_refuses_nan_above_exact_cap(monkeypatch):
+    """A NaN is a numerical failure at every size; the bracket does not absorb it into its uncertainty."""
+    monkeypatch.setattr(dos, "EXACT_CAP", 1)
+    d = EmpiricalDistribution.from_values([-2.0, np.nan, 0.0, 5.0])
+    assert not d.exact
+    with pytest.raises(RuntimeError, match="non-finite"):
+        ks_distance(d)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    """Phi to within 2.3e-16 of scipy's ``ndtr`` over [-40, 40]; the infinities map to 1 and 0, NaN to NaN."""
+    x = np.concatenate([np.linspace(-40.0, 40.0, 800_001), np.linspace(-1.0, 1.0, 20_001)])
+    assert np.max(np.abs(normal_cdf(x) - ndtr(x))) <= 2.3e-16
+    assert normal_cdf(0.0) == 0.5
+    assert list(normal_cdf([np.inf, -np.inf])) == [1.0, 0.0]
+    assert np.isnan(normal_cdf(np.nan))
+
+
+@given(
     st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=6),
     st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 6)), min_size=1, max_size=8),
 )
@@ -163,10 +196,7 @@ def test_exact_dos_report_allocates_no_spectrum_sized_array():
     """KS, moments and one F(x) of the n=22 exyz spectrum peak below one array of 2^22 floats."""
     import tracemalloc
 
-    from scipy.special import ndtr
-
     n, eps = 22, 0.5
-    ndtr(0.0)  # scipy.special loaded before tracing: its import is no part of the report
     tracemalloc.start()
     try:
         d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2))))
@@ -180,51 +210,42 @@ def test_exact_dos_report_allocates_no_spectrum_sized_array():
     assert peak < (1 << n) * 8
 
 
-# the inputs below are scaled by 8 onto EDGES: [-1, 1) in 8 bins becomes [-8, 8) in 4096
+#: 4097 fixed grid points from -8 to 8; some test values lie on them
+GRID = np.linspace(-8.0, 8.0, 4097)
 
 
-def _histogram(values, offsets=(0.0,)):
-    return EmpiricalDistribution.from_sum_set(values, offsets).histogram
+def test_count_below_counts_every_value_once():
+    d = EmpiricalDistribution.from_values([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0])
+    assert list(d.count_below(np.array([-np.inf, -2.0, -1.0, 1.0, 5.0, 6.0]))) == [0, 0, 1, 4, 5, 6]
+    assert list(d.cdf([-3.0, -1.0, 1.0, 5.0])) == [0.0, 2 / 6, 5 / 6, 1.0]
+    assert d.count == 6
 
 
-def test_histogram_counts_every_value_once():
-    hist = _histogram(8.0 * np.array([-2.0, -1.0, 0.0, 0.999, 1.0, 5.0]))
-    assert hist.count == 6
-    assert hist.below == 1 and hist.above == 2
+def test_count_below_counts_no_nan():
+    """A NaN lies below no grid point, not even +inf; ``inf + -inf`` is such a NaN too."""
+    d = EmpiricalDistribution.from_values([-2.0, np.nan, 0.0, 5.0])
+    assert list(d.count_below(np.array([-np.inf, 0.0, 1.0, np.inf]))) == [0, 1, 2, 3]
+    assert d.count == 4
 
+    sums = EmpiricalDistribution.from_sum_set([0.25, np.nan], [0.0, 0.5, np.nan])
+    assert list(sums.count_below(np.array([0.5, 1.0, np.inf]))) == [1, 2, 2] and sums.count == 6
 
-def test_histogram_counts_nan_once(monkeypatch):
-    """A NaN is neither in range, below nor above; it is counted once, as NaN."""
-    values = 8.0 * np.array([-2.0, np.nan, 0.0, 5.0])
-    d = EmpiricalDistribution.from_sum_set(values, (0.0,))
-    hist = d.histogram
-    assert hist.nan == 1 and hist.below == 1 and hist.above == 1 and int(hist.counts.sum()) == 1
-    assert hist.count == d.count == 4
-    monkeypatch.setattr(dos, "EXACT_CAP", 1)  # the histogram bracket; the exact KS refuses a NaN
-    ks = ks_distance(d)
-    assert ks.uncertainty == pytest.approx(1.0)  # max bin 1 + below 1 + above 1 + NaN 1 of 4
-
-    sums = _histogram(8.0 * np.array([0.25, np.nan]), 8.0 * np.array([0.0, 0.5, np.nan]))
-    assert sums.nan == 4 and int(sums.counts.sum()) == 2 and sums.count == 6
-
-    # inf + -inf is NaN and lands in front of the sorted block
+    # inf + -inf is NaN and lands in front of the unsorted block
     with np.errstate(invalid="ignore"):
-        infs = _histogram(8.0 * np.array([-np.inf, 0.0, 2.0]), 8.0 * np.array([np.inf, -0.5]))
-    assert (infs.nan, infs.below, infs.above, int(infs.counts.sum())) == (1, 1, 3, 1)
+        infs = EmpiricalDistribution.from_sum_set([-np.inf, 0.0, 2.0], [np.inf, -0.5])
+        assert list(infs.count_below(np.array([-np.inf, 0.0, np.inf]))) == [0, 2, 3]
+        assert list(infs.cdf([-1.0, 2.0])) == [1 / 6, 3 / 6]
 
 
-def _materialised_histogram(values):
-    """``Histogram`` fields of an explicit value array, from ``np.histogram`` of its in-range part."""
-    inside = (values >= EDGES[0]) & (values < EDGES[-1])
-    counts, _ = np.histogram(values[inside], bins=EDGES)
-    nan = int(np.sum(np.isnan(values)))
-    return counts, int(np.sum(values < EDGES[0])), int(np.sum(values >= EDGES[-1])), nan
+def _materialised_counts(values, grid):
+    """``#{y < x}`` at each x of ``grid``, by ``searchsorted`` of the materialised sorted values (NaN last)."""
+    return np.searchsorted(np.sort(values), grid, side="left")
 
 
-#: finite floats around the histogram range, the range's ends, and NaN and +-inf
+#: finite floats around the grid, the grid's ends and neighbouring points, and NaN and +-inf
 SUM_SET_ELEMENTS = st.one_of(
     st.floats(-12.0, 12.0),
-    st.sampled_from([-8.0, 8.0, 0.0, float(EDGES[1]), float(EDGES[-2]), np.nan, np.inf, -np.inf]),
+    st.sampled_from([-8.0, 8.0, 0.0, float(GRID[1]), float(GRID[-2]), np.nan, np.inf, -np.inf]),
 )
 
 
@@ -232,15 +253,21 @@ SUM_SET_ELEMENTS = st.one_of(
     st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
     st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
 )
-@example([-np.inf, 0.0, 2.0], [np.inf, -0.5])  # inf + -inf is NaN in front of the sorted block
-def test_histogram_of_sum_set_matches_materialised(values, offsets):
-    """Counts, below, above and NaN of the sum-set equal those of its materialised values."""
-    with np.errstate(invalid="ignore"):
-        hist = _histogram(values, offsets)
-        want = _materialised_histogram(sum_set_values(np.array(values), offsets))
-    assert np.array_equal(hist.counts, want[0])
-    assert (hist.below, hist.above, hist.nan) == want[1:]
-    assert hist.count == len(values) * len(offsets)
+@example([-np.inf, 0.0, 2.0], [np.inf, -0.5])  # inf + -inf is NaN in front of the unsorted block
+def test_count_below_of_sum_set_matches_materialised(values, offsets):
+    """``count_below`` and ``cdf`` of the sum-set equal ``searchsorted`` of its materialised sorted values.
+
+    The grid holds every value of the sum-set (ties included), the fixed
+    grid and the infinities; ``cdf`` is read at its finite points.
+    """
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        d = EmpiricalDistribution.from_sum_set(values, offsets)
+        x = sum_set_values(np.array(values), offsets)
+        grid = np.unique(np.concatenate([x[~np.isnan(x)], GRID, [-np.inf, np.inf]]))
+        finite = grid[np.isfinite(grid)]
+        assert np.array_equal(d.count_below(grid), _materialised_counts(x, grid))
+        assert np.array_equal(d.cdf(finite), np.searchsorted(np.sort(x), finite, side="right") / len(x))
+    assert d.count == len(values) * len(offsets)
 
 
 @given(
@@ -258,22 +285,21 @@ def test_power_sums_of_sum_set_match_materialised(values, offsets):
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])
 def test_sum_set_histogram_matches_np_histogram(monkeypatch, chunk_bits):
-    """Counts, below and above of the sum-set equal np.histogram of the materialised values."""
+    """Counts below each point of GRID, and the bin counts between them, equal those of the materialised values."""
     monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
-    # the narrow ranges make below/above nonzero; at eps=0, scale=1/2 every value
-    # is an integer and lies exactly on a bin edge
+    # the narrow ranges put values below and above the grid; at eps=0, scale=1/2 every value
+    # is an integer and lies exactly on a grid point
     for eps, scale in ((0.6, 3.2 / math.sqrt(20 * (1 + 0.6**2))), (0.0, 0.5)):
-        low, offsets = spectrum_sum_set(20, eps, scale=scale)
-        hist = _histogram(low, offsets)
-        values = sum_set_values(low, offsets)
-        counts, below, above, nan = _materialised_histogram(values)
-        assert np.array_equal(hist.counts, counts)
-        assert hist.below == below > 0
-        assert hist.above == above > 0
-        assert hist.nan == nan == 0 and hist.count == 1 << 20
+        d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(20, eps, scale=scale))
+        values = sum_set_values(d.low, d.offsets)
+        cum = d.count_below(GRID)
+        assert np.array_equal(cum, _materialised_counts(values, GRID))
+        inside = (values >= GRID[0]) & (values < GRID[-1])
+        assert np.array_equal(np.diff(cum), np.histogram(values[inside], bins=GRID)[0])
+        assert cum[0] == int(np.sum(values < -8.0)) > 0
+        assert d.count - cum[-1] == int(np.sum(values >= 8.0)) > 0 and d.count == 1 << 20
         if eps == 0.0:
-            inside = (values >= EDGES[0]) & (values < EDGES[-1])
-            assert np.all(np.isin(values[inside], EDGES)) and hist.above == int(np.sum(values > 7.5))
+            assert np.all(np.isin(values[inside], GRID)) and d.count - cum[-1] == int(np.sum(values > 7.5))
 
 
 @pytest.mark.parametrize("chunk_bits", [3, 9, 16])

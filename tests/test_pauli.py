@@ -167,9 +167,6 @@ def test_expectation_warns_on_unnormalized():
 def test_label_round_trip():
     for label in ("XZIIY", "I", "ZZZZ"):
         assert PauliString.from_label(label).label == label
-    ps = PhasedString.from_label("-i XZY")
-    assert ps.phase == -1j and ps.string.label == "XZY"
-    assert PhasedString.from_label("XZY").phase == 1
 
 
 def test_weight_counts_non_identity_sites():
