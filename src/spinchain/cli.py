@@ -6,7 +6,7 @@ failed (bug indicator), 2 = usage error (a bad flag value, a size above a
 cap, an output path that cannot be written), 3 = internal or numerical
 failure (an eigensolver that did not converge, a reduced density matrix
 failing its trace/Hermitian/positivity check, a non-finite value in a
-spectrum).
+spectrum or its moments).
 Every output embeds its full config so a re-run with the same flags is
 byte-identical.
 """
@@ -78,13 +78,6 @@ def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alph
     return hamiltonians.normalize(h) if normalized else h
 
 
-def _spectrum_only(h, model):
-    """Eigenvalues only; translation-invariant rings go through momentum sectors."""
-    if model in ("invariant", "ba"):
-        return symmetry.joint_eigenbasis(h)
-    return spectra.diagonalize_dense(h, want_vectors=False)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -96,12 +89,7 @@ def cmd_purity_sweep(args):
     rank_sums = {l: None for l in args.l}
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
-        if args.model == "invariant":
-            # one momentum sector lifted at a time; no 2^n x 2^n eigenbasis
-            e, results = entanglement.sector_purities(h, args.l)
-        else:
-            e = spectra.diagonalize_dense(h)
-            results = {l: entanglement.average_purity(e, l) for l in args.l}
+        e, results = entanglement.sector_purities(h, args.l)
         for l in args.l:
             res = results[l]
             ent = 1.0 - res.per_state
@@ -119,8 +107,6 @@ def cmd_purity_sweep(args):
                 verdicts.append(f"theorem1 sample={sample} l={l} bound-not-claimed")
             for rank, (val, le) in enumerate(zip(e.eigenvalues, ent)):
                 rows.append([rank, repr(float(val)), l, repr(float(le)), sample])
-        # drop a dense 2^n x 2^n eigenbasis before the next sample builds its own
-        del e
     for l in args.l:
         for rank, le in enumerate(rank_sums[l] / args.samples):
             rows.append([rank, "", l, repr(float(le)), "mean"])
@@ -146,7 +132,7 @@ def cmd_dos(args):
                 args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
                 epsilon=args.epsilon, normalized=args.normalize,
             )
-            e = _spectrum_only(h, args.model)
+            e = symmetry.joint_eigenbasis(h)
             d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         ks = dos.ks_distance(d)
         m = dos.moments(d, 6)
@@ -158,7 +144,6 @@ def cmd_dos(args):
             "ks_uncertainty": ks.uncertainty,
             "moments": list(m),
         }
-        # written so that a NaN moment fails too
         if args.normalize and not abs(m[1] - 1.0) <= 1e-10:
             report["m2_identity"] = "FAIL"
             failures += 1
@@ -206,7 +191,7 @@ def cmd_degeneracy_scan(args):
             rows.append(["exyz", args.n, r.epsilon, "", repr(r.min_gap)])
     for sample in range(args.samples):
         h = _build_model("invariant", args.n, seed=args.seed, sample_id=sample)
-        e = spectra.diagonalize_dense(h, want_vectors=False)
+        e = symmetry.joint_eigenbasis(h)
         rows.append(["invariant", args.n, "", sample, repr(spectra.min_gap(e.eigenvalues))])
     _write_csv(
         args.out,
@@ -224,7 +209,7 @@ def cmd_ba_moments(args):
     failures = 0
     for n in args.n:
         h = hamiltonians.build_ba(args.alpha1, args.alpha3, n)
-        e = _spectrum_only(h, "ba")
+        e = symmetry.joint_eigenbasis(h)
         d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         m = dos.moments(d, 6)
         if not abs(m[1] - sigma2) <= 1e-10:
@@ -253,7 +238,7 @@ def cmd_spectrum(args):
         args.model, args.n, seed=args.seed, epsilon=args.epsilon,
         alpha1=args.alpha1, alpha3=args.alpha3, normalized=args.normalize,
     )
-    header, rows = spectra.spectrum_table(_spectrum_only(h, args.model))
+    header, rows = spectra.spectrum_table(symmetry.joint_eigenbasis(h))
     _write_csv(args.out, _config_dict(args, "spectrum"), header, rows)
     return 0
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .free_fermion import EXACT_CAP
 from .hamiltonians import OperatorSum, hs_inner
-from .spectra import diagonalize_dense
+from .symmetry import joint_eigenbasis
 
 MAX_MOMENT = 8
 #: slack of the characteristic-function bound
@@ -42,12 +42,14 @@ def _power_sums(x, k_max):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def power_sums(values, offsets=(0.0,)):
     """Raw power sums ``p_k``, k = 1..MAX_MOMENT, of the sum-set ``{o + v : o in offsets, v in values}``.
 
     ``p_k = sum_j C(k, j) B_{k-j} S_j``, where ``S_j`` and ``B_j`` are the
     power sums of ``values`` and of ``offsets``; with the default single
-    offset 0.0 this is ``S_k`` bit for bit.
+    offset 0.0 this is ``S_k`` bit for bit. An overflow gives inf or NaN
+    without a warning; :func:`moments` refuses it.
     """
     s = _power_sums(values, MAX_MOMENT)
     b = _power_sums(offsets, MAX_MOMENT)
@@ -116,8 +118,11 @@ class EmpiricalDistribution:
         return cum
 
     def cdf(self, xs):
-        """``F(x) = #{y <= x} / count`` at each x of ``xs``."""
-        grid, where = np.unique(np.nextafter(np.asarray(xs, dtype=float), np.inf), return_inverse=True)
+        """``F(x) = #{y <= x} / count`` at each finite x of ``xs``; a non-finite x is a ``ValueError``."""
+        xs = np.asarray(xs, dtype=float)
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("F(x) needs finite x")
+        grid, where = np.unique(np.nextafter(xs, np.inf), return_inverse=True)
         return self.count_below(grid)[where] / self.count
 
 
@@ -237,10 +242,13 @@ def _gather_leaves(d, leaves, floor):
 
 
 def moments(d, k_max=MAX_MOMENT):
-    """Raw moments ``m_k = (1/count) sum lambda^k`` for k = 1..k_max."""
+    """Raw moments ``m_k = (1/count) sum lambda^k`` for k = 1..k_max; a non-finite one is a ``RuntimeError``."""
     if k_max > MAX_MOMENT:
         raise ValueError(f"k_max limited to {MAX_MOMENT}")
-    return d.power_sums[:k_max] / d.count
+    m = d.power_sums[:k_max] / d.count
+    if not np.all(np.isfinite(m)):
+        raise RuntimeError(f"spectral moments: m_{1 + np.flatnonzero(~np.isfinite(m))[0]} is not finite")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +334,14 @@ class CltRow:
 def clt_bound_check(h, l, t_list, C=None):
     """Rows of ``|psi_n(t) - phi_n(t)| <= sqrt(t^2 <L, L>)`` per t.
 
-    ``psi_n`` comes from the full dense spectrum, ``phi_n`` from the product
+    ``psi_n`` comes from the full spectrum (:func:`symmetry.joint_eigenbasis`), ``phi_n`` from the product
     of per-block characteristic functions.  When a coefficient bound C is
     recorded, the cruder bound ``sqrt(t^2 ceil(n/l) 12 C^2 / n)`` is also
     reported.
     """
     split = block_link_split(h, l)
     link_norm2 = float(hs_inner(split.links, split.links).real)
-    full = diagonalize_dense(h, want_vectors=False)
+    full = joint_eigenbasis(h)
     block_spectra = [_block_spectrum(b) for b in split.blocks]
     rows = []
     for t in t_list:

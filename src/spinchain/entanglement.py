@@ -13,8 +13,8 @@ import numpy as np
 
 from .hamiltonians import OperatorSum
 from .pauli import PauliString
-from .spectra import EigenDecomposition, min_gap
-from .symmetry import sector_eigensystems, sorted_spectrum
+from .spectra import EigenDecomposition, diagonalize_dense, min_gap
+from .symmetry import COMMUTATION_TOL, sector_eigensystems, sorted_spectrum, translation_defect
 
 #: trace, Hermitian and positivity tolerance of every reduced density matrix
 RDM_TOL = 1e-10
@@ -151,21 +151,29 @@ def average_purity(basis, l):
 
 
 def sector_purities(h, ls):
-    """Eigenvalues, momenta and mean purities of the joint (H, T) eigenbasis, one sector at a time.
+    """Eigenvalues and mean purities of sites 1..l, for each l in ``ls``, of the eigenbasis of H.
 
-    Each momentum sector of :func:`symmetry.sector_eigensystems` is lifted
-    into a Fortran-ordered (2^n x dim_k) block, its purities of sites 1..l
-    are taken for every l in ``ls``, and the block is dropped, so no 2^n x
-    2^n array is formed. The purities are then put in the global state
-    order of :func:`symmetry.sorted_spectrum` and averaged over that order,
-    so every value equals :func:`average_purity` of the full lifted
-    eigenbasis in that order.
+    ``ls`` must hold distinct sizes in 1..n-1 (``ValueError`` before any
+    solve). A translation-invariant H is taken one momentum sector of
+    :func:`symmetry.sector_eigensystems` at a time: the sector is lifted
+    into a Fortran-ordered (2^n x dim_k) block, its purities are taken for
+    every l, and the block is dropped, so no 2^n x 2^n array is formed. The
+    purities are put in the global state order of
+    :func:`symmetry.sorted_spectrum` and averaged over it, so every value
+    equals :func:`average_purity` of the full lifted eigenbasis. Any other
+    H takes one dense ``eigh`` and :func:`average_purity`, with no momenta
+    and so no bound claimed.
 
     Returns an :class:`EigenDecomposition` without eigenvectors (its
-    ``residual`` is the largest sector residual) and a dict mapping each l
+    ``residual`` is the largest eigen residual) and a dict mapping each l
     to its :class:`AveragePurityResult`.
     """
     n = h.n
+    if len(set(ls)) != len(ls) or not all(1 <= l < n for l in ls):
+        raise ValueError(f"block sizes {list(ls)} must be distinct and in 1..{n - 1}")
+    if translation_defect(h) > COMMUTATION_TOL:
+        e = diagonalize_dense(h)
+        return EigenDecomposition(e.eigenvalues, None, e.residual), {l: average_purity(e, l) for l in ls}
     solved, residual = [], 0.0
     per_sector = {l: [] for l in ls}
     for sector, vals, vecs, res in sector_eigensystems(h):

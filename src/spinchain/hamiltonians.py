@@ -221,10 +221,6 @@ class ChainCoefficients:
         object.__setattr__(self, "alpha", alpha)
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, np.zeros((n, 4, 3)))
-
-    @classmethod
     def random(cls, n, rng, pair_only=False):
         alpha = rng.standard_normal((n, 4, 3))
         if pair_only:
@@ -267,10 +263,6 @@ class InteractionGraph:
             norm_edges.append((j, k, alpha))
         object.__setattr__(self, "edges", tuple(norm_edges))
         object.__setattr__(self, "local_fields", fields)
-
-    @classmethod
-    def zero(cls, n, edge_list):
-        return cls(n, tuple((j, k, np.zeros((3, 3))) for j, k in edge_list), np.zeros((n, 3)))
 
     @classmethod
     def random(cls, n, edge_list, rng):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
-from .spectra import EigenDecomposition, eigensystem
+from .spectra import EigenDecomposition, diagonalize_dense, eigensystem
 
 COMMUTATION_TOL = 1e-10
 
@@ -224,13 +224,16 @@ def sorted_spectrum(solved):
 
 
 def joint_eigenbasis(h):
-    """Eigenvalues and momenta of a translation-invariant H, sector by sector.
+    """Eigenvalues of H; with momenta, sector by sector, when H is translation invariant.
 
-    Per-sector diagonalization gives every state a momentum label even when
-    H is degenerate across momenta; a plain dense eigensolver would not.
-    Eigenvalues are globally sorted as in :func:`sorted_spectrum`. Only
-    ``eigvalsh`` runs, so the result carries no eigenvectors.
+    H is invariant when :func:`translation_defect` is at most
+    :data:`COMMUTATION_TOL`. Per-sector diagonalization labels every state
+    with its momentum even when H is degenerate across momenta, and the
+    eigenvalues are sorted as in :func:`sorted_spectrum`. Any other H takes
+    one dense ``eigvalsh`` and has no momenta. No eigenvectors are kept.
     """
+    if translation_defect(h) > COMMUTATION_TOL:
+        return diagonalize_dense(h, want_vectors=False)
     solved = [(s, v) for s, v, _, _ in sector_eigensystems(h, want_vectors=False)]
     vals, ks, _ = sorted_spectrum(solved)
     return EigenDecomposition(vals, None, 0.0, ks)

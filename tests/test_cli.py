@@ -168,6 +168,8 @@ def test_cap_exceeded_exit_code(tmp_path):
         ["dos", "--n", "14", "--model", "ba"],
         ["dos", "--n", "14", "--model", "invariant"],
         ["spectrum", "--n", "14", "--model", "invariant"],
+        ["spectrum", "--n", "14", "--model", "exyz"],
+        ["degeneracy-scan", "--n", "14", "--samples", "1"],
     ],
 )
 def test_sector_paths_keep_dense_cap(tmp_path, argv):
@@ -315,6 +317,17 @@ def test_dos_huge_epsilon_is_a_usage_error(argv):
     assert res.stdout == ""
 
 
+def test_dos_overflowing_moments_exit_code():
+    """A spectrum near 1e154 has finite values but overflowing moments: exit 3, one ``error:`` line, no report."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["dos", "--model", "exyz", "--n", "6", "--epsilon", "1e154", "--no-normalize"]
+    res = subprocess.run([sys.executable, "-m", "spinchain.cli", *argv], capture_output=True, text=True, env=env)
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: spectral moments") and res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     """A numerical failure exits 3 with one ``error:`` line and no traceback, on the sector and the dense path."""
     def fail(*args, **kwargs):
@@ -349,6 +362,21 @@ def test_reduced_state_check_failure_exit_code(tmp_path, monkeypatch, capsys):
         assert code == 3
         assert err.startswith("error: reduced density matrix") and "trace check" in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_spectrum_exyz_goes_through_sectors(tmp_path):
+    """The exyz ring passes the term-list invariance test, so ``spectrum`` prints its momenta too."""
+    from spinchain.hamiltonians import build_exyz
+    from spinchain.symmetry import joint_eigenbasis
+
+    n = 8
+    code, out = run(tmp_path, "exyz.csv", ["spectrum", "--model", "exyz", "--n", str(n)])
+    assert code == 0
+    rows = list(csv.reader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert rows[0] == ["index", "eigenvalue", "momentum_k", "min_gap_flag"]
+    want = joint_eigenbasis(build_exyz(0.5, n))
+    assert [float(r[1]) for r in rows[1:]] == list(want.eigenvalues)
+    assert [int(r[2]) for r in rows[1:]] == list(want.momenta)
 
 
 def test_spectrum_ba_goes_through_sectors(tmp_path):
@@ -428,10 +456,15 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
         ["purity-sweep", "--n", "4", "--samples", "0"],
         ["degeneracy-scan", "--n", "5", "--samples", "-1"],
         ["spectrum", "--n", "4", "--out", "{missing}/x.csv"],
+        ["purity-sweep", "--n", "6", "--l", "1", "1", "--samples", "1"],
+        ["purity-sweep", "--model", "nn", "--n", "6", "--l", "2", "1", "2", "--samples", "1"],
+        ["purity-sweep", "--n", "6", "--l", "6", "--samples", "1"],
+        ["purity-sweep", "--model", "pair_only", "--n", "6", "--l", "0", "--samples", "1"],
     ],
 )
 def test_bad_input_is_a_usage_error(tmp_path, argv):
-    """Non-finite floats, ``--samples`` below its floor and an unwritable ``--out`` exit 2 without a traceback."""
+    """Non-finite floats, ``--samples`` below its floor, a repeated ``--l`` or one outside 1..n-1, and an
+    unwritable ``--out`` exit 2 without a traceback."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]

@@ -237,6 +237,14 @@ def test_count_below_counts_no_nan():
         assert list(infs.cdf([-1.0, 2.0])) == [1 / 6, 3 / 6]
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan])
+def test_cdf_refuses_non_finite_x(x):
+    """F(inf) would be read from the counts below the float after inf, which is inf itself."""
+    d = EmpiricalDistribution.from_values([0.0, np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        d.cdf([0.0, x])
+
+
 def _materialised_counts(values, grid):
     """``#{y < x}`` at each x of ``grid``, by ``searchsorted`` of the materialised sorted values (NaN last)."""
     return np.searchsorted(np.sort(values), grid, side="left")
@@ -345,6 +353,15 @@ def test_moments_field_chain():
     assert m[3] == pytest.approx(2.5)
 
 
+def test_moments_refuse_overflowed_power_sums():
+    """Power sums of values near 1e154 overflow to inf and NaN without a warning; the moments refuse them."""
+    d = EmpiricalDistribution.from_sum_set([1e154, -1e154], [0.0, 2e154])
+    assert not np.all(np.isfinite(d.power_sums))
+    assert list(moments(d, 1)) == [1e154]
+    with pytest.raises(RuntimeError, match="m_2 is not finite"):
+        moments(d, 6)
+
+
 def test_moments_normalized_builders_unit_second_moment():
     for kind in ("nn", "invariant", "pair_only", "general"):
         h = sample_random(kind, 8, 0, normalize_output=True)
@@ -449,7 +466,7 @@ def test_lyapunov_single_block():
 def test_lyapunov_ising_bound():
     from spinchain.hamiltonians import ChainCoefficients, build_nn_chain
 
-    c = ChainCoefficients.zero(8)
+    c = ChainCoefficients(8, np.zeros((8, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     h = build_nn_chain(c)
     rep = lyapunov_quantities(h, 4, C=1.0)

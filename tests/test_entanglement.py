@@ -328,6 +328,35 @@ def test_sector_purities_match_dense_eigenbasis():
         assert abs(results[l].mean - ref.mean) < 1e-9
 
 
+@pytest.mark.parametrize("model", ["nn", "pair_only"])
+def test_sector_purities_of_non_invariant_ring_are_the_dense_ones(model):
+    """A non-invariant ring takes one dense eigh: eigenvalues and purities bit for bit, no momenta, no bound claimed."""
+    n = 7
+    h = sample_random(model, n, 2)
+    spectrum, results = sector_purities(h, (1, 2, 3))
+    dense = diagonalize_dense(h)
+    assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    assert spectrum.momenta is None and spectrum.eigenvectors is None
+    assert spectrum.residual == dense.residual
+    for l in (1, 2, 3):
+        want = average_purity(dense, l)
+        assert np.array_equal(results[l].per_state, want.per_state)
+        assert results[l].mean == want.mean
+        assert not results[l].bound_claimed
+
+
+@pytest.mark.parametrize("ls", [(1, 1), (2, 1, 2), (0,), (7,)])
+def test_sector_purities_refuse_bad_block_sizes_before_solving(monkeypatch, ls):
+    """Duplicate block sizes, or one outside 1..n-1, are refused before any eigensolver runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for model in ("invariant", "nn"):
+        with pytest.raises(ValueError, match="block sizes"):
+            sector_purities(sample_random(model, 7, 0), ls)
+
+
 def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
     """No 2^n x 2^n array: no dense H, no full basis, each lift at most one sector wide."""
     from spinchain.symmetry import MomentumSector

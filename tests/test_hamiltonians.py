@@ -30,7 +30,7 @@ def term_dict(h):
 
 def test_nn_chain_zz_ring():
     """alpha_{3,3,j} = 1 for all bonds, n=4 -> (1/2)(Z1Z2 + Z2Z3 + Z3Z4 + Z4Z1)."""
-    c = ChainCoefficients.zero(4)
+    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     h = build_nn_chain(c)
     want = {
@@ -42,7 +42,7 @@ def test_nn_chain_zz_ring():
 
 
 def test_nn_chain_pure_field_via_a0():
-    c = ChainCoefficients.zero(4)
+    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
     c.alpha[:, 0, 2] = 1.0
     h = build_nn_chain(c)
     got = {s: c for c, s in h.terms}
@@ -90,7 +90,7 @@ def test_invariant_spectrum_shift_invariant():
 
 
 def test_pair_only_structure():
-    c = ChainCoefficients.zero(5)
+    c = ChainCoefficients(5, np.zeros((5, 4, 3)))
     c.alpha[:, 1, 1] = 1.0  # a=1 (X), b=2 (Y)
     h = build_pair_only(c)
     assert h.num_terms == 5
@@ -98,8 +98,8 @@ def test_pair_only_structure():
 
 
 def test_pair_only_zero_and_rejects_fields():
-    assert build_pair_only(ChainCoefficients.zero(5)).num_terms == 0
-    c = ChainCoefficients.zero(5)
+    assert build_pair_only(ChainCoefficients(5, np.zeros((5, 4, 3)))).num_terms == 0
+    c = ChainCoefficients(5, np.zeros((5, 4, 3)))
     c.alpha[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         build_pair_only(c)
@@ -114,7 +114,7 @@ def test_pair_only_antiunitary_conjugation():
 
 
 def test_general_single_edge():
-    g = InteractionGraph.zero(4, [(1, 3)])
+    g = InteractionGraph(4, ((1, 3, np.zeros((3, 3))),), np.zeros((4, 3)))
     g.edges[0][2][0, 0] = 1.0
     h = build_general(g)
     got = {s: c for c, s in h.terms}
@@ -123,7 +123,7 @@ def test_general_single_edge():
 
 def test_general_rejects_duplicate_edges():
     with pytest.raises(ValueError):
-        InteractionGraph.zero(4, [(1, 2), (1, 2)])
+        InteractionGraph(4, ((1, 2, np.zeros((3, 3))), (1, 2, np.zeros((3, 3)))), np.zeros((4, 3)))
 
 
 def test_general_path_equals_chain_without_wrap():
@@ -179,7 +179,7 @@ def test_exyz_matches_streaming_enumeration():
 
 
 def test_normalize_ising_unchanged():
-    c = ChainCoefficients.zero(6)
+    c = ChainCoefficients(6, np.zeros((6, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     h = build_nn_chain(c)
     assert abs(hs_inner(h, h).real - 1.0) < 1e-12
@@ -288,7 +288,7 @@ def test_dense_cap_enforced():
 
 
 def test_real_dense_when_no_y():
-    c = ChainCoefficients.zero(4)
+    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     assert build_nn_chain(c).to_dense().dtype == np.float64
     assert build_exyz(0.5, 4).to_dense().dtype == np.complex128

@@ -19,6 +19,7 @@ from spinchain.hamiltonians import (
 from spinchain.pauli import PauliString
 from spinchain.spectra import commutator_norm, diagonalize_dense
 from spinchain.symmetry import (
+    COMMUTATION_TOL,
     OrbitTable,
     build_momentum_basis,
     joint_eigenbasis,
@@ -125,10 +126,21 @@ def test_joint_eigenbasis_matches_dense_spectrum():
     assert e.residual < 1e-10
 
 
-def test_joint_eigenbasis_rejects_non_invariant():
+def test_momentum_blocks_reject_non_invariant():
     h = sample_random("nn", 5, 0)
-    with pytest.raises(ValueError):
-        joint_eigenbasis(h)
+    with pytest.raises(ValueError, match="does not commute with T"):
+        next(momentum_blocks(h))
+
+
+@pytest.mark.parametrize("model", ["nn", "pair_only"])
+def test_joint_eigenbasis_of_non_invariant_ring_is_one_dense_solve(model):
+    """A ring that fails the term-list test gets the dense eigenvalues bit for bit, with no momenta."""
+    h = sample_random(model, 7, 0)
+    assert translation_defect(h) > COMMUTATION_TOL
+    e = joint_eigenbasis(h)
+    dense = diagonalize_dense(h, want_vectors=False)
+    assert np.array_equal(e.eigenvalues, dense.eigenvalues)
+    assert e.momenta is None and e.eigenvectors is None
 
 
 def test_joint_eigenbasis_columns_orthonormal():
