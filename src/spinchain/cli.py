@@ -161,9 +161,12 @@ def cmd_dos(args):
 def cmd_clt_check(args):
     failures = 0
     rows = []
+    h = _build_model("nn", args.n, seed=args.seed, normalized=True)
     for l in args.l:
-        h = _build_model("nn", args.n, seed=args.seed, normalized=True)
-        for row in dos.clt_bound_check(h, l, args.t, C=args.coeff_bound):
+        dos.block_link_split(h, l)  # a bad --l exits 2 before the solve
+    vals = symmetry.joint_eigenbasis(h).eigenvalues
+    for l in args.l:
+        for row in dos.clt_bound_check(h, vals, l, args.t, C=args.coeff_bound):
             ok = row.passes()
             failures += not ok
             rows.append([args.n, l, row.t, repr(row.lhs), repr(row.rhs),

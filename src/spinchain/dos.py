@@ -11,7 +11,6 @@ import numpy as np
 
 from .free_fermion import EXACT_CAP
 from .hamiltonians import OperatorSum, hs_inner
-from .symmetry import joint_eigenbasis
 
 MAX_MOMENT = 8
 #: slack of the characteristic-function bound
@@ -331,22 +330,21 @@ class CltRow:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
-def clt_bound_check(h, l, t_list, C=None):
+def clt_bound_check(h, eigenvalues, l, t_list, C=None):
     """Rows of ``|psi_n(t) - phi_n(t)| <= sqrt(t^2 <L, L>)`` per t.
 
-    ``psi_n`` comes from the full spectrum (:func:`symmetry.joint_eigenbasis`), ``phi_n`` from the product
-    of per-block characteristic functions.  When a coefficient bound C is
-    recorded, the cruder bound ``sqrt(t^2 ceil(n/l) 12 C^2 / n)`` is also
-    reported.
+    ``psi_n`` comes from ``eigenvalues``, the full spectrum of H, ``phi_n``
+    from the product of per-block characteristic functions.  When a
+    coefficient bound C is recorded, the cruder bound
+    ``sqrt(t^2 ceil(n/l) 12 C^2 / n)`` is also reported.
     """
     split = block_link_split(h, l)
     link_norm2 = float(hs_inner(split.links, split.links).real)
-    full = joint_eigenbasis(h)
     block_spectra = [_block_spectrum(b) for b in split.blocks]
     rows = []
     for t in t_list:
         t = float(t)
-        psi = np.mean(np.exp(1j * t * full.eigenvalues))
+        psi = np.mean(np.exp(1j * t * eigenvalues))
         phi = 1.0 + 0j
         for vals in block_spectra:
             phi *= complex(np.mean(np.exp(1j * t * vals)))

@@ -3,7 +3,7 @@ checks for pair-only chains.
 
 Block A is always the contiguous sites ``1..l``; for translation-invariant
 Hamiltonians the starting site is irrelevant (asserted in the tests, not
-assumed here). Every reduced density matrix comes from :func:`_reduced_states`,
+assumed here). Every reduced density matrix comes from :func:`_checked_rhos`,
 which checks each one before it is used.
 """
 
@@ -30,51 +30,58 @@ GAP_RTOL = 1e-8
 _PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
-#: columns per stack in :func:`_reduced_states`; bounds its temporaries
-PURITY_CHUNK = 256
+#: bytes of one chunk of states, a (c, 2^n) complex array; a purity loop
+#: holds the chunk and its conjugate at once
+CHUNK_BYTES = 1 << 20
+
+
+def _chunk_width(n):
+    """States per chunk: as many as fit in :data:`CHUNK_BYTES`, at least one."""
+    return max(1, CHUNK_BYTES >> (n + 4))
+
+
+def _checked_rhos(states, conj, n, l, first):
+    """Reduced density matrices of sites 1..l of the rows of a C-ordered (c, 2^n) array and its conjugate.
+
+    Site 1 is the most significant index bit, so a row reshapes to
+    ``(2^l, 2^(n-l))`` with block A on the first axis and ``rho = A A^H``.
+    Every rho is checked (unit trace, Hermitian, no eigenvalue below
+    ``-RDM_TOL``); a failure is numerical, so it raises ``RuntimeError``
+    naming row i as state ``first + i``.
+    """
+    shape = (len(states), 1 << l, 1 << (n - l))
+    rhos = states.reshape(shape) @ conj.reshape(shape).transpose(0, 2, 1)
+    for name, dev in (
+        ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
+        ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
+        ("positivity", -np.linalg.eigvalsh(rhos)[:, 0]),
+    ):
+        bad = np.flatnonzero(~(dev <= RDM_TOL))  # a NaN fails too
+        if len(bad):
+            raise RuntimeError(
+                f"reduced density matrix of sites 1..{l} of state {first + bad[0]} fails its "
+                f"{name} check: deviation {dev[bad[0]]:.3g} > {RDM_TOL}"
+            )
+    return rhos
 
 
 def _reduced_states(columns, n, l):
-    """Yield ``(start, rhos)``: the reduced density matrices of sites 1..l of columns ``start..`` of a (2^n, m) array.
+    """Yield ``(start, rhos)``: checked reduced density matrices of sites 1..l of columns ``start..`` of a (2^n, m) array.
 
-    Site 1 is the most significant index bit, so a column reshapes to
-    ``(2^l, 2^(n-l))`` with block A on the first axis and ``rho = A A^H``.
-    Columns go through PURITY_CHUNK at a time; a chunk of a Fortran-ordered
-    array reshapes as a view. Every rho is checked before its stack is
-    yielded (unit trace, Hermitian, no eigenvalue below ``-RDM_TOL``); a
-    failure is numerical, so it raises ``RuntimeError``.
+    Columns go through :func:`_chunk_width` at a time; a chunk of a
+    Fortran-ordered array transposes to C order as a view.
     """
     if not 1 <= l < n:
         raise ValueError(f"block size {l} out of range for n={n}")
-    for start in range(0, columns.shape[1], PURITY_CHUNK):
-        chunk = columns[:, start:start + PURITY_CHUNK]
-        blocks = chunk.T.reshape(chunk.shape[1], 1 << l, 1 << (n - l))
-        rhos = blocks @ blocks.conj().transpose(0, 2, 1)
-        for name, dev in (
-            ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
-            ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
-            ("positivity", -np.linalg.eigvalsh(rhos)[:, 0]),
-        ):
-            bad = np.flatnonzero(~(dev <= RDM_TOL))  # a NaN fails too
-            if len(bad):
-                raise RuntimeError(
-                    f"reduced density matrix of sites 1..{l} of state {start + bad[0]} fails its "
-                    f"{name} check: deviation {dev[bad[0]]:.3g} > {RDM_TOL}"
-                )
-        yield start, rhos
+    width = _chunk_width(n)
+    for start in range(0, columns.shape[1], width):
+        states = columns[:, start:start + width].T
+        yield start, _checked_rhos(states, states.conj(), n, l, start)
 
 
 def _purity(rhos):
     # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
     return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
-
-
-def _purities(columns, n, l):
-    """Purity of sites 1..l for every column of a (2^n, m) array."""
-    out = np.empty(columns.shape[1])
-    for start, rhos in _reduced_states(columns, n, l):
-        out[start:start + len(rhos)] = _purity(rhos)
-    return out
 
 
 def _pauli_stack(rhos, l):
@@ -144,7 +151,9 @@ def average_purity(basis, l):
     if basis.eigenvectors is None:
         raise ValueError("eigenvectors are required")
     n = int(np.log2(basis.eigenvectors.shape[0]))
-    per_state = _purities(basis.eigenvectors, n, l)
+    per_state = np.empty(basis.eigenvectors.shape[1])
+    for start, rhos in _reduced_states(basis.eigenvectors, n, l):
+        per_state[start:start + len(rhos)] = _purity(rhos)
     claimed = basis.momenta is not None and 2 * l < n
     # pairwise summation via np.mean keeps the reduction deterministic
     return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
@@ -154,15 +163,16 @@ def sector_purities(h, ls):
     """Eigenvalues and mean purities of sites 1..l, for each l in ``ls``, of the eigenbasis of H.
 
     ``ls`` must hold distinct sizes in 1..n-1 (``ValueError`` before any
-    solve). A translation-invariant H is taken one momentum sector of
-    :func:`symmetry.sector_eigensystems` at a time: the sector is lifted
-    into a Fortran-ordered (2^n x dim_k) block, its purities are taken for
-    every l, and the block is dropped, so no 2^n x 2^n array is formed. The
-    purities are put in the global state order of
-    :func:`symmetry.sorted_spectrum` and averaged over it, so every value
-    equals :func:`average_purity` of the full lifted eigenbasis. Any other
-    H takes one dense ``eigh`` and :func:`average_purity`, with no momenta
-    and so no bound claimed.
+    solve). A translation-invariant H is taken one momentum sector
+    of :func:`symmetry.sector_eigensystems` at a time, and each sector
+    :func:`_chunk_width` eigenvectors at a time: a chunk is lifted by the
+    sector's gather map straight into a (c, 2^n) array of states, conjugated
+    once, its checked purities are taken for every l, and it is dropped, so
+    no 2^n x 2^n or 2^n x dim_k array is formed. The purities are put in
+    the global state order of :func:`symmetry.sorted_spectrum` and averaged
+    over it, so every value equals :func:`average_purity` of the full lifted
+    eigenbasis. Any other H takes one dense ``eigh`` and
+    :func:`average_purity`, with no momenta and so no bound claimed.
 
     Returns an :class:`EigenDecomposition` without eigenvectors (its
     ``residual`` is the largest eigen residual) and a dict mapping each l
@@ -174,20 +184,32 @@ def sector_purities(h, ls):
     if translation_defect(h) > COMMUTATION_TOL:
         e = diagonalize_dense(h)
         return EigenDecomposition(e.eigenvalues, None, e.residual), {l: average_purity(e, l) for l in ls}
-    solved, residual = [], 0.0
-    per_sector = {l: [] for l in ls}
+    solved, residual, first = [], 0.0, 0
+    per_state = {l: np.empty(1 << n) for l in ls}
+    width = _chunk_width(n)
     for sector, vals, vecs, res in sector_eigensystems(h):
-        block = sector.lift(vecs)
-        for l, parts in per_sector.items():
-            parts.append(_purities(block, n, l))
-        del block
+        src, amps = sector.gather_map()
+        # one eigenvector per row, then the zero entry that src points at outside the sector
+        padded = np.zeros((sector.dim, sector.dim + 1), dtype=complex)
+        padded[:, :-1] = vecs.T
+        for start in range(0, sector.dim, width):
+            states = padded[start:start + width].take(src, axis=1)
+            # amplitudes first, as in the scatter lift: swapped operands round differently
+            np.multiply(amps, states, out=states)
+            conj = states.conj()
+            at = first + start
+            for l, out in per_state.items():
+                out[at:at + len(states)] = _purity(_checked_rhos(states, conj, n, l, at))
+            del states, conj  # before the next chunk is gathered
+        del vecs, padded  # before the next sector's block is built
+        first += sector.dim
         solved.append((sector, vals))
         residual = max(residual, res)
     vals, ks, order = sorted_spectrum(solved)
     results = {}
-    for l, parts in per_sector.items():
-        per_state = np.concatenate(parts)[order]
-        results[l] = AveragePurityResult(float(np.mean(per_state)), per_state, l, n, 2 * l < n)
+    for l, out in per_state.items():
+        out = out[order]
+        results[l] = AveragePurityResult(float(np.mean(out)), out, l, n, 2 * l < n)
     return EigenDecomposition(vals, None, residual, ks), results
 
 

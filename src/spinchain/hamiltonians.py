@@ -13,18 +13,17 @@ import numpy as np
 
 from .pauli import DimensionMismatchError, PauliString, _z_signs
 
-#: largest n of an exact diagonalization: checked by ``to_dense`` before a
-#: 2^n x 2^n matrix is formed, and by ``symmetry.sector_eigensystems``, whose
-#: momentum-sector blocks and per-sector lifts form no such matrix
+#: largest n of a 2^n x 2^n matrix: checked by ``to_dense`` before it is formed
 DENSE_CAP = 13
 
 
 class SizeLimitError(ValueError):
     """Raised before allocation when n exceeds a size cap.
 
-    The caps are :data:`DENSE_CAP` for exact diagonalization, and
-    ``free_fermion.EXACT_CAP`` and ``free_fermion.STREAM_CAP`` for the
-    collected and the sum-set exyz spectrum.
+    The caps are :data:`DENSE_CAP` for dense and ``symmetry.SECTOR_CAP`` for
+    per-sector exact diagonalization, and ``free_fermion.EXACT_CAP`` and
+    ``free_fermion.STREAM_CAP`` for the collected and the sum-set exyz
+    spectrum.
     """
 
 

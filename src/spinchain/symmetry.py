@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
+from .hamiltonians import OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, diagonalize_dense, eigensystem
 
 COMMUTATION_TOL = 1e-10
+#: largest n of a per-sector solve: ``sector_eigensystems`` checks it before
+#: any block is built; no sector path forms a 2^n x 2^n matrix
+SECTOR_CAP = 15
 
 
 def _rotate(masks, n):
@@ -109,20 +112,18 @@ class MomentumSector:
     def dim(self):
         return len(self.reps)
 
-    def lift(self, vecs):
-        """Full-space vectors ``B_k @ vecs`` of sector coordinates ``vecs`` (dim x m).
+    def gather_map(self):
+        """``(src, amps)`` over all 2^n indices, with ``(B_k @ vecs)[b] = amps[b] * padded[src[b]]``.
 
-        The result is Fortran-ordered, so each column is contiguous. The
-        product is formed row-major and copied once: numpy's complex multiply
-        rounds differently for different operand layouts, and this one keeps
-        the lifted bits, and with them the purities, fixed.
+        ``padded`` is ``vecs`` (dim x m) with a zero row appended at row
+        ``dim``: ``src[b]`` is the row of the orbit of b, or ``dim`` when that
+        orbit is not in the sector, where ``amps[b]`` is 0.
         """
         t = self.table
-        rows = np.flatnonzero((self.k * t.length) % t.n == 0)
-        amps = _roots_of_unity(t.n)[(-self.k * t.shift[rows]) % t.n] / np.sqrt(t.length[rows])
-        out = np.zeros((1 << t.n, vecs.shape[1]), dtype=complex)
-        out[rows] = amps[:, None] * vecs[np.searchsorted(self.reps, t.rep[rows])]
-        return np.asfortranarray(out)
+        member = (self.k * t.length) % t.n == 0
+        src = np.where(member, np.searchsorted(self.reps, t.rep), self.dim)
+        amps = np.where(member, _roots_of_unity(t.n)[(-self.k * t.shift) % t.n] / np.sqrt(t.length), 0)
+        return src, amps
 
 
 def build_momentum_basis(n):
@@ -163,7 +164,7 @@ def momentum_blocks(h):
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
-    the basis ``B_k = sector.lift(I)``. A block is real
+    the basis ``B_k`` of the sector (:meth:`MomentumSector.gather_map`). A block is real
     when every entry is. Raises ``ValueError`` when H is not translation
     invariant to within :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
     """
@@ -204,8 +205,8 @@ def sector_eigensystems(h, want_vectors=True):
     by construction.
     """
     n = h.n
-    if n > DENSE_CAP:
-        raise SizeLimitError(f"n={n} exceeds dense cap {DENSE_CAP}")
+    if n > SECTOR_CAP:
+        raise SizeLimitError(f"n={n} exceeds sector cap {SECTOR_CAP}")
     for sector, block in momentum_blocks(h):
         yield sector, *eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
 

@@ -5,10 +5,11 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 * :class:`StateVector`, :func:`apply`, :func:`expectation` and
   :func:`apply_sum` act with one Pauli string at a time, the per-string
   oracle of ``OperatorSum.x_groups``;
-* :func:`dense_basis` and :func:`joint_eigenbasis_lifted` form the 2^n x dim
+* :func:`lift`, :func:`dense_basis` and :func:`joint_eigenbasis_lifted`
+  scatter sector vectors into full space and form the 2^n x dim
   momentum-sector bases and the 2^n x 2^n lifted joint (H, T) eigenbasis,
-  the oracle of ``symmetry.momentum_blocks`` and
-  ``entanglement.sector_purities``;
+  the oracle of ``MomentumSector.gather_map``, ``symmetry.momentum_blocks``
+  and ``entanglement.sector_purities``;
 * :func:`reduce_contiguous` and :func:`pauli_coefficients` give one state's
   reduced density matrix and Pauli coefficients, the per-state oracle of
   the batched reduced states;
@@ -30,7 +31,7 @@ from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
-from spinchain.symmetry import sector_eigensystems, sorted_spectrum
+from spinchain.symmetry import _roots_of_unity, sector_eigensystems, sorted_spectrum
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,25 @@ def apply_sum(h, v):
     return StateVector(h.n, out)
 
 
+def lift(sector, vecs):
+    """Full-space vectors ``B_k @ vecs`` of sector coordinates ``vecs`` (dim x m), by row scatter.
+
+    The result is Fortran-ordered, so each column is contiguous. The
+    product is formed row-major and copied once: numpy's complex multiply
+    rounds differently for different operand layouts, and this one gives
+    the bits of the library's gather lift in ``entanglement.sector_purities``.
+    """
+    t = sector.table
+    rows = np.flatnonzero((sector.k * t.length) % t.n == 0)
+    amps = _roots_of_unity(t.n)[(-sector.k * t.shift[rows]) % t.n] / np.sqrt(t.length[rows])
+    out = np.zeros((1 << t.n, vecs.shape[1]), dtype=complex)
+    out[rows] = amps[:, None] * vecs[np.searchsorted(sector.reps, t.rep[rows])]
+    return np.asfortranarray(out)
+
+
 def dense_basis(sector):
     """2^n x dim matrix ``B_k`` of a momentum sector's basis vectors."""
-    return sector.lift(np.eye(sector.dim))
+    return lift(sector, np.eye(sector.dim))
 
 
 def joint_eigenbasis_lifted(h):
@@ -110,7 +127,7 @@ def joint_eigenbasis_lifted(h):
     lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
     start = 0
     for sector, _, vecs, _ in solved:
-        lifted[:, column[start:start + sector.dim]] = sector.lift(vecs)
+        lifted[:, column[start:start + sector.dim]] = lift(sector, vecs)
         start += sector.dim
     return EigenDecomposition(vals, lifted, max(r for _, _, _, r in solved), ks)
 

@@ -169,9 +169,10 @@ def test_criterion_5_density_of_states_trend():
 
 def test_criterion_6_characteristic_function_bound():
     h = sample_random("nn", 10, 0, normalize_output=True)
+    vals = joint_eigenbasis(h).eigenvalues
     failures = []
     for l in (2, 3, 5):
-        for row in clt_bound_check(h, l, [0.5, 1.0, 2.0]):
+        for row in clt_bound_check(h, vals, l, [0.5, 1.0, 2.0]):
             if not row.passes():
                 failures.append((l, row.t, row.lhs, row.rhs))
     assert report(6, "|psi - phi| <= sqrt(t^2 <L,L>) on every row", not failures, str(failures or "9 rows"))

@@ -83,6 +83,26 @@ def test_clt_check_passes(tmp_path):
     assert data and all(r[i_pass] == "1" for r in data)
 
 
+def test_clt_check_solves_one_spectrum_for_every_l(tmp_path, monkeypatch):
+    """``--l 2 3 4`` diagonalizes the ring once; a bad ``--l`` exits 2 before any solve."""
+    from spinchain import symmetry
+
+    calls = []
+    solve = symmetry.joint_eigenbasis
+
+    def counting_solve(h):
+        calls.append(h.n)
+        return solve(h)
+
+    monkeypatch.setattr(symmetry, "joint_eigenbasis", counting_solve)
+    code, out = run(tmp_path, "clt.csv", ["clt-check", "--n", "8", "--l", "2", "3", "4"])
+    assert code == 0 and calls == [8]
+    rows = [r.split(",") for r in out.read_text().splitlines() if r and not r.startswith("#")]
+    assert sorted({r[1] for r in rows[1:]}) == ["2", "3", "4"]
+    assert main(["clt-check", "--n", "8", "--l", "2", "9", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert calls == [8]
+
+
 def test_degeneracy_scan(tmp_path):
     code, out = run(
         tmp_path,
@@ -157,29 +177,36 @@ def test_usage_error_exit_code():
 
 
 def test_cap_exceeded_exit_code(tmp_path):
-    code = main(["purity-sweep", "--n", "15", "--samples", "1", "--out", str(tmp_path / "x.csv")])
+    code = main(["purity-sweep", "--n", "16", "--samples", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ba-moments", "--n", "14"],
-        ["dos", "--n", "14", "--model", "ba"],
-        ["dos", "--n", "14", "--model", "invariant"],
-        ["spectrum", "--n", "14", "--model", "invariant"],
-        ["spectrum", "--n", "14", "--model", "exyz"],
-        ["degeneracy-scan", "--n", "14", "--samples", "1"],
+        ["ba-moments", "--n", "16"],
+        ["dos", "--n", "16", "--model", "ba"],
+        ["dos", "--n", "16", "--model", "invariant"],
+        ["spectrum", "--n", "16", "--model", "invariant"],
+        ["spectrum", "--n", "16", "--model", "exyz"],
+        ["degeneracy-scan", "--n", "16", "--samples", "1"],
     ],
 )
-def test_sector_paths_keep_dense_cap(tmp_path, argv):
+def test_sector_paths_keep_dense_cap(tmp_path, argv, monkeypatch):
+    """Every sector path refuses n = SECTOR_CAP + 1 before its orbit table or any block is built."""
+    from spinchain import symmetry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a 2^n object above the sector cap")
+
+    monkeypatch.setattr(symmetry.OrbitTable, "build", refuse)
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["purity-sweep", "--n", "14", "--samples", "1"],
+        ["purity-sweep", "--n", "16", "--samples", "1"],
         ["purity-sweep", "--n", "14", "--model", "nn", "--samples", "1"],
         ["spectrum", "--n", "14", "--model", "nn"],
         ["dos", "--n", "14", "--model", "nn"],
@@ -189,7 +216,7 @@ def test_sector_paths_keep_dense_cap(tmp_path, argv):
     ],
 )
 def test_size_limits_refuse_before_allocation(tmp_path, argv):
-    """n = DENSE_CAP + 1, STREAM_CAP + 1 or EXACT_CAP + 1 exits 2 before any 2^n work starts."""
+    """n = SECTOR_CAP + 1, DENSE_CAP + 1, STREAM_CAP + 1 or EXACT_CAP + 1 exits 2 before any 2^n work starts."""
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
 
 

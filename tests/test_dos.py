@@ -421,7 +421,7 @@ def test_split_reassembles_random_rings_term_for_term(nl, seed):
 
 def test_clt_rows_t_zero_and_positive():
     h = sample_random("nn", 8, 0, normalize_output=True)
-    rows = clt_bound_check(h, 2, [0.0, 0.5, 1.0])
+    rows = clt_bound_check(h, joint_eigenbasis(h).eigenvalues, 2, [0.0, 0.5, 1.0])
     assert rows[0].lhs == pytest.approx(0.0, abs=1e-12)
     for row in rows:
         assert row.passes()
@@ -433,14 +433,14 @@ def test_clt_single_block_open_chain():
     g = InteractionGraph.random(n, [(j, j + 1) for j in range(1, n)], np.random.default_rng(4))
     g = InteractionGraph(n, g.edges, np.zeros((n, 3)))
     h = normalize(build_general(g))
-    rows = clt_bound_check(h, n, [0.5, 1.0, 2.0])
+    rows = clt_bound_check(h, joint_eigenbasis(h).eigenvalues, n, [0.5, 1.0, 2.0])
     for row in rows:
         assert row.lhs < 1e-9 and row.rhs < 1e-12
 
 
 def test_clt_random_sample_passes():
     h = sample_random("nn", 10, 5, normalize_output=True)
-    for row in clt_bound_check(h, 3, [0.5, 1.0, 2.0]):
+    for row in clt_bound_check(h, joint_eigenbasis(h).eigenvalues, 3, [0.5, 1.0, 2.0]):
         assert row.passes()
 
 

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinchain import entanglement
 from spinchain.entanglement import (
     average_purity,
     build_M,
@@ -21,7 +23,7 @@ from spinchain.hamiltonians import (
 )
 from spinchain.pauli import PauliString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
-from spinchain.symmetry import joint_eigenbasis
+from spinchain.symmetry import MomentumSector, build_momentum_basis, joint_eigenbasis
 
 from oracles import StateVector, apply_sum, joint_eigenbasis_lifted, pauli_coefficients, reduce_contiguous
 
@@ -358,23 +360,62 @@ def test_sector_purities_refuse_bad_block_sizes_before_solving(monkeypatch, ls):
 
 
 def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
-    """No 2^n x 2^n array: no dense H, no full basis, each lift at most one sector wide."""
-    from spinchain.symmetry import MomentumSector
-
+    """No 2^n x 2^n array: no dense H, one gather map per sector, each chunk of states within the byte budget."""
     n = 9
-    widths = []
-    lift = MomentumSector.lift
+    budget = 8 << (n + 4)  # 8 states per chunk
+    maps, chunks = [], []
+    gather_map = MomentumSector.gather_map
+    checked_rhos = entanglement._checked_rhos
 
-    def recording_lift(self, vecs):
-        widths.append(vecs.shape[1])
-        return lift(self, vecs)
+    def recording_map(self):
+        maps.append(self.k)
+        return gather_map(self)
+
+    def recording_rhos(states, conj, n, l, first):
+        chunks.append((l, first, len(states), states.nbytes))
+        return checked_rhos(states, conj, n, l, first)
 
     def refuse(*args, **kwargs):
         raise AssertionError("full-space operator built")
 
-    monkeypatch.setattr(MomentumSector, "lift", recording_lift)
+    monkeypatch.setattr(entanglement, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(MomentumSector, "gather_map", recording_map)
+    monkeypatch.setattr(entanglement, "_checked_rhos", recording_rhos)
     monkeypatch.setattr(OperatorSum, "to_dense", refuse)
     _, results = sector_purities(sample_random("invariant", n, 1), (1, 2))
-    assert len(widths) == n and sum(widths) == 1 << n
-    assert max(widths) < 1 << (n - 2)
+    assert maps == list(range(n))
+    for l in (1, 2):
+        sizes = [size for ll, _, size, _ in chunks if ll == l]
+        assert [first for ll, first, _, _ in chunks if ll == l] == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == 1 << n
+    assert max(nbytes for *_, nbytes in chunks) <= budget
     assert results[2].bound_holds()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_sector_purities_do_not_depend_on_the_chunk_size(monkeypatch, n):
+    """One state per chunk and one whole sector per chunk give the same purities bit for bit."""
+    h = sample_random("invariant", n, 5)
+    largest = max(s.dim for s in build_momentum_basis(n))
+    per_state = []
+    for budget in (16 << n, largest << (n + 4)):
+        monkeypatch.setattr(entanglement, "CHUNK_BYTES", budget)
+        per_state.append(sector_purities(h, (1, 2, 3))[1])
+    assert entanglement._chunk_width(n) == largest
+    for l in (1, 2, 3):
+        assert np.array_equal(per_state[0][l].per_state, per_state[1][l].per_state)
+
+
+def test_sector_purities_peak_below_one_sector_lift():
+    """Traced peak of one invariant ring at n=11 stays below a single 2^n x dim_k complex block."""
+    n = 11
+    h = sample_random("invariant", n, 0)
+    block = (1 << n) * max(s.dim for s in build_momentum_basis(n)) * 16
+    tracemalloc.start()
+    try:
+        _, results = sector_purities(h, (1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results[1].bound_holds()
+    assert peak < block, (peak, block)

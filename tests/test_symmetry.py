@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spinchain.entanglement import average_purity
 from spinchain.hamiltonians import (
     ChainCoefficients,
-    DENSE_CAP,
     OperatorSum,
     SizeLimitError,
     build_ba,
@@ -20,6 +19,7 @@ from spinchain.pauli import PauliString
 from spinchain.spectra import commutator_norm, diagonalize_dense
 from spinchain.symmetry import (
     COMMUTATION_TOL,
+    SECTOR_CAP,
     OrbitTable,
     build_momentum_basis,
     joint_eigenbasis,
@@ -29,7 +29,7 @@ from spinchain.symmetry import (
     translation_permutation,
 )
 
-from oracles import dense_basis, joint_eigenbasis_lifted
+from oracles import dense_basis, joint_eigenbasis_lifted, lift
 
 
 def translate_index(b, n):
@@ -254,7 +254,7 @@ def test_spectrum_only_path_matches_vector_path():
 
 def test_joint_eigenbasis_cap():
     with pytest.raises(SizeLimitError):
-        joint_eigenbasis(build_ba(0.5, 0.5, DENSE_CAP + 1))
+        joint_eigenbasis(build_ba(0.5, 0.5, SECTOR_CAP + 1))
 
 
 def test_joint_purities_match_dense_eigenbasis():
@@ -306,6 +306,16 @@ def test_values_only_sectors_use_eigvalsh(monkeypatch):
 
 
 def test_lift_is_fortran_ordered():
+    """The scatter oracle gives Fortran-ordered columns, as ``average_purity`` reads them."""
     sector = build_momentum_basis(6)[1]
-    block = sector.lift(np.eye(sector.dim)[:, :3])
+    block = lift(sector, np.eye(sector.dim)[:, :3])
     assert block.flags.f_contiguous and block.shape == (64, 3)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_gather_map_equals_scatter_lift(n):
+    """``amps[b] * padded[src[b]]`` is the oracle's ``B_k`` bit for bit, with zero rows outside the sector."""
+    for sector in build_momentum_basis(n):
+        src, amps = sector.gather_map()
+        padded = np.vstack([np.eye(sector.dim), np.zeros((1, sector.dim))])
+        assert np.array_equal(amps[:, None] * padded[src], dense_basis(sector))
