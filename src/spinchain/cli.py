@@ -120,20 +120,28 @@ def cmd_purity_sweep(args):
     return 1 if failures else 0
 
 
+def _dos_input(args, n):
+    """What ``dos`` needs for one ``--n``: the exyz sum-set, or the ring to solve, refused here if bad."""
+    if args.model == "exyz":
+        scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
+        return free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale)
+    h = _build_model(
+        args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
+        epsilon=args.epsilon, normalized=args.normalize,
+    )
+    symmetry.check_size(h)
+    return h
+
+
 def cmd_dos(args):
     failures = 0
     reports = []
-    for n in args.n:
+    inputs = [_dos_input(args, n) for n in args.n]  # every --n before the first solve
+    for n, source in zip(args.n, inputs):
         if args.model == "exyz":
-            scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
-            d = dos.EmpiricalDistribution.from_sum_set(*free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale))
+            d = dos.EmpiricalDistribution.from_sum_set(*source)
         else:
-            h = _build_model(
-                args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
-                epsilon=args.epsilon, normalized=args.normalize,
-            )
-            e = symmetry.joint_eigenbasis(h)
-            d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
+            d = dos.EmpiricalDistribution.from_values(symmetry.joint_eigenbasis(source).eigenvalues)
         ks = dos.ks_distance(d)
         m = dos.moments(d, 6)
         report = {
@@ -186,14 +194,16 @@ def cmd_clt_check(args):
 def cmd_degeneracy_scan(args):
     rows = []
     comments = []
+    rings = [_build_model("invariant", args.n, seed=args.seed, sample_id=s) for s in range(args.samples)]
+    for h in rings:  # refused, if too large, before the epsilon scan and the first solve
+        symmetry.check_size(h)
     if args.epsilon:
         results, odd_prime = free_fermion.min_gap_scan(args.n, args.epsilon)
         if not odd_prime:
             comments.append(f"warning: n={args.n} is not an odd prime")
         for r in results:
             rows.append(["exyz", args.n, r.epsilon, "", repr(r.min_gap)])
-    for sample in range(args.samples):
-        h = _build_model("invariant", args.n, seed=args.seed, sample_id=sample)
+    for sample, h in enumerate(rings):
         e = symmetry.joint_eigenbasis(h)
         rows.append(["invariant", args.n, "", sample, repr(spectra.min_gap(e.eigenvalues))])
     _write_csv(
@@ -210,8 +220,10 @@ def cmd_ba_moments(args):
     sigma2 = 1.0 + args.alpha1**2 + args.alpha3**2
     entries = []
     failures = 0
-    for n in args.n:
-        h = hamiltonians.build_ba(args.alpha1, args.alpha3, n)
+    rings = [hamiltonians.build_ba(args.alpha1, args.alpha3, n) for n in args.n]
+    for h in rings:  # every size is refused, if bad, before the first solve
+        symmetry.check_size(h)
+    for n, h in zip(args.n, rings):
         e = symmetry.joint_eigenbasis(h)
         d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
         m = dos.moments(d, 6)

@@ -90,6 +90,11 @@ class OperatorSum:
         return len(self.coeffs)
 
     @property
+    def is_real(self):
+        """True when no term has an odd number of Y factors, so the matrix of the sum is real."""
+        return not np.any(np.bitwise_count(self.xs & self.zs) & 1)
+
+    @property
     def terms(self):
         return [
             (float(c), PauliString(self.n, int(x), int(z)))
@@ -151,8 +156,7 @@ class OperatorSum:
             raise SizeLimitError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
         dim = 1 << self.n
         idx = np.arange(dim)
-        is_real = not np.any(np.bitwise_count(self.xs & self.zs) & 1)
-        m = np.zeros((dim, dim), dtype=float if is_real else complex)
+        m = np.zeros((dim, dim), dtype=float if self.is_real else complex)
         for x, diag in self.x_groups(idx):
             m[idx ^ x, idx] = diag
         return m

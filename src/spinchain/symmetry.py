@@ -5,14 +5,16 @@ site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
 
 Sector blocks are built straight from the Pauli term list and a table of
 translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved one at
-a time by :func:`sector_eigensystems`; no 2^n x 2^n array is formed.
+a time by :func:`sector_eigensystems`; no 2^n x 2^n array is formed. A real
+H solves only the sectors k <= n/2 and takes each sector n-k as the
+conjugate of sector k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import OperatorSum, SizeLimitError
+from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, diagonalize_dense, eigensystem
 
 COMMUTATION_TOL = 1e-10
@@ -160,19 +162,24 @@ def _transitions(h, table):
 
 
 def momentum_blocks(h):
-    """Yield ``(sector, H_k)`` for every non-empty momentum sector of H.
+    """Yield ``(sector, H_k)`` for every non-empty momentum sector of H that needs a solve.
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
     the basis ``B_k`` of the sector (:meth:`MomentumSector.gather_map`). A block is real
-    when every entry is. Raises ``ValueError`` when H is not translation
-    invariant to within :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
+    when every entry is. A real H (:attr:`OperatorSum.is_real`) yields only
+    k <= n/2: the basis of sector n-k is the conjugate of that of sector k,
+    so ``H_{n-k} = conj(H_k)`` and its block is never built. Raises
+    ``ValueError`` when H is not translation invariant to within
+    :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
     """
     n = h.n
     defect = translation_defect(h)
     if defect > COMMUTATION_TOL:
         raise ValueError(f"H does not commute with T (scaled norm {defect:.3e} > {COMMUTATION_TOL:.1e})")
     sectors = build_momentum_basis(n)
+    if h.is_real:
+        sectors = sectors[:n // 2 + 1]
     table = sectors[0].table
     rows, cols, amps, shifts = _transitions(h, table)
     d = table.length[table.reps]
@@ -203,25 +210,55 @@ def sector_eigensystems(h, want_vectors=True):
     sector k into itself, because invariance is checked exactly on the term
     list, and ``B_k`` is an isometry. The lifted vectors are T eigenvectors
     by construction.
+
+    A real H solves only k <= n/2. Right after each solved 0 < k < n/2 comes
+    its mirror n-k, whose block is ``conj(H_k)``: the same eigenvalues and
+    residual, and the conjugate eigenvectors. So sectors come in the order
+    0, 1, n-1, 2, n-2, ..., and a consumer holds one sector's vectors at a time.
     """
     n = h.n
     if n > SECTOR_CAP:
         raise SizeLimitError(f"n={n} exceeds sector cap {SECTOR_CAP}")
+    mirrored = h.is_real
     for sector, block in momentum_blocks(h):
-        yield sector, *eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
+        vals, vecs, residual = eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
+        yield sector, vals, vecs, residual
+        if mirrored and 0 < 2 * sector.k < n:
+            if vecs is not None:
+                vecs = vecs.conj()  # rebound, so only the mirror's vectors stay held
+            yield MomentumSector(sector.table, n - sector.k, sector.reps), vals, vecs, residual
 
 
 def sorted_spectrum(solved):
-    """Global order of the states of ``(sector, vals)`` pairs, taken in sector order.
+    """Global order of the states of ``(sector, vals)`` pairs, taken in the order given.
 
-    Eigenvalues ascend, with a stable tie-break on the momentum label k.
-    Returns the sorted eigenvalues, their momenta and ``order``: global
-    state i is state ``order[i]`` of the sectors' concatenation.
+    Eigenvalues ascend, with a stable tie-break on the momentum label k, so
+    the sorted values and momenta do not depend on the sectors' order. The
+    ±k sectors of a real H share their eigenvalues bit for bit, so each such
+    tie is exact and the smaller k comes first. Returns the sorted eigenvalues,
+    their momenta and ``order``: global state i is state ``order[i]`` of the
+    sectors' concatenation.
     """
     vals = np.concatenate([v for _, v in solved])
     ks = np.concatenate([np.full(s.dim, s.k) for s, _ in solved])
     order = np.lexsort((ks, vals))
     return vals[order], ks[order], order
+
+
+def check_size(h):
+    """Refuse H before anything of size 2^n is built or solved.
+
+    Raises ``SizeLimitError`` when n is above the cap of the path that
+    :func:`joint_eigenbasis` and ``entanglement.sector_purities`` take for
+    H: :data:`SECTOR_CAP` for a translation-invariant H, ``DENSE_CAP``
+    otherwise. A command with several sizes checks each before its first solve.
+    """
+    if translation_defect(h) <= COMMUTATION_TOL:
+        cap, path = SECTOR_CAP, "sector"
+    else:
+        cap, path = DENSE_CAP, "dense"
+    if h.n > cap:
+        raise SizeLimitError(f"n={h.n} exceeds {path} cap {cap}")
 
 
 def joint_eigenbasis(h):

@@ -220,6 +220,32 @@ def test_size_limits_refuse_before_allocation(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dos", "--model", "nn", "--n", "6", "14"],
+        ["dos", "--model", "ba", "--n", "6", "16"],
+        ["dos", "--model", "invariant", "--n", "6", "2"],
+        ["dos", "--model", "exyz", "--n", "8", "29"],
+        ["dos", "--model", "exyz", "--n", "8", "2"],
+        ["ba-moments", "--n", "6", "16"],
+        ["ba-moments", "--n", "6", "2"],
+        ["degeneracy-scan", "--n", "16", "--epsilon", "0.5", "--samples", "1"],
+    ],
+)
+def test_bad_size_refused_before_first_solve(tmp_path, argv, monkeypatch):
+    """A bad later ``--n`` (below 3, or above the cap of its ring's path) exits 2 before the first one is solved."""
+    from spinchain import dos, free_fermion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a size before every size was checked")
+
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (dos.EmpiricalDistribution, "from_sum_set"), (free_fermion, "min_gap_scan")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
 def test_readme_cli_examples_parse(tmp_path):
     """Every ``spinchain ...`` line of the README's CLI block parses, runs to exit 0 and reruns byte-identically."""
     cli_section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]

@@ -20,6 +20,7 @@ from spinchain.spectra import commutator_norm, diagonalize_dense
 from spinchain.symmetry import (
     COMMUTATION_TOL,
     SECTOR_CAP,
+    MomentumSector,
     OrbitTable,
     build_momentum_basis,
     joint_eigenbasis,
@@ -223,7 +224,7 @@ def test_translation_defect_exact_after_normalize():
 
 @pytest.mark.parametrize("n", [6, 8, 9])
 def test_momentum_blocks_match_projected_dense(n):
-    """Direct H_k equals B_k^dagger H B_k, short orbits included."""
+    """Direct H_k equals B_k^dagger H B_k, short orbits included; a real H's conj(H_k) is its H_{n-k}."""
     for h in (sample_random("invariant", n, 11), build_ba(0.5, 0.25, n)):
         dense = h.to_dense()
         seen = []
@@ -231,7 +232,12 @@ def test_momentum_blocks_match_projected_dense(n):
             basis = dense_basis(sector)
             assert np.max(np.abs(block - basis.conj().T @ dense @ basis)) < 1e-12
             seen.append(sector.k)
-        assert seen == list(range(n))
+            if h.is_real and 0 < 2 * sector.k < n:
+                basis = dense_basis(MomentumSector(sector.table, n - sector.k, sector.reps))
+                assert np.max(np.abs(block.conj() - basis.conj().T @ dense @ basis)) < 1e-12
+                seen.append(n - sector.k)
+        assert sorted(seen) == list(range(n))
+        assert len(seen) == len(set(seen))
 
 
 def test_momentum_blocks_real_where_phases_are():
@@ -284,14 +290,47 @@ def _full_space_residual(h, e):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_sector_residual_equals_full_space_residual(n):
-    """||H_k v - lambda v|| in sector space is the full-space H and T residual of B_k v."""
-    h = sample_random("invariant", n, 2)
-    e = joint_eigenbasis_lifted(h)
-    full = _full_space_residual(h, e)
-    assert abs(e.residual - full) < 1e-12
-    assert e.residual < 1e-10 and full < 1e-10
-    sector_max = max(res for _, _, _, res in sector_eigensystems(h))
-    assert sector_max == e.residual
+    """||H_k v - lambda v|| in sector space is the full-space H and T residual of B_k v.
+
+    The real ``ba`` ring takes every sector n-k as the conjugate of sector
+    k, so its mirrored vectors are checked against dense H and against T
+    with momentum n-k.
+    """
+    for h in (sample_random("invariant", n, 2), build_ba(0.3, 0.7, n), build_exyz(0.4, n)):
+        e = joint_eigenbasis_lifted(h)
+        assert set(e.momenta) == set(range(n))
+        full = _full_space_residual(h, e)
+        assert abs(e.residual - full) < 1e-12
+        assert e.residual < 1e-10 and full < 1e-10
+        sector_max = max(res for _, _, _, res in sector_eigensystems(h))
+        assert sector_max == e.residual
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_real_ring_solves_each_plus_minus_k_pair_once(n, monkeypatch):
+    """A real ring takes floor(n/2) + 1 solves, a complex invariant ring n; mirrored eigenvalues are bitwise equal."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(matrix, solve=getattr(np.linalg, name), name=name):
+            calls.append(name)
+            return solve(matrix)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    real, complex_ring = build_ba(0.5, 0.25, n), sample_random("invariant", n, 3)
+    assert real.is_real and not complex_ring.is_real
+    mirrored = sorted(range(n), key=lambda k: (min(k, n - k), k))  # 0, 1, n-1, 2, n-2, ...
+    for h, solves, order in ((real, n // 2 + 1, mirrored), (complex_ring, n, list(range(n)))):
+        calls.clear()
+        e = joint_eigenbasis(h)
+        assert calls == ["eigvalsh"] * solves
+        assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h.to_dense()))) < 1e-10
+        calls.clear()
+        assert [s.k for s, _, _, _ in sector_eigensystems(h)] == order
+        assert calls == ["eigh"] * solves
+    vals = {s.k: v for s, v, _, _ in sector_eigensystems(real, want_vectors=False)}
+    for k in range(1, (n + 1) // 2):
+        assert np.array_equal(vals[k], vals[n - k])
 
 
 def test_values_only_sectors_use_eigvalsh(monkeypatch):
