@@ -219,14 +219,14 @@ def sector_eigensystems(h, want_vectors=True):
     n = h.n
     if n > SECTOR_CAP:
         raise SizeLimitError(f"n={n} exceeds sector cap {SECTOR_CAP}")
-    mirrored = h.is_real
     for sector, block in momentum_blocks(h):
         vals, vecs, residual = eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
         yield sector, vals, vecs, residual
-        if mirrored and 0 < 2 * sector.k < n:
+        if h.is_real and 0 < 2 * sector.k < n:
             if vecs is not None:
                 vecs = vecs.conj()  # rebound, so only the mirror's vectors stay held
             yield MomentumSector(sector.table, n - sector.k, sector.reps), vals, vecs, residual
+        del vecs  # before the next block is built
 
 
 def sorted_spectrum(solved):

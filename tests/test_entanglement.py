@@ -17,6 +17,7 @@ from spinchain.entanglement import (
 from spinchain.hamiltonians import (
     ChainCoefficients,
     OperatorSum,
+    build_ba,
     build_pair_only,
     hs_inner,
     sample_random,
@@ -297,23 +298,24 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
 
     ``eigvalsh`` and ``eigh`` round differently in the last bits, so the
     eigenvalues-only path is matched to 1e-12 and on the momentum order.
+    The real ``ba`` ring takes its mirrored sectors n-k through the stream.
     """
-    h = sample_random("invariant", n, 4)
-    spectrum, results = sector_purities(h, (1, 2, 3))
-    values_only = joint_eigenbasis(h)
-    assert spectrum.eigenvectors is None
-    assert np.max(np.abs(spectrum.eigenvalues - values_only.eigenvalues)) < 1e-12
-    assert np.array_equal(spectrum.momenta, values_only.momenta)
-    lifted = joint_eigenbasis_lifted(h)
-    assert np.array_equal(spectrum.eigenvalues, lifted.eigenvalues)
-    assert np.array_equal(spectrum.momenta, lifted.momenta)
-    assert spectrum.residual == lifted.residual < 1e-10
-    for l in (1, 2, 3):
-        want = average_purity(lifted, l)
-        got = results[l]
-        assert np.array_equal(got.per_state, want.per_state)
-        assert got.mean == want.mean
-        assert (got.l, got.n, got.bound_claimed) == (want.l, want.n, want.bound_claimed)
+    for h in (sample_random("invariant", n, 4), build_ba(0.3, 0.7, n)):
+        spectrum, results = sector_purities(h, (1, 2, 3))
+        values_only = joint_eigenbasis(h)
+        assert spectrum.eigenvectors is None
+        assert np.max(np.abs(spectrum.eigenvalues - values_only.eigenvalues)) < 1e-12
+        assert np.array_equal(spectrum.momenta, values_only.momenta)
+        lifted = joint_eigenbasis_lifted(h)
+        assert np.array_equal(spectrum.eigenvalues, lifted.eigenvalues)
+        assert np.array_equal(spectrum.momenta, lifted.momenta)
+        assert spectrum.residual == lifted.residual < 1e-10
+        for l in (1, 2, 3):
+            want = average_purity(lifted, l)
+            got = results[l]
+            assert np.array_equal(got.per_state, want.per_state)
+            assert got.mean == want.mean
+            assert (got.l, got.n, got.bound_claimed) == (want.l, want.n, want.bound_claimed)
 
 
 def test_sector_purities_match_dense_eigenbasis():
