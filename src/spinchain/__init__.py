@@ -55,6 +55,7 @@ from .dos import (
     ba_prediction_printed,
     block_link_split,
     clt_bound_check,
+    extensive_moments,
     ks_distance,
     lyapunov_quantities,
     moments,

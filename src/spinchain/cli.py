@@ -90,6 +90,7 @@ def cmd_purity_sweep(args):
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
         e, results = entanglement.sector_purities(h, args.l)
+        values = [repr(v) for v in e.eigenvalues.tolist()]  # formatted once for every l
         for l in args.l:
             res = results[l]
             ent = 1.0 - res.per_state
@@ -105,11 +106,11 @@ def cmd_purity_sweep(args):
                 )
             else:
                 verdicts.append(f"theorem1 sample={sample} l={l} bound-not-claimed")
-            for rank, (val, le) in enumerate(zip(e.eigenvalues, ent)):
-                rows.append([rank, repr(float(val)), l, repr(float(le)), sample])
+            for rank, (val, le) in enumerate(zip(values, ent.tolist())):
+                rows.append([rank, val, l, repr(le), sample])
     for l in args.l:
-        for rank, le in enumerate(rank_sums[l] / args.samples):
-            rows.append([rank, "", l, repr(float(le)), "mean"])
+        for rank, le in enumerate((rank_sums[l] / args.samples).tolist()):
+            rows.append([rank, "", l, repr(le), "mean"])
     _write_csv(
         args.out,
         _config_dict(args, "purity-sweep"),
@@ -220,13 +221,9 @@ def cmd_ba_moments(args):
     sigma2 = 1.0 + args.alpha1**2 + args.alpha3**2
     entries = []
     failures = 0
-    rings = [hamiltonians.build_ba(args.alpha1, args.alpha3, n) for n in args.n]
-    for h in rings:  # every size is refused, if bad, before the first solve
-        symmetry.check_size(h)
-    for n, h in zip(args.n, rings):
-        e = symmetry.joint_eigenbasis(h)
-        d = dos.EmpiricalDistribution.from_values(e.eigenvalues)
-        m = dos.moments(d, 6)
+    # nothing is solved above n = MAX_MOMENT + 2, so no size cap applies; a size below 3 is refused before the first solve
+    ms = dos.extensive_moments(lambda n: hamiltonians.build_ba(args.alpha1, args.alpha3, n), args.n)
+    for n, m in zip(args.n, ms):
         if not abs(m[1] - sigma2) <= 1e-10:
             failures += 1
         entries.append({"n": n, "m2": m[1], "m4": m[3], "m6": m[5]})

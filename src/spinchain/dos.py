@@ -11,6 +11,7 @@ import numpy as np
 
 from .free_fermion import EXACT_CAP
 from .hamiltonians import OperatorSum, hs_inner
+from .symmetry import joint_eigenbasis
 
 MAX_MOMENT = 8
 #: slack of the characteristic-function bound
@@ -244,10 +245,84 @@ def moments(d, k_max=MAX_MOMENT):
     """Raw moments ``m_k = (1/count) sum lambda^k`` for k = 1..k_max; a non-finite one is a ``RuntimeError``."""
     if k_max > MAX_MOMENT:
         raise ValueError(f"k_max limited to {MAX_MOMENT}")
-    m = d.power_sums[:k_max] / d.count
+    return _finite(d.power_sums[:k_max] / d.count)
+
+
+def _finite(m):
     if not np.all(np.isfinite(m)):
         raise RuntimeError(f"spectral moments: m_{1 + np.flatnonzero(~np.isfinite(m))[0]} is not finite")
     return m
+
+
+def _cumulants(m):
+    """Cumulants kappa_1..kappa_k of the raw moments m_1..m_k."""
+    m = [1.0, *m]
+    kappa = [None]
+    for j in range(1, len(m)):
+        kappa.append(m[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j)))
+    return kappa[1:]
+
+
+def _raw_moments(kappa):
+    """Raw moments m_1..m_k of the cumulants kappa_1..kappa_k, by ``m_j = sum_i C(j-1, i-1) kappa_i m_{j-i}``."""
+    kappa = [None, *kappa]
+    m = [1.0]
+    for j in range(1, len(kappa)):
+        m.append(sum(math.comb(j - 1, i - 1) * kappa[i] * m[j - i] for i in range(1, j + 1)))
+    return m[1:]
+
+
+def extensive_moments(build, ns):
+    """Raw spectral moments m_1..m_MAX_MOMENT of the ring ``build(n)``, one array per n of ``ns``.
+
+    ``build(n)`` must give a translation-invariant nearest-neighbour ring
+    with the same terms at every n and a ``1/sqrt(n)`` prefactor. Under the
+    trace state a connected cluster of j terms cannot wrap a ring of more
+    than j sites, so the cumulants of the unscaled ring are n times a
+    per-site value, and ``kappa_j(H_n) = c_j n^(1 - j/2)`` for every
+    n >= j + 1 (Hartmann, Mahler & Hess, Lett. Math. Phys. 68, 103 (2004)).
+
+    The c_j are read from the sector spectrum at n0 = MAX_MOMENT + 1, the
+    first size where every j <= MAX_MOMENT qualifies, with kappa_1 = Tr H /
+    2^n taken exactly from the term list. They are read again at n0 + 1; a
+    difference beyond the rounding of the moments that cancel in them is a
+    ``RuntimeError``. Every n >= n0 takes its moments from the c_j through
+    the moment-cumulant recursion, with no solve and no ring built; every
+    n < n0 is solved. All rings are built, so a bad size is refused, before
+    the first solve.
+    """
+    n0 = MAX_MOMENT + 1
+    sizes = {n for n in ns if n < n0}
+    if any(n >= n0 for n in ns):
+        sizes |= {n0, n0 + 1}
+    rings = {n: build(n) for n in sorted(sizes)}
+    spectra = {n: joint_eigenbasis(h).eigenvalues for n, h in rings.items()}
+    solved = {n: moments(EmpiricalDistribution.from_values(v), MAX_MOMENT) for n, v in spectra.items()}
+    if n0 in rings:
+        c = _per_site_cumulants(rings[n0], solved[n0])
+        again = _per_site_cumulants(rings[n0 + 1], solved[n0 + 1])
+        absolute = _power_sums(np.abs(spectra[n0]), MAX_MOMENT)[1:] / len(spectra[n0])
+        for j, (cj, aj, mj) in enumerate(zip(c, again, absolute.tolist()), start=1):
+            # the terms that cancel in c_j are as large as n0^(j/2-1) <|lambda|^j> at n0
+            if not abs(aj - cj) <= 1e-10 * n0 ** (j / 2 - 1) * mj:
+                raise RuntimeError(
+                    f"per-site cumulant c_{j} is {cj!r} at n={n0} but {aj!r} at n={n0 + 1}: the ring is not "
+                    "a translation-invariant nearest-neighbour ring with a 1/sqrt(n) prefactor"
+                )
+    out = []
+    for n in ns:
+        if n < n0:
+            out.append(solved[n])
+        else:
+            out.append(_finite(np.array(_raw_moments([cj * n ** (1 - j / 2) for j, cj in enumerate(c, start=1)]))))
+    return out
+
+
+def _per_site_cumulants(h, m):
+    """``c_j = kappa_j(H) n^(j/2 - 1)`` of H on n sites with raw moments m; kappa_1 is read exactly from the term list."""
+    trace = float(np.sum(h.coeffs[(h.xs == 0) & (h.zs == 0)]))
+    kappa = _cumulants([trace, *m[1:].tolist()])
+    return [k * h.n ** (j / 2 - 1) for j, k in enumerate(kappa, start=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,17 +40,23 @@ def _chunk_width(n):
     return max(1, CHUNK_BYTES >> (n + 4))
 
 
-def _checked_rhos(states, conj, n, l, first):
-    """Reduced density matrices of sites 1..l of the rows of a C-ordered (c, 2^n) array and its conjugate.
+def _checked_rhos(states, conj, n, l, first, trailing=False):
+    """Reduced density matrices of sites 1..l, or with ``trailing`` of sites l+1..n, of the rows of a C-ordered (c, 2^n) array and its conjugate.
 
     Site 1 is the most significant index bit, so a row reshapes to
-    ``(2^l, 2^(n-l))`` with block A on the first axis and ``rho = A A^H``.
+    ``psi`` of shape ``(2^l, 2^(n-l))`` with sites 1..l on the first axis:
+    the block's ``rho = psi psi^H``, and the rest's ``psi^T conj(psi)``.
     Every rho is checked (unit trace, Hermitian, no eigenvalue below
     ``-RDM_TOL``); a failure is numerical, so it raises ``RuntimeError``
     naming row i as state ``first + i``.
     """
     shape = (len(states), 1 << l, 1 << (n - l))
-    rhos = states.reshape(shape) @ conj.reshape(shape).transpose(0, 2, 1)
+    if trailing:
+        rhos = states.reshape(shape).transpose(0, 2, 1) @ conj.reshape(shape)
+        sites = f"{l + 1}..{n}"
+    else:
+        rhos = states.reshape(shape) @ conj.reshape(shape).transpose(0, 2, 1)
+        sites = f"1..{l}"
     for name, dev in (
         ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
         ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
@@ -59,14 +65,14 @@ def _checked_rhos(states, conj, n, l, first):
         bad = np.flatnonzero(~(dev <= RDM_TOL))  # a NaN fails too
         if len(bad):
             raise RuntimeError(
-                f"reduced density matrix of sites 1..{l} of state {first + bad[0]} fails its "
+                f"reduced density matrix of sites {sites} of state {first + bad[0]} fails its "
                 f"{name} check: deviation {dev[bad[0]]:.3g} > {RDM_TOL}"
             )
     return rhos
 
 
-def _reduced_states(columns, n, l):
-    """Yield ``(start, rhos)``: checked reduced density matrices of sites 1..l of columns ``start..`` of a (2^n, m) array.
+def _reduced_states(columns, n, l, trailing=False):
+    """Yield ``(start, rhos)``: checked reduced density matrices (:func:`_checked_rhos`) of columns ``start..`` of a (2^n, m) array.
 
     Columns go through :func:`_chunk_width` at a time; a chunk of a
     Fortran-ordered array transposes to C order as a view.
@@ -76,12 +82,17 @@ def _reduced_states(columns, n, l):
     width = _chunk_width(n)
     for start in range(0, columns.shape[1], width):
         states = columns[:, start:start + width].T
-        yield start, _checked_rhos(states, states.conj(), n, l, start)
+        yield start, _checked_rhos(states, states.conj(), n, l, start, trailing)
 
 
 def _purity(rhos):
     # Tr(rho^2) = sum |rho_ij|^2 for Hermitian rho
     return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
+
+
+def _trailing(n, l):
+    """Whether the purity of sites 1..l is read from the smaller rho of sites l+1..n: the same purity (Schmidt)."""
+    return 2 * l > n
 
 
 def _pauli_stack(rhos, l):
@@ -152,7 +163,7 @@ def average_purity(basis, l):
         raise ValueError("eigenvectors are required")
     n = int(np.log2(basis.eigenvectors.shape[0]))
     per_state = np.empty(basis.eigenvectors.shape[1])
-    for start, rhos in _reduced_states(basis.eigenvectors, n, l):
+    for start, rhos in _reduced_states(basis.eigenvectors, n, l, _trailing(n, l)):
         per_state[start:start + len(rhos)] = _purity(rhos)
     claimed = basis.momenta is not None and 2 * l < n
     # pairwise summation via np.mean keeps the reduction deterministic
@@ -199,7 +210,7 @@ def sector_purities(h, ls):
             conj = states.conj()
             at = first + start
             for l, out in per_state.items():
-                out[at:at + len(states)] = _purity(_checked_rhos(states, conj, n, l, at))
+                out[at:at + len(states)] = _purity(_checked_rhos(states, conj, n, l, at, _trailing(n, l)))
             del states, conj  # before the next chunk is gathered
         del vecs, padded  # before the next sector's block is built
         first += sector.dim

@@ -9,7 +9,9 @@ No CLI path runs any of these; each is the slow, direct form of one path:
   scatter sector vectors into full space and form the 2^n x dim
   momentum-sector bases and the 2^n x 2^n lifted joint (H, T) eigenbasis,
   the oracle of ``MomentumSector.gather_map``, ``symmetry.momentum_blocks``
-  and ``entanglement.sector_purities``;
+  and ``entanglement.sector_purities``; :func:`full_space_residual` holds
+  the lifted columns against dense H and T, since they come from
+  ``symmetry.sector_eigensystems`` itself;
 * :func:`reduce_contiguous` and :func:`pauli_coefficients` give one state's
   reduced density matrix and Pauli coefficients, the per-state oracle of
   the batched reduced states;
@@ -31,7 +33,7 @@ from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
-from spinchain.symmetry import _roots_of_unity, sector_eigensystems, sorted_spectrum
+from spinchain.symmetry import _roots_of_unity, sector_eigensystems, sorted_spectrum, translation_permutation
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,22 @@ def joint_eigenbasis_lifted(h):
         lifted[:, column[start:start + sector.dim]] = lift(sector, vecs)
         start += sector.dim
     return EigenDecomposition(vals, lifted, max(r for _, _, _, r in solved), ks)
+
+
+def full_space_residual(h, e):
+    """Largest residual of H and of T over the columns of a lifted joint eigenbasis.
+
+    H is the dense matrix and T the index permutation, so a wrong sector
+    vector shows here whatever ``symmetry`` did to produce it.
+    """
+    n = h.n
+    vecs = e.eigenvectors
+    perm = translation_permutation(n)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    res_h = h.to_dense() @ vecs - vecs * e.eigenvalues
+    res_t = vecs[inv] - np.exp(2j * np.pi * e.momenta / n) * vecs
+    return max(float(np.max(np.linalg.norm(r, axis=0))) for r in (res_h, res_t))
 
 
 def reduce_contiguous(v, l):

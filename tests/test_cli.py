@@ -161,6 +161,34 @@ def test_ba_moments_ising_special_case(tmp_path):
     assert abs(payload["finite_n"][0]["m2"] - 1.0) < 1e-10
 
 
+def test_ba_moments_solves_nothing_above_n0(tmp_path, monkeypatch):
+    """Sizes above SECTOR_CAP take their moments from the per-site cumulants: no orbit table above n = 10.
+
+    m4 - 3 sigma^4 is the fourth cumulant, c_4 / n; it is checked against the one solved at n = 12.
+    """
+    from spinchain import symmetry
+    from spinchain.hamiltonians import build_ba
+
+    sizes = []
+    build = symmetry.OrbitTable.build
+
+    def recording(n):
+        sizes.append(n)
+        return build(n)
+
+    monkeypatch.setattr(symmetry.OrbitTable, "build", recording)
+    code, out = run(tmp_path, "big.json", ["ba-moments", "--n", "6", "16", "40", "1000"])
+    assert code == 0
+    assert sorted(sizes) == [6, 9, 10]
+    entries = json.loads(out.read_text())["finite_n"]
+    assert [e["n"] for e in entries] == [6, 16, 40, 1000]
+    vals = symmetry.joint_eigenbasis(build_ba(0.5, 0.5, 12)).eigenvalues
+    c4 = 12 * (float(np.mean(vals**4)) - 3 * 1.5**2)
+    for e in entries[1:]:
+        assert e["m2"] == pytest.approx(1.5, rel=1e-12)
+        assert e["m4"] - 3 * 1.5**2 == pytest.approx(c4 / e["n"], rel=1e-10)
+
+
 def test_spectrum_export(tmp_path):
     code, out = run(tmp_path, "spec.csv", ["spectrum", "--n", "5", "--model", "invariant"])
     assert code == 0
@@ -184,7 +212,7 @@ def test_cap_exceeded_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["ba-moments", "--n", "16"],
+        ["purity-sweep", "--n", "16", "--samples", "1"],
         ["dos", "--n", "16", "--model", "ba"],
         ["dos", "--n", "16", "--model", "invariant"],
         ["spectrum", "--n", "16", "--model", "invariant"],
@@ -228,7 +256,7 @@ def test_size_limits_refuse_before_allocation(tmp_path, argv):
         ["dos", "--model", "invariant", "--n", "6", "2"],
         ["dos", "--model", "exyz", "--n", "8", "29"],
         ["dos", "--model", "exyz", "--n", "8", "2"],
-        ["ba-moments", "--n", "6", "16"],
+        ["ba-moments", "--n", "40", "2"],
         ["ba-moments", "--n", "6", "2"],
         ["degeneracy-scan", "--n", "16", "--epsilon", "0.5", "--samples", "1"],
     ],
@@ -466,7 +494,7 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     from spinchain.entanglement import average_purity
     from spinchain.hamiltonians import sample_random
 
-    from oracles import joint_eigenbasis_lifted
+    from oracles import full_space_residual, joint_eigenbasis_lifted
 
     n, ls, samples = 8, (1, 2, 3), 2
     argv = ["purity-sweep", "--model", "invariant", "--n", str(n), "--samples", str(samples),
@@ -477,7 +505,9 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     rows, verdicts = [], []
     rank_sums = {l: np.zeros(1 << n) for l in ls}
     for sample in range(samples):
-        e = joint_eigenbasis_lifted(sample_random("invariant", n, [0, sample]))
+        h = sample_random("invariant", n, [0, sample])
+        e = joint_eigenbasis_lifted(h)
+        assert full_space_residual(h, e) < 1e-10
         for l in ls:
             res = average_purity(e, l)
             ent = 1.0 - res.per_state

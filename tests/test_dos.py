@@ -27,7 +27,9 @@ from spinchain import dos, free_fermion
 from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     InteractionGraph,
+    OperatorSum,
     build_ba,
+    build_exyz,
     build_general,
     hs_inner,
     normalize,
@@ -351,6 +353,52 @@ def test_moments_field_chain():
     d = EmpiricalDistribution.from_values(np.repeat([2.0, 1.0, 0.0, -1.0, -2.0], [1, 4, 6, 4, 1]))
     m = moments(d, 4)
     assert m[3] == pytest.approx(2.5)
+
+
+RINGS = [pytest.param(lambda n, a=a: build_ba(*a, n), id=f"ba{a}")
+         for a in ((0.0, 0.0), (0.5, 0.5), (0.25, 1.0), (1.0, 0.25), (0.7139, 0.3311))]
+RINGS += [pytest.param(lambda n, s=s: sample_random("invariant", n, s), id=f"invariant{s}") for s in range(5)]
+
+
+@pytest.mark.parametrize("build", RINGS)
+def test_extensive_moments_match_sector_ed(build):
+    """From the per-site cumulants of n = 9 and 10, m1..m8 at n = 9..13 are the moments of the solved spectrum.
+
+    Odd moments may vanish, so each is held to 1e-10 of <|lambda|^k>, which
+    for an even k is the moment itself. Below n = 9 the moments are the
+    solved ones bit for bit.
+    """
+    ns = [6, 8, 9, 10, 11, 12, 13]
+    for n, got in zip(ns, dos.extensive_moments(build, ns)):
+        vals = joint_eigenbasis(build(n)).eigenvalues
+        want = moments(EmpiricalDistribution.from_values(vals), MAX_MOMENT)
+        if n < MAX_MOMENT + 1:
+            assert np.array_equal(got, want)
+        scale = np.array([np.mean(np.abs(vals) ** k) for k in range(1, MAX_MOMENT + 1)])
+        assert np.all(np.abs(got - want) <= 1e-10 * scale), n
+
+
+def test_extensive_moments_of_field_ring_at_large_n():
+    """``(1/sqrt(n)) sum_j Z_j`` has the binomial spectrum (n - 2r)/sqrt(n); its moments are exact sums at any n."""
+    def build(n):
+        return OperatorSum.from_terms(n, [(1 / math.sqrt(n), PauliString.single(n, j, 3)) for j in range(1, n + 1)])
+
+    ns = [9, 50, 1000]
+    for n, got in zip(ns, dos.extensive_moments(build, ns)):
+        want = [sum(math.comb(n, r) * (n - 2 * r) ** k for r in range(n + 1)) / (2**n * n ** (k // 2))
+                / (math.sqrt(n) if k % 2 else 1) for k in range(1, MAX_MOMENT + 1)]
+        assert got[1::2] == pytest.approx(want[1::2], rel=1e-12)
+        assert np.all(np.abs(got[0::2]) <= 1e-12 * np.array(want[1::2])), n
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda n: build_exyz(0.5, n), id="no-prefactor"),
+    pytest.param(lambda n: sample_random("nn", n, 0), id="site-dependent"),
+])
+def test_extensive_moments_refuse_rings_without_per_site_cumulants(build):
+    """A ring without the 1/sqrt(n) prefactor, or one whose couplings change with n, fails the check at n = 10."""
+    with pytest.raises(RuntimeError, match="per-site cumulant c_2 .* at n=9 but .* at n=10"):
+        dos.extensive_moments(build, [40])
 
 
 def test_moments_refuse_overflowed_power_sums():

@@ -26,7 +26,14 @@ from spinchain.pauli import PauliString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
 from spinchain.symmetry import MomentumSector, build_momentum_basis, joint_eigenbasis
 
-from oracles import StateVector, apply_sum, joint_eigenbasis_lifted, pauli_coefficients, reduce_contiguous
+from oracles import (
+    StateVector,
+    apply_sum,
+    full_space_residual,
+    joint_eigenbasis_lifted,
+    pauli_coefficients,
+    reduce_contiguous,
+)
 
 
 _SIGMA = (
@@ -109,6 +116,8 @@ def test_unnormalized_states_fail_the_trace_check():
     columns[:, 2] *= 1.01
     with pytest.raises(RuntimeError, match="state 2 fails its trace check"):
         average_purity(EigenDecomposition(np.zeros(4), columns), 1)
+    with pytest.raises(RuntimeError, match="sites 4..4 of state 2 fails its trace check"):
+        average_purity(EigenDecomposition(np.zeros(4), columns), 3)
     columns[:, 2] = np.nan
     with pytest.raises(RuntimeError, match="state 2 fails its trace check"):
         average_purity(EigenDecomposition(np.zeros(4), columns), 1)
@@ -299,6 +308,8 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
     ``eigvalsh`` and ``eigh`` round differently in the last bits, so the
     eigenvalues-only path is matched to 1e-12 and on the momentum order.
     The real ``ba`` ring takes its mirrored sectors n-k through the stream.
+    The lifted oracle takes its vectors from the same sector solve, so up to
+    n = 10 every lifted column is also held against dense H and T.
     """
     for h in (sample_random("invariant", n, 4), build_ba(0.3, 0.7, n)):
         spectrum, results = sector_purities(h, (1, 2, 3))
@@ -307,6 +318,8 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
         assert np.max(np.abs(spectrum.eigenvalues - values_only.eigenvalues)) < 1e-12
         assert np.array_equal(spectrum.momenta, values_only.momenta)
         lifted = joint_eigenbasis_lifted(h)
+        if n <= 10:
+            assert full_space_residual(h, lifted) < 1e-10
         assert np.array_equal(spectrum.eigenvalues, lifted.eigenvalues)
         assert np.array_equal(spectrum.momenta, lifted.momenta)
         assert spectrum.residual == lifted.residual < 1e-10
@@ -316,6 +329,21 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
             assert np.array_equal(got.per_state, want.per_state)
             assert got.mean == want.mean
             assert (got.l, got.n, got.bound_claimed) == (want.l, want.n, want.bound_claimed)
+
+
+@pytest.mark.parametrize("n", [7, 10])
+def test_purities_of_a_block_and_its_complement_agree(n):
+    """For l > n/2 the purity is read from the smaller rho of sites l+1..n.
+
+    In a joint (H, T) eigenstate sites l+1..n and sites 1..n-l have the same
+    reduced state, so per state the purity of block l equals that of block
+    n-l.
+    """
+    ls = tuple(range(1, n))
+    for h in (sample_random("invariant", n, 6), build_ba(0.3, 0.7, n)):
+        _, results = sector_purities(h, ls)
+        for l in ls:
+            assert np.max(np.abs(results[l].per_state - results[n - l].per_state)) <= 1e-12, l
 
 
 def test_sector_purities_match_dense_eigenbasis():
@@ -373,9 +401,9 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
         maps.append(self.k)
         return gather_map(self)
 
-    def recording_rhos(states, conj, n, l, first):
+    def recording_rhos(states, conj, n, l, first, *trailing):
         chunks.append((l, first, len(states), states.nbytes))
-        return checked_rhos(states, conj, n, l, first)
+        return checked_rhos(states, conj, n, l, first, *trailing)
 
     def refuse(*args, **kwargs):
         raise AssertionError("full-space operator built")

@@ -30,7 +30,7 @@ from spinchain.symmetry import (
     translation_permutation,
 )
 
-from oracles import dense_basis, joint_eigenbasis_lifted, lift
+from oracles import dense_basis, full_space_residual, joint_eigenbasis_lifted, lift
 
 
 def translate_index(b, n):
@@ -276,18 +276,6 @@ def test_joint_purities_match_dense_eigenbasis():
         assert np.max(np.abs(ours - ref)) < 1e-9
 
 
-def _full_space_residual(h, e):
-    """Largest full-space residual of H and of T over the lifted eigenvectors."""
-    n = h.n
-    vecs = e.eigenvectors
-    perm = translation_permutation(n)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    res_h = h.to_dense() @ vecs - vecs * e.eigenvalues
-    res_t = vecs[inv] - np.exp(2j * np.pi * e.momenta / n) * vecs
-    return max(float(np.max(np.linalg.norm(r, axis=0))) for r in (res_h, res_t))
-
-
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
 def test_sector_residual_equals_full_space_residual(n):
     """||H_k v - lambda v|| in sector space is the full-space H and T residual of B_k v.
@@ -299,7 +287,7 @@ def test_sector_residual_equals_full_space_residual(n):
     for h in (sample_random("invariant", n, 2), build_ba(0.3, 0.7, n), build_exyz(0.4, n)):
         e = joint_eigenbasis_lifted(h)
         assert set(e.momenta) == set(range(n))
-        full = _full_space_residual(h, e)
+        full = full_space_residual(h, e)
         assert abs(e.residual - full) < 1e-12
         assert e.residual < 1e-10 and full < 1e-10
         sector_max = max(res for _, _, _, res in sector_eigensystems(h))
