@@ -221,7 +221,7 @@ def cmd_ba_moments(args):
     sigma2 = 1.0 + args.alpha1**2 + args.alpha3**2
     entries = []
     failures = 0
-    # nothing is solved above n = MAX_MOMENT + 2, so no size cap applies; a size below 3 is refused before the first solve
+    # nothing is solved above n = MAX_MOMENT + 2, so no size cap applies; n < 3 is refused before the first solve
     ms = dos.extensive_moments(lambda n: hamiltonians.build_ba(args.alpha1, args.alpha3, n), args.n)
     for n, m in zip(args.n, ms):
         if not abs(m[1] - sigma2) <= 1e-10:

@@ -319,7 +319,7 @@ def extensive_moments(build, ns):
 
 
 def _per_site_cumulants(h, m):
-    """``c_j = kappa_j(H) n^(j/2 - 1)`` of H on n sites with raw moments m; kappa_1 is read exactly from the term list."""
+    """``c_j = kappa_j(H) n^(j/2 - 1)`` of H on n sites with raw moments m; kappa_1 is exact, from the term list."""
     trace = float(np.sum(h.coeffs[(h.xs == 0) & (h.zs == 0)]))
     kappa = _cumulants([trace, *m[1:].tolist()])
     return [k * h.n ** (j / 2 - 1) for j, k in enumerate(kappa, start=1)]

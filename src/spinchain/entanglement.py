@@ -41,9 +41,10 @@ def _chunk_width(n):
 
 
 def _checked_rhos(states, conj, n, l, first, trailing=False):
-    """Reduced density matrices of sites 1..l, or with ``trailing`` of sites l+1..n, of the rows of a C-ordered (c, 2^n) array and its conjugate.
+    """Reduced density matrices of the rows of a C-ordered (c, 2^n) array and its conjugate.
 
-    Site 1 is the most significant index bit, so a row reshapes to
+    The matrices are those of sites 1..l, or with ``trailing`` of sites
+    l+1..n. Site 1 is the most significant index bit, so a row reshapes to
     ``psi`` of shape ``(2^l, 2^(n-l))`` with sites 1..l on the first axis:
     the block's ``rho = psi psi^H``, and the rest's ``psi^T conj(psi)``.
     Every rho is checked (unit trace, Hermitian, no eigenvalue below
@@ -72,7 +73,7 @@ def _checked_rhos(states, conj, n, l, first, trailing=False):
 
 
 def _reduced_states(columns, n, l, trailing=False):
-    """Yield ``(start, rhos)``: checked reduced density matrices (:func:`_checked_rhos`) of columns ``start..`` of a (2^n, m) array.
+    """Yield ``(start, rhos)``: :func:`_checked_rhos` of columns ``start..`` of a (2^n, m) array.
 
     Columns go through :func:`_chunk_width` at a time; a chunk of a
     Fortran-ordered array transposes to C order as a view.
