@@ -36,7 +36,6 @@ from .symmetry import (
     translation_permutation,
 )
 from .entanglement import (
-    average_purity,
     build_M,
     epsilon_fraction,
     pair_only_checks,

@@ -224,7 +224,7 @@ def cmd_ba_moments(args):
     # nothing is solved above n = MAX_MOMENT + 2, so no size cap applies; n < 3 is refused before the first solve
     ms = dos.extensive_moments(lambda n: hamiltonians.build_ba(args.alpha1, args.alpha3, n), args.n)
     for n, m in zip(args.n, ms):
-        if not abs(m[1] - sigma2) <= 1e-10:
+        if not abs(m[1] - sigma2) <= 1e-10 * max(1.0, sigma2):
             failures += 1
         entries.append({"n": n, "m2": m[1], "m4": m[3], "m6": m[5]})
     predictions = {

@@ -3,8 +3,8 @@ checks for pair-only chains.
 
 Block A is always the contiguous sites ``1..l``; for translation-invariant
 Hamiltonians the starting site is irrelevant (asserted in the tests, not
-assumed here). Every reduced density matrix comes from :func:`_checked_rhos`,
-which checks each one before it is used.
+assumed here). Every reduced density matrix comes from one purity loop,
+:func:`_rho_buffers`, which checks each one before it is used.
 """
 
 from dataclasses import dataclass
@@ -30,60 +30,126 @@ GAP_RTOL = 1e-8
 _PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
-#: bytes of one chunk of states, a (c, 2^n) complex array; a purity loop
-#: holds the chunk and its conjugate at once
+#: bytes of one chunk of states, a (c, 2^n) complex array, and of one buffer of
+#: reduced states; a purity loop holds a chunk, its conjugate and a buffer at once
 CHUNK_BYTES = 1 << 20
 
 
-def _chunk_width(n):
-    """States per chunk: as many as fit in :data:`CHUNK_BYTES`, at least one."""
-    return max(1, CHUNK_BYTES >> (n + 4))
+def _lifted_chunks(vecs, n, gather_map=None):
+    """Yield the columns of ``vecs`` as (c, 2^n) arrays of states, as many as fit in :data:`CHUNK_BYTES`.
+
+    The columns are full-space states, or with a sector's ``(src, amps)``
+    (:meth:`symmetry.MomentumSector.gather_map`) sector coordinates, which
+    are lifted a chunk at a time.
+    """
+    width = max(1, CHUNK_BYTES >> (n + 4))
+    if gather_map is None:
+        for start in range(0, vecs.shape[1], width):
+            yield vecs[:, start:start + width].T  # C-ordered when vecs is Fortran-ordered
+        return
+    src, amps = gather_map
+    # one eigenvector per row, then the zero entry that src points at outside the sector
+    padded = np.zeros((vecs.shape[1], vecs.shape[0] + 1), dtype=complex)
+    padded[:, :-1] = vecs.T
+    for start in range(0, len(padded), width):
+        states = padded[start:start + width].take(src, axis=1)
+        # amplitudes first, as in the scatter lift: swapped operands round differently
+        np.multiply(amps, states, out=states)
+        yield states
+        del states  # before the next chunk is gathered
 
 
-def _checked_rhos(states, conj, n, l, first, trailing=False):
-    """Reduced density matrices of the rows of a C-ordered (c, 2^n) array and its conjugate.
+def _gram(states, conj, n, l, trailing):
+    """rho of sites 1..l, or with ``trailing`` of sites l+1..n, of each row of ``states``.
 
-    The matrices are those of sites 1..l, or with ``trailing`` of sites
-    l+1..n. Site 1 is the most significant index bit, so a row reshapes to
-    ``psi`` of shape ``(2^l, 2^(n-l))`` with sites 1..l on the first axis:
-    the block's ``rho = psi psi^H``, and the rest's ``psi^T conj(psi)``.
-    Every rho is checked (unit trace, Hermitian, no eigenvalue below
-    ``-RDM_TOL``); a failure is numerical, so it raises ``RuntimeError``
-    naming row i as state ``first + i``.
+    Site 1 is the most significant index bit, so a row reshapes to ``psi`` of
+    shape ``(2^l, 2^(n-l))``: ``rho = psi psi^H``, or ``psi^T conj(psi)``.
     """
     shape = (len(states), 1 << l, 1 << (n - l))
     if trailing:
-        rhos = states.reshape(shape).transpose(0, 2, 1) @ conj.reshape(shape)
-        sites = f"{l + 1}..{n}"
-    else:
-        rhos = states.reshape(shape) @ conj.reshape(shape).transpose(0, 2, 1)
-        sites = f"1..{l}"
-    for name, dev in (
-        ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
-        ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
-        ("positivity", -np.linalg.eigvalsh(rhos)[:, 0]),
-    ):
+        return states.reshape(shape).transpose(0, 2, 1) @ conj.reshape(shape)
+    return states.reshape(shape) @ conj.reshape(shape).transpose(0, 2, 1)
+
+
+def _chunk_rhos(states, n, sides):
+    """``{l: rhos}`` of a chunk for every l of ``sides`` (l -> whether rho is that of sites l+1..n).
+
+    Each side takes one Gram product, of its largest block; each smaller
+    block is the partial trace of the next larger one, a site at a time.
+    """
+    conj, rhos = states.conj(), {}
+    for trailing in (False, True):
+        # largest block first: sites 1..l for l descending, sites l+1..n for l ascending
+        side = sorted((l for l, t in sides.items() if t == trailing), reverse=not trailing)
+        for l in side:
+            if l == side[0]:
+                rho, at = _gram(states, conj, n, l, trailing), l
+            for _ in range(abs(l - at)):
+                c, d = len(rho), rho.shape[1] // 2
+                if trailing:  # trace out the block's first site
+                    rho = rho.reshape(c, 2, d, 2, d).trace(axis1=1, axis2=3)
+                else:  # its last site
+                    rho = rho.reshape(c, d, 2, d, 2).trace(axis1=2, axis2=4)
+            rhos[l], at = rho, l
+    return rhos
+
+
+def _check_rhos(rhos, sites, first):
+    """Check a stack for unit trace, Hermiticity, then no eigenvalue below ``-RDM_TOL``.
+
+    A failure is numerical: ``RuntimeError`` names rho i as state ``first + i``.
+    If ``rho + (RDM_TOL/2) I`` has a Cholesky factor for every rho, no
+    eigenvalue is below ``-RDM_TOL/2``; only if not are the eigenvalues taken.
+    """
+    def fail_first(dev, name):
         bad = np.flatnonzero(~(dev <= RDM_TOL))  # a NaN fails too
         if len(bad):
             raise RuntimeError(
                 f"reduced density matrix of sites {sites} of state {first + bad[0]} fails its "
                 f"{name} check: deviation {dev[bad[0]]:.3g} > {RDM_TOL}"
             )
-    return rhos
+
+    fail_first(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0), "trace")
+    fail_first(np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2)), "Hermitian")
+    try:
+        np.linalg.cholesky(rhos + (RDM_TOL / 2) * np.eye(rhos.shape[1]))
+    except np.linalg.LinAlgError:
+        fail_first(-np.linalg.eigvalsh(rhos)[:, 0], "positivity")
 
 
-def _reduced_states(columns, n, l, trailing=False):
-    """Yield ``(start, rhos)``: :func:`_checked_rhos` of columns ``start..`` of a (2^n, m) array.
+def _rho_buffers(chunks, n, sides):
+    """Yield ``{l: rhos}`` for consecutive states of ``chunks`` (:func:`_lifted_chunks`).
 
-    Columns go through :func:`_chunk_width` at a time; a chunk of a
-    Fortran-ordered array transposes to C order as a view.
+    The rho of :func:`_chunk_rhos` fill one buffer of at most
+    :data:`CHUNK_BYTES`, which may span chunks and sectors. Each full buffer,
+    and the last, is checked stack by stack (:func:`_check_rhos`) and
+    yielded; the next buffer overwrites it.
     """
-    if not 1 <= l < n:
-        raise ValueError(f"block size {l} out of range for n={n}")
-    width = _chunk_width(n)
-    for start in range(0, columns.shape[1], width):
-        states = columns[:, start:start + width].T
-        yield start, _checked_rhos(states, states.conj(), n, l, start, trailing)
+    if not all(1 <= l < n for l in sides):
+        raise ValueError(f"block sizes {list(sides)} out of range for n={n}")
+    dims = {l: 1 << (n - l if trailing else l) for l, trailing in sides.items()}
+    capacity = max(1, CHUNK_BYTES // sum(16 * d * d for d in dims.values()))
+    buffer = {l: np.empty((capacity, d, d), dtype=complex) for l, d in dims.items()}
+    first = filled = 0
+
+    def checked():
+        for l, trailing in sides.items():
+            _check_rhos(buffer[l][:filled], f"{l + 1}..{n}" if trailing else f"1..{l}", first)
+        return {l: b[:filled] for l, b in buffer.items()}
+
+    for states in chunks:
+        c, rhos, done = len(states), _chunk_rhos(states, n, sides), 0
+        del states  # before the next chunk is gathered
+        while done < c:
+            take = min(capacity - filled, c - done)
+            for l, b in buffer.items():
+                b[filled:filled + take] = rhos[l][done:done + take]
+            filled, done = filled + take, done + take
+            if filled == capacity:
+                yield checked()
+                first, filled = first + filled, 0
+    if filled:
+        yield checked()
 
 
 def _purity(rhos):
@@ -91,9 +157,17 @@ def _purity(rhos):
     return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
 
 
-def _trailing(n, l):
-    """Whether the purity of sites 1..l is read from the smaller rho of sites l+1..n: the same purity (Schmidt)."""
-    return 2 * l > n
+def _purities(chunks, n, ls):
+    """``{l: purity of sites 1..l}`` of each state of ``chunks``, for every l of ``ls``.
+
+    For l > n/2 it is read from the smaller rho of sites l+1..n: the same
+    purity (Schmidt).
+    """
+    parts = {l: [] for l in ls}
+    for rhos in _rho_buffers(chunks, n, {l: 2 * l > n for l in ls}):
+        for l, stack in rhos.items():
+            parts[l].append(_purity(stack))
+    return {l: np.concatenate(p) for l, p in parts.items()}
 
 
 def _pauli_stack(rhos, l):
@@ -153,38 +227,16 @@ class AveragePurityResult:
         return self.bound_lower - BOUND_SLACK <= self.mean <= self.bound_upper + BOUND_SLACK
 
 
-def average_purity(basis, l):
-    """Mean purity of sites 1..l over every state of an eigenbasis.
-
-    The theorem-backed bound ``2^-l <= mean <= 2^-l + 2^l/n`` is only
-    claimed for joint (H, T) eigenbases with ``2l < n``; results from other
-    bases are flagged ``bound_claimed=False`` rather than rejected.
-    """
-    if basis.eigenvectors is None:
-        raise ValueError("eigenvectors are required")
-    n = int(np.log2(basis.eigenvectors.shape[0]))
-    per_state = np.empty(basis.eigenvectors.shape[1])
-    for start, rhos in _reduced_states(basis.eigenvectors, n, l, _trailing(n, l)):
-        per_state[start:start + len(rhos)] = _purity(rhos)
-    claimed = basis.momenta is not None and 2 * l < n
-    # pairwise summation via np.mean keeps the reduction deterministic
-    return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
-
-
 def sector_purities(h, ls):
     """Eigenvalues and mean purities of sites 1..l, for each l in ``ls``, of the eigenbasis of H.
 
     ``ls`` must hold distinct sizes in 1..n-1 (``ValueError`` before any
-    solve). A translation-invariant H is taken one momentum sector
-    of :func:`symmetry.sector_eigensystems` at a time, and each sector
-    :func:`_chunk_width` eigenvectors at a time: a chunk is lifted by the
-    sector's gather map straight into a (c, 2^n) array of states, conjugated
-    once, its checked purities are taken for every l, and it is dropped, so
-    no 2^n x 2^n or 2^n x dim_k array is formed. The purities are put in
-    the global state order of :func:`symmetry.sorted_spectrum` and averaged
-    over it, so every value equals :func:`average_purity` of the full lifted
-    eigenbasis. Any other H takes one dense ``eigh`` and
-    :func:`average_purity`, with no momenta and so no bound claimed.
+    solve). A translation-invariant H is solved one momentum sector
+    (:func:`symmetry.sector_eigensystems`) at a time, whose eigenvectors go
+    through the purity loop by the sector's gather map and are dropped before
+    the next sector: no 2^n x 2^n or 2^n x dim_k array is formed. The
+    purities are averaged in the state order of :func:`symmetry.sorted_spectrum`.
+    Any other H takes one dense ``eigh``, with no momenta and no bound claimed.
 
     Returns an :class:`EigenDecomposition` without eigenvectors (its
     ``residual`` is the largest eigen residual) and a dict mapping each l
@@ -195,34 +247,25 @@ def sector_purities(h, ls):
         raise ValueError(f"block sizes {list(ls)} must be distinct and in 1..{n - 1}")
     if translation_defect(h) > COMMUTATION_TOL:
         e = diagonalize_dense(h)
-        return EigenDecomposition(e.eigenvalues, None, e.residual), {l: average_purity(e, l) for l in ls}
-    solved, residual, first = [], 0.0, 0
-    per_state = {l: np.empty(1 << n) for l in ls}
-    width = _chunk_width(n)
-    for sector, vals, vecs, res in sector_eigensystems(h):
-        src, amps = sector.gather_map()
-        # one eigenvector per row, then the zero entry that src points at outside the sector
-        padded = np.zeros((sector.dim, sector.dim + 1), dtype=complex)
-        padded[:, :-1] = vecs.T
-        for start in range(0, sector.dim, width):
-            states = padded[start:start + width].take(src, axis=1)
-            # amplitudes first, as in the scatter lift: swapped operands round differently
-            np.multiply(amps, states, out=states)
-            conj = states.conj()
-            at = first + start
-            for l, out in per_state.items():
-                out[at:at + len(states)] = _purity(_checked_rhos(states, conj, n, l, at, _trailing(n, l)))
-            del states, conj  # before the next chunk is gathered
-        del vecs, padded  # before the next sector's block is built
-        first += sector.dim
-        solved.append((sector, vals))
-        residual = max(residual, res)
-    vals, ks, order = sorted_spectrum(solved)
+        per_state = _purities(_lifted_chunks(e.eigenvectors, n), n, ls)
+        results = {l: AveragePurityResult(float(np.mean(p)), p, l, n, False) for l, p in per_state.items()}
+        return EigenDecomposition(e.eigenvalues, None, e.residual), results
+    solved = []
+
+    def chunks():
+        for sector, vals, vecs, res in sector_eigensystems(h):
+            solved.append((sector, vals, res))
+            yield from _lifted_chunks(vecs, n, sector.gather_map())
+            del vecs  # before the next sector's block is built
+
+    per_state = _purities(chunks(), n, ls)
+    vals, ks, order = sorted_spectrum([(sector, v) for sector, v, _ in solved])
     results = {}
-    for l, out in per_state.items():
-        out = out[order]
-        results[l] = AveragePurityResult(float(np.mean(out)), out, l, n, 2 * l < n)
-    return EigenDecomposition(vals, None, residual, ks), results
+    for l, p in per_state.items():
+        p = p[order]
+        # pairwise summation via np.mean keeps the reduction deterministic
+        results[l] = AveragePurityResult(float(np.mean(p)), p, l, n, 2 * l < n)
+    return EigenDecomposition(vals, None, max(r for *_, r in solved), ks), results
 
 
 @dataclass(frozen=True)
@@ -280,13 +323,13 @@ def pair_only_checks(e, l):
     gap = min_gap(e.eigenvalues)
     degenerate = gap < GAP_RTOL * (e.eigenvalues[-1] - e.eigenvalues[0])
 
-    purities = np.empty(e.eigenvectors.shape[1])
     # index tuples of shape (4,)*l with an odd number of non-identity codes
     odd = np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1
-    max_odd = 0.0
-    for start, rhos in _reduced_states(e.eigenvectors, n, l):
-        purities[start:start + len(rhos)] = _purity(rhos)
-        max_odd = max(max_odd, float(np.max(np.abs(_pauli_stack(rhos, l)[:, odd]))))
+    parts, max_odd = [], 0.0
+    for rhos in _rho_buffers(_lifted_chunks(e.eigenvectors, n), n, {l: False}):
+        parts.append(_purity(rhos[l]))
+        max_odd = max(max_odd, float(np.max(np.abs(_pauli_stack(rhos[l], l)[:, odd]))))
+    purities = np.concatenate(parts)
     max_dev = float(np.max(np.abs(purities - 0.5))) if l == 1 else None
 
     return PairOnlyReport(l, degenerate, gap, purities, max_dev, max_odd)

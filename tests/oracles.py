@@ -12,6 +12,9 @@ No CLI path runs any of these; each is the slow, direct form of one path:
   and ``entanglement.sector_purities``; :func:`full_space_residual` holds
   the lifted columns against dense H and T, since they come from
   ``symmetry.sector_eigensystems`` itself;
+* :func:`average_purity` takes the mean purity of a full eigenbasis, such
+  as the lifted one, through the library's purity loop with the identity
+  map, the oracle of the sector stream of ``entanglement.sector_purities``;
 * :func:`reduce_contiguous` and :func:`pauli_coefficients` give one state's
   reduced density matrix and Pauli coefficients, the per-state oracle of
   the batched reduced states;
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinchain.dos import normal_cdf
-from spinchain.entanglement import _pauli_stack, _reduced_states
+from spinchain.entanglement import AveragePurityResult, _lifted_chunks, _pauli_stack, _purities, _rho_buffers
 from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
@@ -150,10 +153,30 @@ def full_space_residual(h, e):
     return max(float(np.max(np.linalg.norm(r, axis=0))) for r in (res_h, res_t))
 
 
+def average_purity(basis, l, ls=None):
+    """Mean purity of sites 1..l over every column of an eigenbasis, as an ``AveragePurityResult``.
+
+    The columns go through the library's purity loop with the identity map,
+    with the block sizes ``ls`` (default ``(l,)``) read in one pass, as
+    ``entanglement.sector_purities`` reads them: a smaller block's rho is a
+    partial trace of the largest one on its side, so a per-state value
+    equals the library's bit for bit only for the same ``ls``. The
+    theorem-backed bound ``2^-l <= mean <= 2^-l + 2^l/n`` is only claimed for
+    joint (H, T) eigenbases with ``2l < n``; results from other bases are
+    flagged ``bound_claimed=False`` rather than rejected.
+    """
+    if basis.eigenvectors is None:
+        raise ValueError("eigenvectors are required")
+    n = int(np.log2(basis.eigenvectors.shape[0]))
+    per_state = _purities(_lifted_chunks(basis.eigenvectors, n), n, (l,) if ls is None else ls)[l]
+    claimed = basis.momenta is not None and 2 * l < n
+    return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
+
+
 def reduce_contiguous(v, l):
     """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
-    _, rhos = next(_reduced_states(v.amplitudes[:, None], v.n, l))
-    return rhos[0]
+    rhos = next(_rho_buffers(_lifted_chunks(v.amplitudes[:, None], v.n), v.n, {l: False}))
+    return rhos[l][0].copy()
 
 
 def pauli_coefficients(v, l):

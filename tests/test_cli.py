@@ -161,6 +161,27 @@ def test_ba_moments_ising_special_case(tmp_path):
     assert abs(payload["finite_n"][0]["m2"] - 1.0) < 1e-10
 
 
+def test_ba_moments_m2_identity_is_checked_relative_to_the_variance(tmp_path, monkeypatch):
+    """A large field passes its true m2 = variance; a wrong m2 still exits 1."""
+    from spinchain import dos
+
+    argv = ["ba-moments", "--n", "6", "--alpha1", "1e4", "--alpha3", "0"]
+    code, out = run(tmp_path, "large.json", argv)
+    payload = json.loads(out.read_text())
+    assert code == 0 and payload["variance"] == 100000001.0
+    extensive = dos.extensive_moments
+
+    def wrong_m2(build, ns):
+        ms = [np.array(m, dtype=float) for m in extensive(build, ns)]
+        for m in ms:
+            m[1] *= 1 + 1e-9
+        return ms
+
+    monkeypatch.setattr(dos, "extensive_moments", wrong_m2)
+    assert run(tmp_path, "wrong.json", argv)[0] == 1
+    assert run(tmp_path, "wrong_small.json", ["ba-moments", "--n", "6", "--alpha1", "0.5"])[0] == 1
+
+
 def test_ba_moments_solves_nothing_above_n0(tmp_path, monkeypatch):
     """Sizes above SECTOR_CAP take their moments from the per-site cumulants: no orbit table above n = 10.
 
@@ -491,10 +512,9 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
     """Every CSV row and theorem1 line equals the text built from the lifted joint eigenbasis."""
-    from spinchain.entanglement import average_purity
     from spinchain.hamiltonians import sample_random
 
-    from oracles import full_space_residual, joint_eigenbasis_lifted
+    from oracles import average_purity, full_space_residual, joint_eigenbasis_lifted
 
     n, ls, samples = 8, (1, 2, 3), 2
     argv = ["purity-sweep", "--model", "invariant", "--n", str(n), "--samples", str(samples),
@@ -509,7 +529,7 @@ def test_purity_sweep_matches_lifted_eigenbasis(tmp_path):
         e = joint_eigenbasis_lifted(h)
         assert full_space_residual(h, e) < 1e-10
         for l in ls:
-            res = average_purity(e, l)
+            res = average_purity(e, l, ls)
             ent = 1.0 - res.per_state
             rank_sums[l] += ent
             verdicts.append(

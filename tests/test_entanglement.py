@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spinchain import entanglement
 from spinchain.entanglement import (
-    average_purity,
     build_M,
     epsilon_fraction,
     pair_only_checks,
@@ -29,6 +28,7 @@ from spinchain.symmetry import MomentumSector, build_momentum_basis, joint_eigen
 from oracles import (
     StateVector,
     apply_sum,
+    average_purity,
     full_space_residual,
     joint_eigenbasis_lifted,
     pauli_coefficients,
@@ -324,7 +324,7 @@ def test_sector_purities_equal_lifted_eigenbasis(n):
         assert np.array_equal(spectrum.momenta, lifted.momenta)
         assert spectrum.residual == lifted.residual < 1e-10
         for l in (1, 2, 3):
-            want = average_purity(lifted, l)
+            want = average_purity(lifted, l, (1, 2, 3))
             got = results[l]
             assert np.array_equal(got.per_state, want.per_state)
             assert got.mean == want.mean
@@ -371,7 +371,7 @@ def test_sector_purities_of_non_invariant_ring_are_the_dense_ones(model):
     assert spectrum.momenta is None and spectrum.eigenvectors is None
     assert spectrum.residual == dense.residual
     for l in (1, 2, 3):
-        want = average_purity(dense, l)
+        want = average_purity(dense, l, (1, 2, 3))
         assert np.array_equal(results[l].per_state, want.per_state)
         assert results[l].mean == want.mean
         assert not results[l].bound_claimed
@@ -390,50 +390,86 @@ def test_sector_purities_refuse_bad_block_sizes_before_solving(monkeypatch, ls):
 
 
 def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
-    """No 2^n x 2^n array: no dense H, one gather map per sector, each chunk of states within the byte budget."""
+    """No 2^n x 2^n array: no dense H, one gather map per sector, one Gram product per chunk and side.
+
+    Every chunk of states and every buffer of reduced states is within the
+    byte budget; buffers run on across chunks and sectors, and each is
+    checked once, whatever ``len(ls)`` is.
+    """
     n = 9
     budget = 8 << (n + 4)  # 8 states per chunk
-    maps, chunks = [], []
+    maps, grams, checks = [], [], []
     gather_map = MomentumSector.gather_map
-    checked_rhos = entanglement._checked_rhos
+    gram = entanglement._gram
+    check_rhos = entanglement._check_rhos
 
     def recording_map(self):
         maps.append(self.k)
         return gather_map(self)
 
-    def recording_rhos(states, conj, n, l, first, *trailing):
-        chunks.append((l, first, len(states), states.nbytes))
-        return checked_rhos(states, conj, n, l, first, *trailing)
+    def recording_gram(states, conj, n, l, trailing):
+        grams.append((trailing, l, len(states), states.nbytes))
+        return gram(states, conj, n, l, trailing)
+
+    def recording_check(rhos, sites, first):
+        checks.append((first, len(rhos), rhos.nbytes))
+        return check_rhos(rhos, sites, first)
 
     def refuse(*args, **kwargs):
         raise AssertionError("full-space operator built")
 
     monkeypatch.setattr(entanglement, "CHUNK_BYTES", budget)
     monkeypatch.setattr(MomentumSector, "gather_map", recording_map)
-    monkeypatch.setattr(entanglement, "_checked_rhos", recording_rhos)
+    monkeypatch.setattr(entanglement, "_gram", recording_gram)
+    monkeypatch.setattr(entanglement, "_check_rhos", recording_check)
     monkeypatch.setattr(OperatorSum, "to_dense", refuse)
-    _, results = sector_purities(sample_random("invariant", n, 1), (1, 2))
-    assert maps == list(range(n))
-    for l in (1, 2):
-        sizes = [size for ll, _, size, _ in chunks if ll == l]
-        assert [first for ll, first, _, _ in chunks if ll == l] == list(np.cumsum([0] + sizes[:-1]))
-        assert sum(sizes) == 1 << n
-    assert max(nbytes for *_, nbytes in chunks) <= budget
-    assert results[2].bound_holds()
+    h = sample_random("invariant", n, 1)
+    chunks = [min(8, s.dim - start) for s in build_momentum_basis(n) for start in range(0, s.dim, 8)]
+    for ls in ((2,), (1, 2), (1, 2, 3, 6, 7, 8)):
+        for recorded in (maps, grams, checks):
+            recorded.clear()
+        _, results = sector_purities(h, ls)
+        assert maps == list(range(n))
+        for trailing in (False, True):
+            side = [l for l in ls if (2 * l > n) == trailing]
+            calls = [call for call in grams if call[0] == trailing]
+            # the largest block of the side: sites 1..max, or sites min+1..n
+            largest = (min(side) if trailing else max(side)) if side else None
+            assert [(l, size) for _, l, size, _ in calls] == [(largest, size) for size in chunks if side]
+            assert all(nbytes <= budget for *_, nbytes in calls)
+        firsts = sorted({first for first, _, _ in checks})
+        sizes = [next(size for first, size, _ in checks if first == f) for f in firsts]
+        assert len(checks) == len(firsts) * len(ls)
+        assert firsts == list(np.cumsum([0] + sizes[:-1])) and sum(sizes) == 1 << n
+        per_state = sum(16 << 2 * min(l, n - l) for l in ls)
+        assert len(set(sizes[:-1])) <= 1 and sizes[0] == min(budget // per_state, 1 << n)
+        for f in firsts:
+            assert sum(nbytes for first, _, nbytes in checks if first == f) <= budget
+        assert any(size > max(chunks) for size in sizes)  # a buffer spans chunks
+        assert results[2].bound_holds()
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_sector_purities_do_not_depend_on_the_chunk_size(monkeypatch, n):
-    """One state per chunk and one whole sector per chunk give the same purities bit for bit."""
+    """Chunks and buffers of any size give the same purities bit for bit.
+
+    The budgets give chunks of one state and buffers of a few, buffers of
+    one state, buffers of half a sector, chunks of a whole sector, and
+    whole-sector chunks into one buffer of the whole spectrum; every buffer
+    above half a sector spans sectors.
+    """
     h = sample_random("invariant", n, 5)
     largest = max(s.dim for s in build_momentum_basis(n))
-    per_state = []
-    for budget in (16 << n, largest << (n + 4)):
+    per_state = 16 * (4 + 16 + 64)  # the rho of sites 1..1, 1..2 and 1..3
+    per_state_runs = []
+    whole = max(per_state << n, largest << (n + 4))
+    for budget in (16 << n, per_state, per_state * (largest // 2), largest << (n + 4), whole):
         monkeypatch.setattr(entanglement, "CHUNK_BYTES", budget)
-        per_state.append(sector_purities(h, (1, 2, 3))[1])
-    assert entanglement._chunk_width(n) == largest
+        per_state_runs.append(sector_purities(h, (1, 2, 3))[1])
+    assert whole >> (n + 4) >= largest  # whole sectors per chunk
     for l in (1, 2, 3):
-        assert np.array_equal(per_state[0][l].per_state, per_state[1][l].per_state)
+        for run in per_state_runs[1:]:
+            assert np.array_equal(per_state_runs[0][l].per_state, run[l].per_state)
 
 
 def test_sector_purities_peak_below_one_sector_lift():
@@ -449,3 +485,72 @@ def test_sector_purities_peak_below_one_sector_lift():
         tracemalloc.stop()
     assert results[1].bound_holds()
     assert peak < block, (peak, block)
+
+
+def _eigenvalue_check(rhos, sites, first):
+    """The three rho checks with an eigenvalue test for positivity and no Cholesky gate."""
+    for name, dev in (
+        ("trace", np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)),
+        ("Hermitian", np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))),
+        ("positivity", -np.linalg.eigvalsh(rhos)[:, 0]),
+    ):
+        bad = np.flatnonzero(~(dev <= entanglement.RDM_TOL))
+        if len(bad):
+            raise RuntimeError(
+                f"reduced density matrix of sites {sites} of state {first + bad[0]} fails its "
+                f"{name} check: deviation {dev[bad[0]]:.3g} > {entanglement.RDM_TOL}"
+            )
+
+
+def _verdict(check, rhos):
+    try:
+        check(rhos, "1..2", 5)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+_TOL = entanglement.RDM_TOL
+#: smallest eigenvalues on a grid over [-3 RDM_TOL, RDM_TOL] and close to ±RDM_TOL/2
+_LOWEST = [k * _TOL / 8 for k in range(-24, 9)] + [
+    sign * _TOL / 2 * (1 + rel) for sign in (1, -1) for rel in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3)
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 4, 8]),
+    lowest=st.lists(st.one_of(st.floats(-3 * _TOL, _TOL), st.sampled_from(_LOWEST)), min_size=1, max_size=4),
+)
+def test_cholesky_gate_decides_as_the_eigenvalues(seed, d, lowest):
+    """The gated positivity check accepts and refuses exactly the stacks the eigenvalue test does.
+
+    Each rho is ``U diag(lambda) U^H`` with a random unitary U, unit trace
+    and its smallest eigenvalue placed in [-3 RDM_TOL, RDM_TOL] or close to
+    ±RDM_TOL/2, where the Cholesky factor of ``rho + (RDM_TOL/2) I`` may or
+    may not exist. A refusal names the same first state and deviation.
+    """
+    rng = np.random.default_rng(seed)
+    rhos = []
+    for lam_min in lowest:
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rest = rng.uniform(0.1, 1.0, d - 1)
+        lam = np.concatenate([[lam_min], (1.0 - lam_min) * rest / rest.sum()])
+        rhos.append((u * lam) @ u.conj().T)
+    rhos = np.array(rhos)
+    assert _verdict(entanglement._check_rhos, rhos) == _verdict(_eigenvalue_check, rhos)
+
+
+def test_cholesky_gate_sees_both_sides_and_leaves_nan_to_the_trace_check():
+    """A refused and an accepted stack behind the gate, and a NaN rho, which fails the trace check first."""
+    u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    ok = (u * [0.5, 0.3, 0.2, 0.0]) @ u.T
+    slightly = (u * [0.5, 0.3, 0.2 + 0.75 * _TOL, -0.75 * _TOL]) @ u.T
+    negative = (u * [0.5, 0.3, 0.2 + 2 * _TOL, -2 * _TOL]) @ u.T
+    assert _verdict(entanglement._check_rhos, np.array([ok, slightly, ok])) is None
+    message = _verdict(entanglement._check_rhos, np.array([ok, slightly, negative, negative]))
+    assert message.startswith("reduced density matrix of sites 1..2 of state 7 fails its positivity check")
+    assert message == _verdict(_eigenvalue_check, np.array([ok, slightly, negative, negative]))
+    nan = np.full((4, 4), np.nan)
+    message = _verdict(entanglement._check_rhos, np.array([ok, ok, nan, negative]))
+    assert message == "reduced density matrix of sites 1..2 of state 7 fails its trace check: deviation nan > 1e-10"

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchain.entanglement import average_purity
 from spinchain.hamiltonians import (
     ChainCoefficients,
     OperatorSum,
@@ -30,7 +29,7 @@ from spinchain.symmetry import (
     translation_permutation,
 )
 
-from oracles import dense_basis, full_space_residual, joint_eigenbasis_lifted, lift
+from oracles import average_purity, dense_basis, full_space_residual, joint_eigenbasis_lifted, lift
 
 
 def translate_index(b, n):
