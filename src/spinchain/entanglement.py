@@ -87,9 +87,11 @@ def _chunk_rhos(states, n, sides):
             for _ in range(abs(l - at)):
                 c, d = len(rho), rho.shape[1] // 2
                 if trailing:  # trace out the block's first site
-                    rho = rho.reshape(c, 2, d, 2, d).trace(axis1=1, axis2=3)
+                    r = rho.reshape(c, 2, d, 2, d)
+                    rho = r[:, 0, :, 0] + r[:, 1, :, 1]
                 else:  # its last site
-                    rho = rho.reshape(c, d, 2, d, 2).trace(axis1=2, axis2=4)
+                    r = rho.reshape(c, d, 2, d, 2)
+                    rho = r[:, :, 0, :, 0] + r[:, :, 1, :, 1]
             rhos[l], at = rho, l
     return rhos
 
