@@ -10,11 +10,9 @@ from .pauli import (
 )
 from .hamiltonians import (
     ChainCoefficients,
-    InteractionGraph,
     OperatorSum,
     build_ba,
     build_exyz,
-    build_general,
     build_invariant,
     build_nn_chain,
     build_pair_only,

@@ -336,13 +336,6 @@ class BlockLinkSplit:
     l: int
     k_count: int
 
-    @property
-    def block_sum(self):
-        total = OperatorSum.zero(self.links.n)
-        for b in self.blocks:
-            total = total + b
-        return total
-
 
 def _bond_of_term(n, string):
     """Ring bond index 1..n of a nearest-neighbour term.

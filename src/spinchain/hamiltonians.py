@@ -139,17 +139,6 @@ class OperatorSum:
                 diag += (phase.real if real else phase) * _z_signs(idx, int(z))
             yield x, diag
 
-    def apply_matrix(self, mat):
-        """Matrix-free action on the columns of a (2^n, m) array."""
-        dim = 1 << self.n
-        if mat.shape[0] != dim:
-            raise DimensionMismatchError(f"expected leading dimension {dim}")
-        idx = np.arange(dim)
-        out = np.zeros(mat.shape, dtype=complex)
-        for x, diag in self.x_groups(idx):
-            out[idx ^ x] += diag[:, None] * mat
-        return out
-
     def to_dense(self):
         """Dense Hermitian matrix; real-valued unless a term has an odd number of Y factors."""
         if self.n > DENSE_CAP:
@@ -186,19 +175,11 @@ class OperatorSum:
 
 
 def hs_inner(a, b):
-    """Scaled Hilbert-Schmidt inner product for sums and/or Pauli strings.
+    """Scaled Hilbert-Schmidt inner product ``(1/2^n) Tr(A B^dagger)`` of two operator sums.
 
     For canonically stored sums this is the Parseval sum over matching
     strings of products of coefficients.
     """
-    from . import pauli
-
-    if not isinstance(a, OperatorSum) and not isinstance(b, OperatorSum):
-        return pauli.hs_inner(a, b)
-    if isinstance(a, PauliString):
-        a = OperatorSum.from_terms(a.n, [(1.0, a)])
-    if isinstance(b, PauliString):
-        b = OperatorSum.from_terms(b.n, [(1.0, b)])
     if a.n != b.n:
         raise DimensionMismatchError(f"site counts differ: {a.n} != {b.n}")
     keys_a = {(int(x), int(z)): c for x, z, c in zip(a.xs, a.zs, a.coeffs)}
@@ -234,43 +215,6 @@ class ChainCoefficients:
     def invariant(cls, alpha12, n):
         alpha12 = np.asarray(alpha12, dtype=float).reshape(4, 3)
         return cls(n, np.broadcast_to(alpha12, (n, 4, 3)).copy())
-
-
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Arbitrary two-body interaction geometry plus local fields.
-
-    ``edges`` maps site pairs ``(j, k)`` with ``j < k`` to 3x3 coupling
-    arrays ``alpha[a-1, b-1]``; ``local_fields`` has shape (n, 3).
-    """
-
-    n: int
-    edges: tuple
-    local_fields: np.ndarray
-
-    def __post_init__(self):
-        fields = np.asarray(self.local_fields, dtype=float)
-        if fields.shape != (self.n, 3):
-            raise ValueError(f"expected local fields shape {(self.n, 3)}")
-        seen = set()
-        norm_edges = []
-        for j, k, alpha in self.edges:
-            if not (1 <= j < k <= self.n):
-                raise ValueError(f"invalid edge ({j}, {k}) for n={self.n}")
-            if (j, k) in seen:
-                raise ValueError(f"duplicate edge ({j}, {k})")
-            seen.add((j, k))
-            alpha = np.asarray(alpha, dtype=float)
-            if alpha.shape != (3, 3):
-                raise ValueError("edge couplings must be 3x3")
-            norm_edges.append((j, k, alpha))
-        object.__setattr__(self, "edges", tuple(norm_edges))
-        object.__setattr__(self, "local_fields", fields)
-
-    @classmethod
-    def random(cls, n, edge_list, rng):
-        edges = tuple((j, k, rng.standard_normal((3, 3))) for j, k in edge_list)
-        return cls(n, edges, rng.standard_normal((n, 3)))
 
 
 def _check_ring_n(n):
@@ -324,29 +268,6 @@ def build_pair_only(c):
     return OperatorSum.from_terms(n, terms)
 
 
-def build_general(g):
-    """Graph Hamiltonian: two-body edge terms plus local fields, 1/sqrt(n) prefactor.
-
-    The nearest-neighbour ring is the special case of ring edges plus
-    matching fields.
-    """
-    n = g.n
-    pref = 1.0 / np.sqrt(n)
-    terms = []
-    for j, k, alpha in g.edges:
-        for a in range(1, 4):
-            for b in range(1, 4):
-                coeff = alpha[a - 1, b - 1]
-                if coeff != 0.0:
-                    terms.append((pref * coeff, PauliString.from_sites(n, {j: a, k: b})))
-    for j in range(1, n + 1):
-        for a in range(1, 4):
-            coeff = g.local_fields[j - 1, a - 1]
-            if coeff != 0.0:
-                terms.append((pref * coeff, PauliString.from_sites(n, {j: a})))
-    return OperatorSum.from_terms(n, terms)
-
-
 def build_ba(alpha1, alpha3, n):
     """Ising ring with transverse and longitudinal fields, 1/sqrt(n) prefactor."""
     _check_ring_n(n)
@@ -395,8 +316,7 @@ def sample_random(kind, n, seed, normalize_output=False):
 
     The generator is numpy's ``default_rng`` (PCG64) seeded with ``seed``;
     identical seeds give identical term lists.  ``kind`` is one of
-    ``nn | invariant | pair_only | general`` (``general`` samples a ring
-    graph with fields, as the simplest valid geometry).
+    ``nn | invariant | pair_only``.
     """
     rng = np.random.default_rng(seed)
     if kind == "nn":
@@ -405,10 +325,6 @@ def sample_random(kind, n, seed, normalize_output=False):
         h = build_invariant(rng.standard_normal((4, 3)), n)
     elif kind == "pair_only":
         h = build_pair_only(ChainCoefficients.random(n, rng, pair_only=True))
-    elif kind == "general":
-        edge_list = [(j, j % n + 1) if j < n else (1, n) for j in range(1, n + 1)]
-        edge_list = sorted({(min(j, k), max(j, k)) for j, k in edge_list})
-        h = build_general(InteractionGraph.random(n, edge_list, rng))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return normalize(h) if normalize_output else h

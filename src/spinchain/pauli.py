@@ -1,4 +1,4 @@
-"""Bit-mask Pauli strings, their group algebra and the scaled Hilbert-Schmidt inner product.
+"""Bit-mask Pauli strings and their group algebra.
 
 Conventions used throughout the library:
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _CODE_TO_CHAR = "IXYZ"
-_CHAR_TO_CODE = {c: a for a, c in enumerate(_CODE_TO_CHAR)}
 #: (x_bit, z_bit) per Pauli code 0..3
 _CODE_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -49,32 +48,6 @@ class PauliString:
         full = (1 << self.n) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask uses bits beyond the low n bits")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, 0, 0)
-
-    @classmethod
-    def from_codes(cls, codes):
-        """Build from a sequence of site codes, ``codes[0]`` being site 1."""
-        n = len(codes)
-        x = z = 0
-        for code in codes:
-            xb, zb = _CODE_BITS[code]
-            x = (x << 1) | xb
-            z = (z << 1) | zb
-        return cls(n, x, z)
-
-    @classmethod
-    def from_label(cls, label):
-        """Parse a textual literal like ``"XZIIY"``."""
-        try:
-            codes = [_CHAR_TO_CODE[c] for c in label]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli character {exc.args[0]!r}") from exc
-        if not codes:
-            raise ValueError("empty Pauli label")
-        return cls.from_codes(codes)
 
     @classmethod
     def single(cls, n, site, code):
@@ -111,28 +84,6 @@ class PauliString:
     def label(self):
         return "".join(_CODE_TO_CHAR[a] for a in self.codes)
 
-    @property
-    def weight(self):
-        """Number of non-identity sites."""
-        return int(self.x_mask | self.z_mask).bit_count()
-
-    @property
-    def y_count(self):
-        return int(self.x_mask & self.z_mask).bit_count()
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def to_dense(self):
-        """Dense 2^n x 2^n matrix (small n only; used by tests and oracles)."""
-        dim = 1 << self.n
-        idx = np.arange(dim)
-        rows = idx ^ self.x_mask
-        vals = (1j ** self.y_count) * _z_signs(idx, self.z_mask)
-        m = np.zeros((dim, dim), dtype=complex)
-        m[rows, idx] = vals
-        return m
-
 
 @dataclass(frozen=True)
 class PhasedString:
@@ -150,13 +101,6 @@ class PhasedString:
     @property
     def phase(self):
         return _PHASE_VALUES[self.phase_power]
-
-    @property
-    def n(self):
-        return self.string.n
-
-    def to_dense(self):
-        return self.phase * self.string.to_dense()
 
 
 def multiply(a, b):
@@ -180,19 +124,3 @@ def multiply(a, b):
 def _z_signs(indices, z_mask):
     """(-1)^popcount(index & z_mask) as a float array."""
     return 1.0 - 2.0 * (np.bitwise_count(indices & z_mask) & 1)
-
-
-def hs_inner(a, b):
-    """Scaled Hilbert-Schmidt inner product ``(1/2^n) Tr(A B^dagger)``.
-
-    Accepts plain or phased Pauli strings; operator sums are handled by
-    :func:`spinchain.hamiltonians.hs_inner`, which delegates here.
-    """
-    if isinstance(a, PauliString):
-        a = PhasedString(0, a)
-    if isinstance(b, PauliString):
-        b = PhasedString(0, b)
-    _check_same_n(a.string, b.string)
-    if (a.string.x_mask, a.string.z_mask) != (b.string.x_mask, b.string.z_mask):
-        return 0j
-    return complex(a.phase * np.conj(b.phase))

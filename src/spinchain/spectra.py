@@ -73,9 +73,9 @@ def min_gap(vals):
 def commutator_norm(a, b):
     """Frobenius norm of ``AB - BA`` scaled by ``2^{-n/2}``.
 
-    ``b`` may be an :class:`OperatorSum`, a dense matrix, or a basis
-    permutation given as an index array ``perm`` (``B|i> = |perm[i]>``),
-    as produced by :func:`spinchain.symmetry.translation_permutation`.
+    ``b`` is an :class:`OperatorSum` or a basis permutation given as an
+    index array ``perm`` (``B|i> = |perm[i]>``), as produced by
+    :func:`spinchain.symmetry.translation_permutation`.
     """
     da = a.to_dense()
     if isinstance(b, OperatorSum):
@@ -83,15 +83,14 @@ def commutator_norm(a, b):
             raise ValueError("site counts differ")
         db = b.to_dense()
         comm = da @ db - db @ da
-    elif isinstance(b, np.ndarray) and b.ndim == 1:
+    else:
         # B|i> = |perm[i]>: (AB)[i,j] = A[i, perm[j]], (BA)[i,j] = A[inv[i], j]
-        perm = b.astype(np.intp)
+        perm = np.asarray(b, dtype=np.intp)
+        if perm.shape != (len(da),):
+            raise ValueError(f"expected an OperatorSum or a permutation of {len(da)} basis indices")
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm))
         comm = da[:, perm] - da[inv, :]
-    else:
-        db = np.asarray(b)
-        comm = da @ db - db @ da
     return float(np.linalg.norm(comm) / 2 ** (a.n / 2))
 
 

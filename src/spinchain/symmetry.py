@@ -107,10 +107,6 @@ class MomentumSector:
     reps: np.ndarray
 
     @property
-    def n(self):
-        return self.table.n
-
-    @property
     def dim(self):
         return len(self.reps)
 

@@ -2,6 +2,9 @@
 
 No CLI path runs any of these; each is the slow, direct form of one path:
 
+* :func:`from_codes` and :func:`from_label` spell Pauli strings site by
+  site, and :func:`pauli_to_dense` forms the 2^n x 2^n matrix of one string,
+  the oracle of ``pauli.multiply`` and of ``OperatorSum.to_dense``;
 * :class:`StateVector`, :func:`apply`, :func:`expectation` and
   :func:`apply_sum` act with one Pauli string at a time, the per-string
   oracle of ``OperatorSum.x_groups``;
@@ -37,6 +40,31 @@ from spinchain.hamiltonians import build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
 from spinchain.symmetry import _roots_of_unity, sector_eigensystems, sorted_spectrum, translation_permutation
+
+
+def from_codes(codes):
+    """The Pauli string with site codes ``codes`` (0..3 for I, X, Y, Z), ``codes[0]`` being site 1."""
+    return PauliString.from_sites(len(codes), {j: int(c) for j, c in enumerate(codes, start=1)})
+
+
+def from_label(label):
+    """Parse a textual literal like ``"XZIIY"``."""
+    if not label or set(label) - set("IXYZ"):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    return from_codes(["IXYZ".index(c) for c in label])
+
+
+def y_count(s):
+    """Number of sites of a Pauli string that carry Y."""
+    return int(s.x_mask & s.z_mask).bit_count()
+
+
+def pauli_to_dense(s):
+    """Dense 2^n x 2^n matrix of a Pauli string: one ``i^{y_count} (-1)^{|b & z|}`` per column b."""
+    idx = np.arange(1 << s.n)
+    m = np.zeros((1 << s.n, 1 << s.n), dtype=complex)
+    m[idx ^ s.x_mask, idx] = (1j ** y_count(s)) * (1.0 - 2.0 * (np.bitwise_count(idx & s.z_mask) & 1))
+    return m
 
 
 @dataclass(frozen=True)
@@ -79,7 +107,7 @@ def apply(p, v):
     idx = np.arange(1 << v.n)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & s.z_mask) & 1)
     out = np.empty_like(v.amplitudes)
-    out[idx ^ s.x_mask] = 1j ** ((p.phase_power + s.y_count) % 4) * signs * v.amplitudes
+    out[idx ^ s.x_mask] = 1j ** ((p.phase_power + y_count(s)) % 4) * signs * v.amplitudes
     return StateVector(v.n, out)
 
 

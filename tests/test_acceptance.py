@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from spinchain.dos import (
     EmpiricalDistribution,
@@ -136,7 +135,6 @@ def test_criterion_5_density_of_states_trend():
         "nn": sample_random("nn", 10, 0, normalize_output=True),
         "invariant": sample_random("invariant", 10, 0, normalize_output=True),
         "pair_only": sample_random("pair_only", 10, 0, normalize_output=True),
-        "general": sample_random("general", 10, 0, normalize_output=True),
         "ba": normalize(build_ba(0.5, 0.5, 10)),
         "exyz": normalize(build_exyz(0.5, 10)),
     }

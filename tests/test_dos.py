@@ -9,7 +9,6 @@ from scipy.special import ndtr
 from spinchain.dos import (
     KS_SLACK,
     MAX_MOMENT,
-    BlockLinkSplit,
     EmpiricalDistribution,
     KSResult,
     ba_prediction,
@@ -26,12 +25,11 @@ from spinchain.dos import (
 from spinchain import dos, free_fermion
 from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
-    InteractionGraph,
+    ChainCoefficients,
     OperatorSum,
     build_ba,
     build_exyz,
-    build_general,
-    hs_inner,
+    build_nn_chain,
     normalize,
     sample_random,
 )
@@ -411,7 +409,7 @@ def test_moments_refuse_overflowed_power_sums():
 
 
 def test_moments_normalized_builders_unit_second_moment():
-    for kind in ("nn", "invariant", "pair_only", "general"):
+    for kind in ("nn", "invariant", "pair_only"):
         h = sample_random(kind, 8, 0, normalize_output=True)
         e = diagonalize_dense(h, want_vectors=False)
         m = moments(EmpiricalDistribution.from_values(e.eigenvalues), 2)
@@ -448,13 +446,6 @@ def test_blocks_commute_pairwise():
             assert commutator_norm(split.blocks[i], split.blocks[j]) < 1e-12
 
 
-def test_split_reassembles_exactly():
-    h = sample_random("nn", 7, 3)
-    split = block_link_split(h, 3)
-    diff = h - (split.block_sum + split.links)
-    assert diff.num_terms == 0
-
-
 @given(nl=st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
        seed=st.integers(0, 2**32 - 1))
 def test_split_reassembles_random_rings_term_for_term(nl, seed):
@@ -475,12 +466,19 @@ def test_clt_rows_t_zero_and_positive():
         assert row.passes()
 
 
+def open_chain(n, seed):
+    """A normalized random nn ring whose wrap bond (n, 1) and single-site (a=0) terms are zero: a chain of two-site terms."""
+    c = ChainCoefficients.random(n, np.random.default_rng(seed))
+    c.alpha[n - 1] = 0.0
+    c.alpha[:, 0, :] = 0.0
+    return normalize(build_nn_chain(c))
+
+
 def test_clt_single_block_open_chain():
     """An open chain inside one block has L = 0, so lhs vanishes for all t."""
     n = 5
-    g = InteractionGraph.random(n, [(j, j + 1) for j in range(1, n)], np.random.default_rng(4))
-    g = InteractionGraph(n, g.edges, np.zeros((n, 3)))
-    h = normalize(build_general(g))
+    h = open_chain(n, 4)
+    assert block_link_split(h, n).links.num_terms == 0
     rows = clt_bound_check(h, joint_eigenbasis(h).eigenvalues, n, [0.5, 1.0, 2.0])
     for row in rows:
         assert row.lhs < 1e-9 and row.rhs < 1e-12
@@ -501,9 +499,7 @@ def test_lyapunov_parseval_split():
 
 def test_lyapunov_single_block():
     n = 5
-    g = InteractionGraph.random(n, [(j, j + 1) for j in range(1, n)], np.random.default_rng(7))
-    g = InteractionGraph(n, g.edges, np.zeros((n, 3)))
-    h = normalize(build_general(g))
+    h = open_chain(n, 7)
     rep = lyapunov_quantities(h, n)
     assert rep.s_n2 == pytest.approx(1.0)
     e = diagonalize_dense(h, want_vectors=False)
@@ -512,8 +508,6 @@ def test_lyapunov_single_block():
 
 
 def test_lyapunov_ising_bound():
-    from spinchain.hamiltonians import ChainCoefficients, build_nn_chain
-
     c = ChainCoefficients(8, np.zeros((8, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     h = build_nn_chain(c)

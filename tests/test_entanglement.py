@@ -178,7 +178,7 @@ def test_build_M_single_z():
 def test_build_M_xx_pairs():
     m = build_M((1, 1), 5)
     assert m.num_terms == 5
-    assert all(s.weight == 2 for _, s in m.terms)
+    assert all(s.label.count("I") == 3 for _, s in m.terms)
     assert abs(hs_inner(m, m).real - 1.0) < 1e-12
 
 

@@ -10,7 +10,6 @@ from spinchain.hamiltonians import (
     build_pair_only,
     sample_random,
 )
-from spinchain.pauli import PauliString
 from spinchain.spectra import (
     EigenDecomposition,
     commutator_norm,
@@ -20,9 +19,11 @@ from spinchain.spectra import (
 )
 from spinchain.symmetry import translation_permutation
 
+from oracles import from_label
+
 
 def op(n, label, coeff=1.0):
-    return OperatorSum.from_terms(n, [(coeff, PauliString.from_label(label))])
+    return OperatorSum.from_terms(n, [(coeff, from_label(label))])
 
 
 def cluster_sizes(vals, rel_tol):
@@ -96,9 +97,10 @@ def test_commutator_disjoint_support():
     assert commutator_norm(op(2, "ZI"), op(2, "IZ")) < 1e-12
 
 
-def test_commutator_dense_argument():
+def test_commutator_refuses_a_dense_matrix():
     a = op(1, "Z")
-    assert abs(commutator_norm(a, op(1, "X").to_dense()) - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="permutation of 2 basis indices"):
+        commutator_norm(a, op(1, "X").to_dense())
 
 
 def test_eigendecomposition_rejects_unsorted():
