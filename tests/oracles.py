@@ -4,7 +4,7 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 
 * :func:`from_codes` and :func:`from_label` spell Pauli strings site by
   site, and :func:`pauli_to_dense` forms the 2^n x 2^n matrix of one string,
-  the oracle of ``pauli.multiply`` and of ``OperatorSum.to_dense``;
+  the oracle of ``pauli.multiply``;
 * :class:`StateVector`, :func:`apply`, :func:`expectation` and
   :func:`apply_sum` act with one Pauli string at a time, the per-string
   oracle of ``OperatorSum.x_groups``;
@@ -48,9 +48,7 @@ def from_codes(codes):
 
 
 def from_label(label):
-    """Parse a textual literal like ``"XZIIY"``."""
-    if not label or set(label) - set("IXYZ"):
-        raise ValueError(f"invalid Pauli label {label!r}")
+    """Parse a textual literal like ``"XZIIY"``; any other character, or none, is a ``ValueError``."""
     return from_codes(["IXYZ".index(c) for c in label])
 
 
