@@ -66,10 +66,8 @@ def _write_json(path, payload):
 
 def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alpha3=0.0, normalized=False):
     if model in ("nn", "invariant", "pair_only"):
-        return hamiltonians.sample_random(
-            model, n, _derived_seed(seed, sample_id), normalize_output=normalized
-        )
-    if model == "ba":
+        h = hamiltonians.sample_random(model, n, _derived_seed(seed, sample_id))
+    elif model == "ba":
         h = hamiltonians.build_ba(alpha1, alpha3, n)
     elif model == "exyz":
         h = hamiltonians.build_exyz(epsilon, n)
@@ -171,17 +169,16 @@ def cmd_clt_check(args):
     failures = 0
     rows = []
     h = _build_model("nn", args.n, seed=args.seed, normalized=True)
-    for l in args.l:
-        dos.block_link_split(h, l)  # a bad --l exits 2 before the solve
+    splits = [dos.block_link_split(h, l) for l in args.l]  # a bad --l exits 2 before the first solve
     vals = symmetry.joint_eigenbasis(h).eigenvalues
-    for l in args.l:
-        for row in dos.clt_bound_check(h, vals, l, args.t, C=args.coeff_bound):
+    for split in splits:
+        for row in dos.clt_bound_check(split, vals, args.t, C=args.coeff_bound):
             ok = row.passes()
             failures += not ok
-            rows.append([args.n, l, row.t, repr(row.lhs), repr(row.rhs),
+            rows.append([args.n, split.l, row.t, repr(row.lhs), repr(row.rhs),
                          "" if row.rhs_coeff_bound is None else repr(row.rhs_coeff_bound), int(ok)])
-        rep = dos.lyapunov_quantities(h, l, C=args.coeff_bound)
-        rows.append([args.n, l, "lyapunov", repr(rep.s_n2), repr(rep.fourth_sum),
+        rep = dos.lyapunov_quantities(split, C=args.coeff_bound)
+        rows.append([args.n, split.l, "lyapunov", repr(rep.s_n2), repr(rep.fourth_sum),
                      "" if rep.genbound3_rhs is None else repr(rep.genbound3_rhs), ""])
     _write_csv(
         args.out,

@@ -6,11 +6,12 @@ moment predictions.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .free_fermion import EXACT_CAP
-from .hamiltonians import OperatorSum, hs_inner
+from .hamiltonians import OperatorSum, hs_inner, ring_bonds
 from .symmetry import joint_eigenbasis
 
 MAX_MOMENT = 8
@@ -336,55 +337,43 @@ class BlockLinkSplit:
     l: int
     k_count: int
 
+    @cached_property
+    def block_spectra(self):
+        """Eigenvalues of block k on its window, sites (k-1)l+1 .. min(kl, n); scaled traces of the block are their means.
 
-def _bond_of_term(n, string):
-    """Ring bond index 1..n of a nearest-neighbour term.
-
-    Bond j couples sites (j, j+1); a single-site term at site m belongs to
-    bond m-1 (cyclically), matching the a=0 slot of the chain builder.
-    """
-    sites = [j for j in range(1, n + 1) if (string.x_mask | string.z_mask) & (1 << (n - j))]
-    if len(sites) == 1:
-        return (sites[0] - 2) % n + 1
-    if len(sites) == 2:
-        p, q = sites
-        if q == p + 1:
-            return p
-        if (p, q) == (1, n):
-            return n
-    raise ValueError(f"term {string.label} is not a nearest-neighbour ring term")
+        Shifting the masks right by ``n - min(kl, n)`` puts the window on the low bits, site
+        (k-1)l+1 highest, so the block is diagonalized on the window's sites alone.
+        """
+        n = self.links.n
+        spectra = []
+        for k, b in enumerate(self.blocks, start=1):
+            top = min(k * self.l, n)
+            window = OperatorSum(top - (k - 1) * self.l, b.xs >> (n - top), b.zs >> (n - top), b.coeffs)
+            spectra.append(np.linalg.eigvalsh(window.to_dense()))
+        return spectra
 
 
 def block_link_split(h, l):
     """Split a ring chain into disjoint blocks of l sites plus removed links.
 
-    Bond j goes to the links iff ``j mod l == 0`` (the wrap bond j=n plays
-    the role of the zeroth link); block k keeps bonds (k-1)l+1 .. kl-1 and
-    is supported on l consecutive sites.  Blocks + links reassemble the
-    input exactly, term for term.
+    Bond j (:func:`~spinchain.hamiltonians.ring_bonds`) goes to the links iff
+    ``j mod l == 0`` (the wrap bond j=n plays the role of the zeroth link);
+    block k keeps bonds (k-1)l+1 .. kl-1 and is supported on sites
+    (k-1)l+1 .. min(kl, n). Blocks + links reassemble the input exactly,
+    term for term; each part keeps H's canonical term order.
     """
     n = h.n
     if not 2 <= l <= n:
         raise ValueError(f"block length {l} out of range 2..{n}")
     k_count = -(-n // l)
-    link_bonds = {n} | {k * l for k in range(1, k_count) if k * l < n}
-    block_terms = [[] for _ in range(k_count)]
-    link_terms = []
-    for coeff, string in h.terms:
-        bond = _bond_of_term(n, string)
-        if bond in link_bonds:
-            link_terms.append((coeff, string))
-        else:
-            block_terms[(bond - 1) // l].append((coeff, string))
-    blocks = tuple(OperatorSum.from_terms(n, t) for t in block_terms)
-    links = OperatorSum.from_terms(n, link_terms)
-    return BlockLinkSplit(blocks, links, l, k_count)
+    bonds = ring_bonds(h)
+    link = (bonds % l == 0) | (bonds == n)
+    block = (bonds - 1) // l
 
+    def part(keep):
+        return OperatorSum(n, h.xs[keep], h.zs[keep], h.coeffs[keep])
 
-def _block_spectrum(block):
-    """Eigenvalues of the block on its support sites; scaled traces of the block are their means."""
-    small, _ = block.compressed()
-    return np.linalg.eigvalsh(small.to_dense())
+    return BlockLinkSplit(tuple(part(~link & (block == k)) for k in range(k_count)), part(link), l, k_count)
 
 
 @dataclass(frozen=True)
@@ -398,29 +387,27 @@ class CltRow:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
-def clt_bound_check(h, eigenvalues, l, t_list, C=None):
-    """Rows of ``|psi_n(t) - phi_n(t)| <= sqrt(t^2 <L, L>)`` per t.
+def clt_bound_check(split, eigenvalues, t_list, C=None):
+    """Rows of ``|psi_n(t) - phi_n(t)| <= sqrt(t^2 <L, L>)`` per t, for the :func:`block_link_split` of H.
 
     ``psi_n`` comes from ``eigenvalues``, the full spectrum of H, ``phi_n``
     from the product of per-block characteristic functions.  When a
     coefficient bound C is recorded, the cruder bound
     ``sqrt(t^2 ceil(n/l) 12 C^2 / n)`` is also reported.
     """
-    split = block_link_split(h, l)
     link_norm2 = float(hs_inner(split.links, split.links).real)
-    block_spectra = [_block_spectrum(b) for b in split.blocks]
     rows = []
     for t in t_list:
         t = float(t)
         psi = np.mean(np.exp(1j * t * eigenvalues))
         phi = 1.0 + 0j
-        for vals in block_spectra:
+        for vals in split.block_spectra:
             phi *= complex(np.mean(np.exp(1j * t * vals)))
         lhs = abs(psi - phi)
         rhs = float(np.sqrt(t**2 * link_norm2))
         coeff_bound = None
         if C is not None:
-            coeff_bound = float(np.sqrt(t**2 * split.k_count * 12.0 * C**2 / h.n))
+            coeff_bound = float(np.sqrt(t**2 * split.k_count * 12.0 * C**2 / split.links.n))
         rows.append(CltRow(t, float(lhs), rhs, coeff_bound))
     return rows
 
@@ -433,20 +420,19 @@ class LyapunovReport:
     genbound3_rhs: float | None
 
 
-def lyapunov_quantities(h, l, C=None):
-    """Block second/fourth trace moments entering the Lyapunov condition.
+def lyapunov_quantities(split, C=None):
+    """Block second/fourth trace moments entering the Lyapunov condition, for the :func:`block_link_split` of H.
 
     ``s_n^2 + <L, L> = <H, H>`` exactly (Parseval split over disjoint
-    blocks); traces are computed on each block's support, never on the full
+    blocks); traces are computed on each block's window, never on the full
     2^n space.
     """
-    split = block_link_split(h, l)
     s_n2 = sum(float(np.dot(b.coeffs, b.coeffs)) for b in split.blocks)
-    fourth = sum(float(np.mean(_block_spectrum(b) ** 4)) for b in split.blocks)
+    fourth = sum(float(np.mean(vals**4)) for vals in split.block_spectra)
     link_norm2 = float(hs_inner(split.links, split.links).real)
     rhs = None
     if C is not None:
-        n = h.n
+        n, l = split.links.n, split.l
         rhs = float(3**7 * 4**4 * C**4 * (l / n + l**2 / n**2))
     return LyapunovReport(s_n2, fourth, link_norm2, rhs)
 

@@ -76,7 +76,7 @@ def spectrum_sum_set(n, epsilon, scale=1.0):
     return _expand_block(deltas[:k]), _expand_block(deltas[k:])
 
 
-def collect_spectrum(n, epsilon, scale=1.0):
+def collect_spectrum(n, epsilon):
     """The full spectrum as one array (exact mode; at most 2^EXACT_CAP values).
 
     Entry ``i`` is the eigenvalue whose mode ``j`` is occupied exactly when
@@ -84,7 +84,7 @@ def collect_spectrum(n, epsilon, scale=1.0):
     """
     if n > EXACT_CAP:
         raise SizeLimitError(f"n={n} exceeds exact cap {EXACT_CAP}")
-    return sum_set_values(*spectrum_sum_set(n, epsilon, scale=scale))
+    return sum_set_values(*spectrum_sum_set(n, epsilon))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import DimensionMismatchError, PauliString, _z_signs
+from .pauli import _CODE_BITS, DimensionMismatchError, PauliString, _z_signs
 
 #: largest n of a 2^n x 2^n matrix: checked by ``to_dense`` before it is formed
 DENSE_CAP = 13
@@ -150,29 +150,6 @@ class OperatorSum:
             m[idx ^ x, idx] = diag
         return m
 
-    def support_sites(self):
-        """Sorted 1-based list of sites touched by any term."""
-        mask = 0
-        for x, z in zip(self.xs, self.zs):
-            mask |= int(x) | int(z)
-        return [j for j in range(1, self.n + 1) if mask & (1 << (self.n - j))]
-
-    def compressed(self):
-        """The same operator re-indexed onto its support sites only.
-
-        Traces over untouched sites factor out, so spectra-per-site and
-        scaled traces on the compressed operator match the full one.
-        """
-        sites = self.support_sites()
-        if not sites:
-            return OperatorSum.zero(1), sites
-        m = len(sites)
-        terms = []
-        for c, s in self.terms:
-            codes = {i + 1: s.code(site) for i, site in enumerate(sites)}
-            terms.append((c, PauliString.from_sites(m, codes)))
-        return OperatorSum.from_terms(m, terms), sites
-
 
 def hs_inner(a, b):
     """Scaled Hilbert-Schmidt inner product ``(1/2^n) Tr(A B^dagger)`` of two operator sums.
@@ -211,86 +188,75 @@ class ChainCoefficients:
             alpha[:, 0, :] = 0.0
         return cls(n, alpha)
 
-    @classmethod
-    def invariant(cls, alpha12, n):
-        alpha12 = np.asarray(alpha12, dtype=float).reshape(4, 3)
-        return cls(n, np.broadcast_to(alpha12, (n, 4, 3)).copy())
+
+def _bond_sites(n):
+    """Masks of the sites bond j = 1..n couples: site j, bit n-j, and site j+1, cyclically."""
+    left = np.left_shift(1, n - 1 - np.arange(n))
+    return left, np.roll(left, -1)
 
 
-def _check_ring_n(n):
+def _ring(n, alpha, scaled):
+    """The ring ``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)``, times ``1/sqrt(n)`` if ``scaled``.
+
+    ``alpha`` is an ``(n, 4, 3)`` table, or one ``(4, 3)`` table for every bond. This is the one place
+    that lays out the bonds: bond j couples sites j and j+1 (cyclically), and its a=0 terms act on
+    site j+1 alone. :func:`ring_bonds` reads the layout back.
+    """
     if n < 3:
         raise ValueError("ring builders need n >= 3 (a 2-ring duplicates bonds)")
+    alpha = np.broadcast_to(alpha, (n, 4, 3))
+    if scaled:
+        alpha = (1.0 / np.sqrt(n)) * alpha
+    left, right = (m[:, None, None] for m in _bond_sites(n))
+    x_bits, z_bits = np.array(_CODE_BITS).T
+    xs = left * x_bits[:, None] | right * x_bits[1:]
+    zs = left * z_bits[:, None] | right * z_bits[1:]
+    keep = alpha != 0.0
+    return OperatorSum._canonical(n, xs[keep], zs[keep], alpha[keep])
 
 
-def _bond_term(n, bond, a, b):
-    """Pauli string sigma_{bond}^{(a)} sigma_{bond+1}^{(b)} (1-based, cyclic)."""
-    right = bond % n + 1
-    codes = {}
-    if a != 0:
-        codes[bond] = a
-    codes[right] = b
-    return PauliString.from_sites(n, codes)
+def ring_bonds(h):
+    """Bond 1..n of each term of a nearest-neighbour ring, in term order: the layout of :func:`_ring` read back.
+
+    A term is on bond j when it acts only on sites j and j+1 (cyclically) and does act on site
+    j+1. Any other term is a ``ValueError`` that names it.
+    """
+    n = h.n
+    left, right = _bond_sites(n)
+    support = (h.xs | h.zs)[:, None]
+    on = ((support & ~(left | right)) == 0) & ((support & right) != 0)
+    off = np.flatnonzero(~on.any(axis=1))
+    if len(off):
+        k = off[0]
+        raise ValueError(f"term {PauliString(n, int(h.xs[k]), int(h.zs[k])).label} is not a nearest-neighbour ring term")
+    return np.argmax(on, axis=1) + 1
 
 
 def build_nn_chain(c):
     """Nearest-neighbour ring ``(1/sqrt(n)) sum_j sum_{a,b} alpha sigma_j sigma_{j+1}``."""
-    _check_ring_n(c.n)
-    n = c.n
-    pref = 1.0 / np.sqrt(n)
-    terms = []
-    for j in range(n):
-        for a in range(4):
-            for b in range(1, 4):
-                coeff = c.alpha[j, a, b - 1]
-                if coeff != 0.0:
-                    terms.append((pref * coeff, _bond_term(n, j + 1, a, b)))
-    return OperatorSum.from_terms(n, terms)
+    return _ring(c.n, c.alpha, scaled=True)
 
 
 def build_invariant(alpha12, n):
     """Translation-invariant ring: site-independent couplings (12 reals)."""
-    return build_nn_chain(ChainCoefficients.invariant(alpha12, n))
+    return _ring(n, np.reshape(alpha12, (4, 3)), scaled=True)
 
 
 def build_pair_only(c):
     """Ring with two-site terms only; no 1/sqrt(n) prefactor (every term weight 2)."""
-    _check_ring_n(c.n)
     if np.any(c.alpha[:, 0, :] != 0.0):
         raise ValueError("pair-only chain must have zero a=0 coefficients")
-    n = c.n
-    terms = []
-    for j in range(n):
-        for a in range(1, 4):
-            for b in range(1, 4):
-                coeff = c.alpha[j, a, b - 1]
-                if coeff != 0.0:
-                    terms.append((coeff, _bond_term(n, j + 1, a, b)))
-    return OperatorSum.from_terms(n, terms)
+    return _ring(c.n, c.alpha, scaled=False)
 
 
 def build_ba(alpha1, alpha3, n):
     """Ising ring with transverse and longitudinal fields, 1/sqrt(n) prefactor."""
-    _check_ring_n(n)
-    pref = 1.0 / np.sqrt(n)
-    terms = []
-    for j in range(1, n + 1):
-        terms.append((pref, _bond_term(n, j, 1, 1)))
-        if alpha1 != 0.0:
-            terms.append((pref * alpha1, PauliString.single(n, j, 1)))
-        if alpha3 != 0.0:
-            terms.append((pref * alpha3, PauliString.single(n, j, 3)))
-    return OperatorSum.from_terms(n, terms)
+    return build_invariant([[alpha1, 0.0, alpha3], [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3], n)
 
 
 def build_exyz(epsilon, n):
     """``sum_j (epsilon X_j Y_{j+1} + Z_j)``; no prefactor, free-fermion solvable."""
-    _check_ring_n(n)
-    terms = []
-    for j in range(1, n + 1):
-        if epsilon != 0.0:
-            terms.append((float(epsilon), _bond_term(n, j, 1, 2)))
-        terms.append((1.0, PauliString.single(n, j, 3)))
-    return OperatorSum.from_terms(n, terms)
+    return _ring(n, [[0.0, 0.0, 1.0], [0.0, epsilon, 0.0], [0.0] * 3, [0.0] * 3], scaled=False)
 
 
 def normalization_scale(norm2):
@@ -311,7 +277,7 @@ def normalize(h):
     return normalization_scale(norm2) * h
 
 
-def sample_random(kind, n, seed, normalize_output=False):
+def sample_random(kind, n, seed):
     """Seeded random Hamiltonian with i.i.d. standard normal coefficients.
 
     The generator is numpy's ``default_rng`` (PCG64) seeded with ``seed``;
@@ -320,12 +286,9 @@ def sample_random(kind, n, seed, normalize_output=False):
     """
     rng = np.random.default_rng(seed)
     if kind == "nn":
-        h = build_nn_chain(ChainCoefficients.random(n, rng))
-    elif kind == "invariant":
-        h = build_invariant(rng.standard_normal((4, 3)), n)
-    elif kind == "pair_only":
-        h = build_pair_only(ChainCoefficients.random(n, rng, pair_only=True))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return normalize(h) if normalize_output else h
-
+        return build_nn_chain(ChainCoefficients.random(n, rng))
+    if kind == "invariant":
+        return build_invariant(rng.standard_normal((4, 3)), n)
+    if kind == "pair_only":
+        return build_pair_only(ChainCoefficients.random(n, rng, pair_only=True))
+    raise ValueError(f"unknown kind {kind!r}")

@@ -50,11 +50,6 @@ class PauliString:
             raise ValueError("mask uses bits beyond the low n bits")
 
     @classmethod
-    def single(cls, n, site, code):
-        """A single non-identity factor ``code`` at ``site`` (1-based)."""
-        return cls.from_sites(n, {site: code})
-
-    @classmethod
     def from_sites(cls, n, site_codes):
         """Build from a ``{site: code}`` mapping; omitted sites are identity."""
         x = z = 0

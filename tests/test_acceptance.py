@@ -14,6 +14,7 @@ from spinchain.dos import (
     EmpiricalDistribution,
     ba_prediction,
     ba_prediction_printed,
+    block_link_split,
     clt_bound_check,
     ks_distance,
     moments,
@@ -132,9 +133,9 @@ def test_criterion_5_density_of_states_trend():
     # (a) unit second moment for every normalized builder
     m2_dev = 0.0
     builders = {
-        "nn": sample_random("nn", 10, 0, normalize_output=True),
-        "invariant": sample_random("invariant", 10, 0, normalize_output=True),
-        "pair_only": sample_random("pair_only", 10, 0, normalize_output=True),
+        "nn": normalize(sample_random("nn", 10, 0)),
+        "invariant": normalize(sample_random("invariant", 10, 0)),
+        "pair_only": normalize(sample_random("pair_only", 10, 0)),
         "ba": normalize(build_ba(0.5, 0.5, 10)),
         "exyz": normalize(build_exyz(0.5, 10)),
     }
@@ -166,11 +167,11 @@ def test_criterion_5_density_of_states_trend():
 
 
 def test_criterion_6_characteristic_function_bound():
-    h = sample_random("nn", 10, 0, normalize_output=True)
+    h = normalize(sample_random("nn", 10, 0))
     vals = joint_eigenbasis(h).eigenvalues
     failures = []
     for l in (2, 3, 5):
-        for row in clt_bound_check(h, vals, l, [0.5, 1.0, 2.0]):
+        for row in clt_bound_check(block_link_split(h, l), vals, [0.5, 1.0, 2.0]):
             if not row.passes():
                 failures.append((l, row.t, row.lhs, row.rhs))
     assert report(6, "|psi - phi| <= sqrt(t^2 <L,L>) on every row", not failures, str(failures or "9 rows"))

@@ -323,7 +323,7 @@ def test_dos_sector_models_match_dense(tmp_path):
         if model == "ba":
             h = hamiltonians.normalize(hamiltonians.build_ba(0.5, 0.25, 8))
         else:
-            h = hamiltonians.sample_random("invariant", 8, [0, 0], normalize_output=True)
+            h = hamiltonians.normalize(hamiltonians.sample_random("invariant", 8, [0, 0]))
         d = dos.EmpiricalDistribution.from_values(diagonalize_dense(h, want_vectors=False).eigenvalues)
         assert got["count"] == 256
         assert np.max(np.abs(np.array(got["moments"]) - np.array(dos.moments(d, 6)))) < 1e-10
@@ -370,10 +370,10 @@ def test_dos_cx_grid_reads_streamed_n(tmp_path):
 def test_dos_cx_grid_matches_sorted_spectrum(tmp_path, eps):
     """Each row is n |F(x) - Phi(x)| with F read off the sorted spectrum, also at x on a (tied) value."""
     from spinchain.dos import normal_cdf
-    from spinchain.free_fermion import collect_spectrum
+    from spinchain.free_fermion import spectrum_sum_set, sum_set_values
 
     n = 16
-    values = np.sort(collect_spectrum(n, eps, scale=1.0 / np.sqrt(n * (1.0 + eps**2))))
+    values = np.sort(sum_set_values(*spectrum_sum_set(n, eps, scale=1.0 / np.sqrt(n * (1.0 + eps**2)))))
     xs = [0.0, float(values[1000]), float(values[1 << 15]), -0.75, float(values[-1]), 9.0]
     argv = ["dos", "--n", str(n), "--epsilon", repr(eps), "--cx-grid", *map(repr, xs)]
     code, out = run(tmp_path, "cx.json", argv)

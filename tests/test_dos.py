@@ -23,7 +23,7 @@ from spinchain.dos import (
     power_sums,
 )
 from spinchain import dos, free_fermion
-from spinchain.free_fermion import collect_spectrum, mode_energies, spectrum_sum_set, sum_set_values
+from spinchain.free_fermion import mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     ChainCoefficients,
     OperatorSum,
@@ -37,7 +37,7 @@ from spinchain.pauli import PauliString
 from spinchain.spectra import commutator_norm, diagonalize_dense
 from spinchain.symmetry import joint_eigenbasis
 
-from oracles import exact_ks_distance
+from oracles import exact_ks_distance, from_label
 
 
 def field_chain_values(n):
@@ -171,7 +171,7 @@ def test_exact_ks_of_exyz_sum_set_equals_oracle(n):
     eps = 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
     d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale))
-    assert ks_distance(d) == KSResult(exact_ks_distance(collect_spectrum(n, eps, scale=scale)), 0.0)
+    assert ks_distance(d) == KSResult(exact_ks_distance(sum_set_values(*spectrum_sum_set(n, eps, scale=scale))), 0.0)
 
 
 def test_exact_ks_of_degenerate_ba_spectrum_equals_oracle():
@@ -379,7 +379,7 @@ def test_extensive_moments_match_sector_ed(build):
 def test_extensive_moments_of_field_ring_at_large_n():
     """``(1/sqrt(n)) sum_j Z_j`` has the binomial spectrum (n - 2r)/sqrt(n); its moments are exact sums at any n."""
     def build(n):
-        return OperatorSum.from_terms(n, [(1 / math.sqrt(n), PauliString.single(n, j, 3)) for j in range(1, n + 1)])
+        return OperatorSum.from_terms(n, [(1 / math.sqrt(n), PauliString.from_sites(n, {j: 3})) for j in range(1, n + 1)])
 
     ns = [9, 50, 1000]
     for n, got in zip(ns, dos.extensive_moments(build, ns)):
@@ -410,7 +410,7 @@ def test_moments_refuse_overflowed_power_sums():
 
 def test_moments_normalized_builders_unit_second_moment():
     for kind in ("nn", "invariant", "pair_only"):
-        h = sample_random(kind, 8, 0, normalize_output=True)
+        h = normalize(sample_random(kind, 8, 0))
         e = diagonalize_dense(h, want_vectors=False)
         m = moments(EmpiricalDistribution.from_values(e.eigenvalues), 2)
         assert abs(m[1] - 1.0) < 1e-10, kind
@@ -426,8 +426,18 @@ def test_block_link_split_n6_l3():
     assert split.k_count == 2
     # link bonds 3 and 6 carry 12 random terms each
     assert split.links.num_terms == 24
-    for b in split.blocks:
-        assert len(b.support_sites()) == 3
+    # block k acts on every site of its window, sites 3k-2 .. 3k, and on no other
+    for b, window in zip(split.blocks, (0b111000, 0b000111)):
+        support = np.bitwise_or.reduce(b.xs | b.zs)
+        assert support == window
+
+
+@pytest.mark.parametrize("label", ["XIXII", "XYZII", "IZZZI", "IIIII"])
+def test_block_link_split_refuses_terms_off_the_ring_bonds(label):
+    """A term on two sites that are not neighbours, on three sites or on none is refused by name."""
+    h = sample_random("nn", 5, 0) + OperatorSum.from_terms(5, [(0.5, from_label(label))])
+    with pytest.raises(ValueError, match=f"term {label} is not a nearest-neighbour ring term"):
+        block_link_split(h, 2)
 
 
 def test_block_link_split_n5_l2():
@@ -459,8 +469,8 @@ def test_split_reassembles_random_rings_term_for_term(nl, seed):
 
 
 def test_clt_rows_t_zero_and_positive():
-    h = sample_random("nn", 8, 0, normalize_output=True)
-    rows = clt_bound_check(h, joint_eigenbasis(h).eigenvalues, 2, [0.0, 0.5, 1.0])
+    h = normalize(sample_random("nn", 8, 0))
+    rows = clt_bound_check(block_link_split(h, 2), joint_eigenbasis(h).eigenvalues, [0.0, 0.5, 1.0])
     assert rows[0].lhs == pytest.approx(0.0, abs=1e-12)
     for row in rows:
         assert row.passes()
@@ -478,29 +488,30 @@ def test_clt_single_block_open_chain():
     """An open chain inside one block has L = 0, so lhs vanishes for all t."""
     n = 5
     h = open_chain(n, 4)
-    assert block_link_split(h, n).links.num_terms == 0
-    rows = clt_bound_check(h, joint_eigenbasis(h).eigenvalues, n, [0.5, 1.0, 2.0])
+    split = block_link_split(h, n)
+    assert split.links.num_terms == 0
+    rows = clt_bound_check(split, joint_eigenbasis(h).eigenvalues, [0.5, 1.0, 2.0])
     for row in rows:
         assert row.lhs < 1e-9 and row.rhs < 1e-12
 
 
 def test_clt_random_sample_passes():
-    h = sample_random("nn", 10, 5, normalize_output=True)
-    for row in clt_bound_check(h, joint_eigenbasis(h).eigenvalues, 3, [0.5, 1.0, 2.0]):
+    h = normalize(sample_random("nn", 10, 5))
+    for row in clt_bound_check(block_link_split(h, 3), joint_eigenbasis(h).eigenvalues, [0.5, 1.0, 2.0]):
         assert row.passes()
 
 
 def test_lyapunov_parseval_split():
-    h = sample_random("nn", 8, 6, normalize_output=True)
+    h = normalize(sample_random("nn", 8, 6))
     for l in (2, 3, 4):
-        rep = lyapunov_quantities(h, l)
+        rep = lyapunov_quantities(block_link_split(h, l))
         assert abs(rep.s_n2 + rep.link_norm2 - 1.0) < 1e-10
 
 
 def test_lyapunov_single_block():
     n = 5
     h = open_chain(n, 7)
-    rep = lyapunov_quantities(h, n)
+    rep = lyapunov_quantities(block_link_split(h, n))
     assert rep.s_n2 == pytest.approx(1.0)
     e = diagonalize_dense(h, want_vectors=False)
     m4 = float(np.mean(e.eigenvalues**4))
@@ -511,7 +522,7 @@ def test_lyapunov_ising_bound():
     c = ChainCoefficients(8, np.zeros((8, 4, 3)))
     c.alpha[:, 3, 2] = 1.0
     h = build_nn_chain(c)
-    rep = lyapunov_quantities(h, 4, C=1.0)
+    rep = lyapunov_quantities(block_link_split(h, 4), C=1.0)
     assert rep.fourth_sum <= rep.genbound3_rhs
 
 

@@ -168,7 +168,7 @@ def test_pauli_coefficients_match_kronecker_oracle(l):
 def test_build_M_single_z():
     m = build_M((3,), 5)
     want = OperatorSum.from_terms(
-        5, [(1 / np.sqrt(5), PauliString.single(5, j, 3)) for j in range(1, 6)]
+        5, [(1 / np.sqrt(5), PauliString.from_sites(5, {j: 3})) for j in range(1, 6)]
     )
     assert np.allclose(m.coeffs, want.coeffs)
     assert list(m.xs) == list(want.xs) and list(m.zs) == list(want.zs)
@@ -194,7 +194,7 @@ def test_build_M_expectation_identity():
     h = sample_random("invariant", 9, 0)
     e = joint_eigenbasis_lifted(h)
     m = build_M((1,), 9)
-    sigma1 = PauliString.single(9, 1, 1)
+    sigma1 = PauliString.from_sites(9, {1: 1})
     for j in (0, 17, 100, 511):
         v = StateVector(9, e.eigenvectors[:, j])
         lhs = np.vdot(v.amplitudes, apply_sum(OperatorSum.from_terms(9, [(1.0, sigma1)]), v).amplitudes)
@@ -222,7 +222,7 @@ def test_average_purity_needs_joint_basis():
     """The computational eigenbasis of a degenerate sum-Z violates the bound
     and is correctly flagged as outside the theorem's hypotheses."""
     n = 6
-    terms = [(1.0, PauliString.single(n, j, 3)) for j in range(1, n + 1)]
+    terms = [(1.0, PauliString.from_sites(n, {j: 3})) for j in range(1, n + 1)]
     h = OperatorSum.from_terms(n, terms)
     vals = np.sort(np.diag(h.to_dense()).real)
     e = EigenDecomposition(vals, np.eye(1 << n)[:, np.argsort(np.diag(h.to_dense()).real)])

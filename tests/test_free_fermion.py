@@ -77,7 +77,7 @@ def test_collect_spectrum_index_is_occupation(monkeypatch):
 
 
 def test_stream_scale():
-    a = np.sort(collect_spectrum(5, 0.3, scale=0.25))
+    a = np.sort(sum_set_values(*spectrum_sum_set(5, 0.3, scale=0.25)))
     b = 0.25 * np.sort(collect_spectrum(5, 0.3))
     assert np.allclose(a, b)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from spinchain.hamiltonians import (
     build_pair_only,
     hs_inner,
     normalize,
+    ring_bonds,
     sample_random,
 )
 from spinchain.pauli import PauliString
@@ -44,7 +47,7 @@ def test_nn_chain_pure_field_via_a0():
     c.alpha[:, 0, 2] = 1.0
     h = build_nn_chain(c)
     got = {s: c for c, s in h.terms}
-    want = {PauliString.single(4, j, 3): 0.5 for j in range(1, 5)}
+    want = {PauliString.from_sites(4, {j: 3}): 0.5 for j in range(1, 5)}
     assert got == want
 
 
@@ -257,20 +260,59 @@ def test_real_dense_when_no_y():
     assert build_exyz(0.5, 4).to_dense().dtype == np.complex128
 
 
-def test_compressed_preserves_spectrum_density():
-    h = OperatorSum.from_terms(5, [(0.7, PauliString.from_sites(5, {2: 1, 3: 3}))])
-    small, sites = h.compressed()
-    assert sites == [2, 3]
-    full = np.linalg.eigvalsh(h.to_dense())
-    tiny = np.linalg.eigvalsh(small.to_dense())
-    assert np.allclose(np.sort(np.repeat(tiny, 8)), np.sort(full))
-
-
 def test_ring_builders_reject_tiny_n():
-    with pytest.raises(ValueError):
-        build_exyz(0.5, 2)
-    with pytest.raises(ValueError):
-        build_ba(0.1, 0.1, 2)
+    """The size is checked before anything is computed from it: no 1/sqrt(0) warning, no broadcast error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, -1, 2):
+            with pytest.raises(ValueError, match="ring builders need n >= 3"):
+                build_exyz(0.5, n)
+            with pytest.raises(ValueError, match="ring builders need n >= 3"):
+                build_ba(0.1, 0.1, n)
+
+
+def reference_ring(alpha, pref):
+    """The ring of an ``(n, 4, 3)`` table term by term: bond j couples sites j and j+1, its a=0 terms act on j+1."""
+    n = len(alpha)
+    terms = [
+        (pref * alpha[j - 1, a, b - 1], PauliString.from_sites(n, {j: a, j % n + 1: b}))
+        for j in range(1, n + 1) for a in range(4) for b in range(1, 4)
+    ]
+    return OperatorSum.from_terms(n, terms)
+
+
+def same_arrays(h, g):
+    return h.n == g.n and all(np.array_equal(a, b) for a, b in ((h.xs, g.xs), (h.zs, g.zs), (h.coeffs, g.coeffs)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_builders_match_the_term_by_term_ring(n):
+    """Every builder gives the same arrays, bit for bit, as the term-by-term reference of its table."""
+    rng = np.random.default_rng(n)
+    pref = 1.0 / np.sqrt(n)
+    c = ChainCoefficients.random(n, rng)
+    assert same_arrays(build_nn_chain(c), reference_ring(c.alpha, pref))
+    p = ChainCoefficients.random(n, rng, pair_only=True)
+    assert same_arrays(build_pair_only(p), reference_ring(p.alpha, 1.0))
+    row = rng.standard_normal((4, 3))
+    assert same_arrays(build_invariant(row, n), reference_ring(np.broadcast_to(row, (n, 4, 3)), pref))
+    ba = np.zeros((n, 4, 3))
+    ba[:, 0], ba[:, 1, 0] = [0.3, 0.0, -0.7], 1.0
+    assert same_arrays(build_ba(0.3, -0.7, n), reference_ring(ba, pref))
+    exyz = np.zeros((n, 4, 3))
+    exyz[:, 0, 2], exyz[:, 1, 1] = 1.0, 0.4
+    assert same_arrays(build_exyz(0.4, n), reference_ring(exyz, 1.0))
+
+
+@given(n=st.integers(3, 12), data=st.data())
+def test_ring_bonds_reads_back_the_bond_of_each_term(n, data):
+    """A random table with only bond j's row non-zero gives a ring whose every term is on bond j."""
+    j = data.draw(st.integers(0, n - 1))
+    alpha = np.zeros((n, 4, 3))
+    alpha[j] = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((4, 3))
+    h = build_nn_chain(ChainCoefficients(n, alpha))
+    assert h.num_terms == 12
+    assert np.all(ring_bonds(h) == j + 1)
 
 
 def test_operator_sum_merges_duplicates():

@@ -155,8 +155,8 @@ def test_translation_conjugates_strings_cyclically():
     n = 4
     perm = translation_permutation(n)
     for code in (1, 2, 3):
-        a = pauli_to_dense(PauliString.single(n, 1, code))
-        b = pauli_to_dense(PauliString.single(n, 2, code))
+        a = pauli_to_dense(PauliString.from_sites(n, {1: code}))
+        b = pauli_to_dense(PauliString.from_sites(n, {2: code}))
         assert np.max(np.abs(b[np.ix_(perm, perm)] - a)) < 1e-12
 
 
