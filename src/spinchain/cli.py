@@ -120,49 +120,47 @@ def cmd_purity_sweep(args):
 
 
 def _dos_input(args, n):
-    """What ``dos`` needs for one ``--n``: the exyz sum-set, or the ring to solve, refused here if bad."""
+    """What ``dos`` needs for one ``--n``, refused here if bad: a function that builds its distribution."""
     if args.model == "exyz":
         scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
-        return free_fermion.spectrum_sum_set(n, args.epsilon, scale=scale)
+        free_fermion.check_size(n)
+        return lambda: dos.EmpiricalDistribution.from_sum_set(*free_fermion.spectrum_sum_set(n, args.epsilon, scale))
     h = _build_model(
         args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,
         epsilon=args.epsilon, normalized=args.normalize,
     )
     symmetry.check_size(h)
-    return h
+    return lambda: dos.EmpiricalDistribution.from_values(symmetry.joint_eigenbasis(h).eigenvalues)
+
+
+def _dos_report(args, n, d):
+    ks = dos.ks_distance(d)
+    m = dos.moments(d, 6)
+    report = {
+        "n": n,
+        "model": args.model,
+        "count": d.count,
+        "ks": ks.statistic,
+        "ks_uncertainty": ks.uncertainty,
+        "moments": list(m),
+    }
+    if args.normalize and not abs(m[1] - 1.0) <= 1e-10:
+        report["m2_identity"] = "FAIL"
+    if args.cx_grid:
+        report["cx_table"] = [
+            {"x": x, "n_times_dev": n * abs(float(fn) - float(phi))}
+            for x, fn, phi in zip(args.cx_grid, d.cdf(args.cx_grid), dos.normal_cdf(args.cx_grid))
+        ]
+    return report
 
 
 def cmd_dos(args):
-    failures = 0
-    reports = []
     inputs = [_dos_input(args, n) for n in args.n]  # every --n before the first solve
-    for n, source in zip(args.n, inputs):
-        if args.model == "exyz":
-            d = dos.EmpiricalDistribution.from_sum_set(*source)
-        else:
-            d = dos.EmpiricalDistribution.from_values(symmetry.joint_eigenbasis(source).eigenvalues)
-        ks = dos.ks_distance(d)
-        m = dos.moments(d, 6)
-        report = {
-            "n": n,
-            "model": args.model,
-            "count": d.count,
-            "ks": ks.statistic,
-            "ks_uncertainty": ks.uncertainty,
-            "moments": list(m),
-        }
-        if args.normalize and not abs(m[1] - 1.0) <= 1e-10:
-            report["m2_identity"] = "FAIL"
-            failures += 1
-        if args.cx_grid:
-            report["cx_table"] = [
-                {"x": x, "n_times_dev": n * abs(float(fn) - float(phi))}
-                for x, fn, phi in zip(args.cx_grid, d.cdf(args.cx_grid), dos.normal_cdf(args.cx_grid))
-            ]
-        reports.append(report)
+    # built in turn and dropped with its report, so one 2^CHUNK_BITS exyz block is alive at a time
+    reports = [_dos_report(args, n, distribution()) for n, distribution in zip(args.n, inputs)]
     payload = {"config": _config_dict(args, "dos"), "reports": reports}
     _write_json(args.out, payload)
-    return 1 if failures else 0
+    return 1 if any("m2_identity" in r for r in reports) else 0
 
 
 def cmd_clt_check(args):

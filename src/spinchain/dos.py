@@ -25,7 +25,7 @@ BOUND_SLACK = 1e-9
 KS_BINS = 4096
 KS_SPLIT = 16
 KS_LEAF = 4096
-KS_BATCH = 1 << 16
+KS_BATCH = 1 << 15
 #: covers last-ulp non-monotonicity of the float CDF in the interval bounds
 KS_SLACK = 1e-12
 
@@ -73,6 +73,7 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_sum_set(cls, low, offsets):
+        """Takes ownership: sorts the larger set in place, before the power sums, so they do not depend on its order."""
         low = np.asarray(low, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
         if len(offsets) > len(low):
@@ -80,8 +81,7 @@ class EmpiricalDistribution:
             low, offsets = offsets, low
         if len(low) * len(offsets) == 0:
             raise ValueError("empty distribution")
-        # sorted before the power sums, so they do not depend on the order the values come in
-        low = np.sort(low)
+        low.sort()
         return cls(low, offsets, power_sums(low, offsets))
 
     @classmethod
@@ -99,23 +99,16 @@ class EmpiricalDistribution:
         return self.count <= 1 << EXACT_CAP
 
     def count_below(self, grid):
-        """``#{o + v < x}`` at each point x of the sorted ``grid``.
+        """``#{o + v < x}`` at each point x of the sorted ``grid``, from one :func:`_ranks` per offset.
 
-        ``low`` is sorted, so for each offset ``o``, ``o + low`` holds exactly
-        the floats ``o + v`` in sorted order, and one ``searchsorted`` of the
-        grid counts them; NaNs sort last and count at no grid point. (Only
-        ``o = inf`` breaks the order, by ``inf + -inf`` NaN in front; then every
-        value is inf or NaN and counts at no grid point either.) Memory is one
-        buffer the size of ``low``.
+        Grid points at or below ``o + low[0]`` count none, those above ``o + low[-1]`` all. (With
+        ``o = inf``, ``o + low[0]`` may be NaN; then every value is inf or NaN and nothing counts.)
         """
         cum = np.zeros(len(grid), dtype=np.int64)
-        buf = np.empty_like(self.low)
         for o in self.offsets:
-            np.add(self.low, o, out=buf)
-            # grid points at or below the smallest value count none, above the largest all
-            first, last = np.searchsorted(grid, buf[[0, -1]], side="right")
-            cum[first:last] += np.searchsorted(buf, grid[first:last], side="left")
-            cum[last:] += len(buf)
+            first, last = np.searchsorted(grid, self.low[[0, -1]] + o, side="right")
+            cum[first:last] += _ranks(self.low, o, grid[first:last])
+            cum[last:] += len(self.low)
         return cum
 
     def cdf(self, xs):
@@ -125,6 +118,24 @@ class EmpiricalDistribution:
             raise ValueError("F(x) needs finite x")
         grid, where = np.unique(np.nextafter(xs, np.inf), return_inverse=True)
         return self.count_below(grid)[where] / self.count
+
+
+@np.errstate(invalid="ignore")
+def _ranks(low, o, x):
+    """``#{v in low : fl(o + v) < x}`` at each x, for ``low`` sorted with NaN last.
+
+    The predicate is monotone in v. The guess ``searchsorted(low, fl(x - o))`` can miss its first failing
+    index by rounding (at o = 1, x = nextafter(1, 2), v = 1.5 * 2^-53 is below ``x - o``, but ``o + v``
+    rounds to x), so it steps over whole tie groups of ``low`` until the predicate holds below it and
+    fails at it. A NaN ``x - o`` (a NaN o, or x and o the same infinity) has no value below x.
+    """
+    t = x - o
+    r = np.where(np.isnan(t), 0, np.searchsorted(low, t, side="left"))
+    while len(i := np.flatnonzero(r < len(low))) and len(i := i[low[r[i]] + o < x[i]]):
+        r[i] = np.searchsorted(low, low[r[i]], side="right")
+    while len(i := np.flatnonzero(r > 0)) and len(i := i[~(low[r[i] - 1] + o < x[i])]):
+        r[i] = np.searchsorted(low, low[r[i] - 1], side="left")
+    return r
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -206,14 +217,13 @@ def _gather_leaves(d, leaves, floor):
 
     Leaves are taken in order of falling upper bound, in batches of at most
     ``KS_BATCH`` values (one leaf at least), and dropped once their bound
-    falls below the best contribution found. Per offset, ``searchsorted``
-    finds each leaf's values in ``o + low``; a batch is sorted, so each
-    leaf's values are contiguous and their global ranks start at its
-    ``c_lo``.
+    falls below the best contribution found. Per offset, :func:`_ranks` finds
+    the index range of each leaf's values in ``low``, and only those are
+    gathered; a batch is sorted, so each leaf's values are contiguous and
+    their global ranks start at its ``c_lo``.
     """
     n = d.count
     best = -math.inf
-    buf = np.empty_like(d.low)
     leaves = leaves[np.argsort(-leaves[:, 4], kind="stable")]
     while True:
         leaves = leaves[leaves[:, 4] + KS_SLACK >= floor]
@@ -226,13 +236,11 @@ def _gather_leaves(d, leaves, floor):
         sizes = (batch[:, 3] - batch[:, 2]).astype(np.int64)
         parts = []
         for o in d.offsets:
-            np.add(d.low, o, out=buf)
-            first = np.searchsorted(buf, batch[:, 0], side="left")
-            last = np.searchsorted(buf, batch[:, 1], side="left")
+            first, last = _ranks(d.low, o, batch[:, :2].ravel()).reshape(-1, 2).T
             size = last - first
             total = int(size.sum())
             if total:
-                parts.append(buf[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(total)])
+                parts.append(d.low[np.repeat(first - (np.cumsum(size) - size), size) + np.arange(total)] + o)
         y = np.sort(np.concatenate(parts)) if parts else np.empty(0)
         if len(y) != sizes.sum():
             raise RuntimeError(f"exact KS distance: gathered {len(y)} values where the counts give {sizes.sum()}")

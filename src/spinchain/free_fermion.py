@@ -23,8 +23,8 @@ STREAM_CAP = 28
 #: largest n whose full spectrum is collected into one array (2^24 values);
 #: checked by ``collect_spectrum``; above it the density of states is streamed
 EXACT_CAP = 24
-#: modes expanded into the ``low`` half of the sum-set; the rest give the offsets
-CHUNK_BITS = 16
+#: modes expanded into the ``low`` half of the sum-set (2 MiB at 18); the rest give the offsets
+CHUNK_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,26 @@ def mode_energies(n, epsilon):
 
 
 def _expand_block(deltas):
-    """All 2^m signed subset sums ``sum_j (2 x_j - 1) delta_j`` of the given modes."""
-    vals = np.zeros(1)
-    for d in deltas:
-        vals = np.concatenate([vals - d, vals + d])
+    """All 2^m signed subset sums ``sum_j (2 x_j - 1) delta_j`` of the given modes, in one array filled in place."""
+    vals = np.zeros(1 << len(deltas))
+    for j, d in enumerate(deltas):
+        head = vals[: 1 << j]
+        np.add(head, d, out=vals[1 << j : 2 << j])
+        np.subtract(head, d, out=head)
     return vals
 
 
 def sum_set_values(values, offsets):
     """The sum-set ``{o + v}`` as one array, offset-major: ``o_0 + values``, ``o_1 + values``, ..."""
     return (np.asarray(offsets, dtype=float)[:, None] + values).ravel()
+
+
+def check_size(n):
+    """Refuse an n whose spectrum :func:`spectrum_sum_set` cannot give, before anything is built."""
+    if n > STREAM_CAP:
+        raise SizeLimitError(f"n={n} exceeds streaming cap {STREAM_CAP}")
+    if n < 3:
+        raise ValueError("need n >= 3")
 
 
 def spectrum_sum_set(n, epsilon, scale=1.0):
@@ -69,8 +79,7 @@ def spectrum_sum_set(n, epsilon, scale=1.0):
     ``{o + v : o in offsets, v in low}``, each exactly once. Memory is
     O(2^k + 2^(n-k)).
     """
-    if n > STREAM_CAP:
-        raise SizeLimitError(f"n={n} exceeds streaming cap {STREAM_CAP}")
+    check_size(n)
     deltas = mode_energies(n, epsilon).delta * scale
     k = min(CHUNK_BITS, n)
     return _expand_block(deltas[:k]), _expand_block(deltas[k:])

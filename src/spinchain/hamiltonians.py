@@ -183,10 +183,16 @@ class ChainCoefficients:
 
     @classmethod
     def random(cls, n, rng, pair_only=False):
+        _check_ring_size(n)  # before the draw, which refuses a negative n with numpy's own message
         alpha = rng.standard_normal((n, 4, 3))
         if pair_only:
             alpha[:, 0, :] = 0.0
         return cls(n, alpha)
+
+
+def _check_ring_size(n):
+    if n < 3:
+        raise ValueError("ring builders need n >= 3 (a 2-ring duplicates bonds)")
 
 
 def _bond_sites(n):
@@ -202,8 +208,7 @@ def _ring(n, alpha, scaled):
     that lays out the bonds: bond j couples sites j and j+1 (cyclically), and its a=0 terms act on
     site j+1 alone. :func:`ring_bonds` reads the layout back.
     """
-    if n < 3:
-        raise ValueError("ring builders need n >= 3 (a 2-ring duplicates bonds)")
+    _check_ring_size(n)
     alpha = np.broadcast_to(alpha, (n, 4, 3))
     if scaled:
         alpha = (1.0 / np.sqrt(n)) * alpha

@@ -51,6 +51,8 @@ COMMANDS = [
     ("refuse-spectrum-exyz-n-1", False, ["spectrum", "--n", "-1", "--model", "exyz"]),
     ("refuse-spectrum-invariant-n2", False, ["spectrum", "--n", "2", "--model", "invariant"]),
     ("refuse-spectrum-invariant-n-1", False, ["spectrum", "--n", "-1", "--model", "invariant"]),
+    ("refuse-spectrum-nn-n-1", False, ["spectrum", "--n", "-1", "--model", "nn"]),
+    ("refuse-clt-check-n-1", False, ["clt-check", "--n", "-1"]),
     ("refuse-clt-check-l1", False, ["clt-check", "--n", "6", "--l", "1"]),
     ("refuse-clt-check-l-above-n", False, ["clt-check", "--n", "6", "--l", "2", "7"]),
     ("refuse-dos-above-stream-cap", False, ["dos", "--n", "8", "29"]),

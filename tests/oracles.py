@@ -23,6 +23,8 @@ No CLI path runs any of these; each is the slow, direct form of one path:
   the batched reduced states;
 * :func:`resolve_parity_map` matches the analytic parity classes of the
   ``eps*XY + Z`` ring to a dense eigensolve;
+* :func:`expand_block` doubles a list of signed mode sums by concatenation,
+  the oracle of the in-place ``free_fermion._expand_block``;
 * :func:`exact_ks_distance` sorts the materialised values and scans them,
   the oracle of ``dos.ks_distance`` of a sum-set: its value in exact mode,
   and what its bracket holds above ``EXACT_CAP``.
@@ -241,6 +243,14 @@ def resolve_parity_map(n, epsilon):
             raise RuntimeError("inconsistent parity assignment")
         return {0: -1, 1: +1}
     raise RuntimeError("analytic parity classes do not match the dense spectrum")
+
+
+def expand_block(deltas):
+    """All 2^m signed subset sums of ``deltas``: each mode puts ``vals - d`` before ``vals + d``."""
+    vals = np.zeros(1)
+    for d in deltas:
+        vals = np.concatenate([vals - d, vals + d])
+    return vals
 
 
 def exact_ks_distance(values):

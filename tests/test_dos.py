@@ -278,6 +278,35 @@ def test_count_below_of_sum_set_matches_materialised(values, offsets):
     assert d.count == len(values) * len(offsets)
 
 
+def test_ranks_step_over_the_guess_where_the_threshold_rounds_wrong():
+    """Counts where ``v < fl(x - o)`` and ``fl(o + v) < x`` disagree both ways, with ties and a huge offset.
+
+    At o = 1 and x = nextafter(1, 2), v = 1.5 * 2^-53 is below ``x - o`` =
+    2^-52, but ``1 + v`` rounds up to x: the guess counts one too many. At
+    x = 2^-54, ``x - 1`` rounds to -1, so v = -1 is not below it, but
+    ``1 + v`` = 0 is below x: the guess counts one too few. At o = 2^60 one
+    ulp of the sum is 256, so a hundred tie groups round to each sum.
+    """
+    eps = 2.0**-53
+    x1 = np.nextafter(1.0, 2.0)
+    small = np.repeat([-1.0 - 2 * eps, -1.0, -1.0 + eps, -eps, 0.0, 0.5 * eps, eps, 1.5 * eps, 2 * eps, 3 * eps],
+                      [1, 3, 2, 1, 3, 2, 4, 3, 2, 1])
+    wide = np.repeat(np.arange(-600.0, 600.0), 2)
+    under = over = 0
+    for values, offsets in ((small, [1.0, 0.0, -1.0, x1]), (wide, [2.0**60, -(2.0**60), 0.0, 1e300])):
+        d = EmpiricalDistribution.from_sum_set(values.copy(), offsets)
+        x = sum_set_values(values, offsets)
+        grid = np.unique(np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf), [x1, 2.0**-54]]))
+        assert np.array_equal(d.count_below(grid), _materialised_counts(x, grid))
+        for o in offsets:
+            want = _materialised_counts(d.low + o, grid)
+            assert np.array_equal(dos._ranks(d.low, o, grid), want)
+            guess = np.searchsorted(d.low, grid - o)
+            under += int(np.sum(guess < want))
+            over += int(np.sum(guess > want))
+    assert under and over  # the guess alone is wrong in both directions
+
+
 @given(
     st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
     st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=7),
@@ -291,7 +320,7 @@ def test_power_sums_of_sum_set_match_materialised(values, offsets):
         assert abs(got[k - 1] - np.sum(x**k)) <= 1e-12 * max(np.sum(size**k), 1e-300), k
 
 
-@pytest.mark.parametrize("chunk_bits", [3, 9, 16])
+@pytest.mark.parametrize("chunk_bits", [3, 9, 16, 18])
 def test_sum_set_histogram_matches_np_histogram(monkeypatch, chunk_bits):
     """Counts below each point of GRID, and the bin counts between them, equal those of the materialised values."""
     monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
@@ -310,7 +339,7 @@ def test_sum_set_histogram_matches_np_histogram(monkeypatch, chunk_bits):
             assert np.all(np.isin(values[inside], GRID)) and d.count - cum[-1] == int(np.sum(values > 7.5))
 
 
-@pytest.mark.parametrize("chunk_bits", [3, 9, 16])
+@pytest.mark.parametrize("chunk_bits", [3, 9, 16, 18])
 def test_sum_set_power_sums_match_collected(monkeypatch, chunk_bits):
     monkeypatch.setattr(free_fermion, "CHUNK_BITS", chunk_bits)
     n, eps = 20, 0.6

@@ -13,7 +13,7 @@ from spinchain.free_fermion import (
 )
 from spinchain.hamiltonians import SizeLimitError
 
-from oracles import resolve_parity_map
+from oracles import expand_block, resolve_parity_map
 
 
 def test_modes_eps_zero():
@@ -64,6 +64,14 @@ def test_gray_walk_independent_of_chunking(monkeypatch):
         values = sum_set_values(*spectrum_sum_set(10, 0.6))
         assert len(values) == 1 << 10
         assert np.max(np.abs(np.sort(values) - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 8, 13, 20])
+def test_expand_block_in_place_equals_concatenation(n):
+    """The in-place expansion computes every value by the same float operations as the concatenation."""
+    deltas = mode_energies(n, 0.37).delta / np.sqrt(n)
+    for m in range(n + 1):
+        assert np.array_equal(free_fermion._expand_block(deltas[:m]), expand_block(deltas[:m])), m
 
 
 def test_collect_spectrum_index_is_occupation(monkeypatch):

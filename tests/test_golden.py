@@ -4,6 +4,8 @@ Exit codes always match exactly. Outputs marked exact there match byte for byte.
 the text between numbers and every integer match exactly, and a float may move by 1e-12 relative
 to the larger of the two and to 1, so a last-bit difference of LAPACK between machines passes,
 while any printed digit above that, or a float printed in another form (``1`` for ``1.0``), fails.
+Every float of such an output must also be spelled as ``repr`` spells it, so a float printed in
+another format (``%.17g``, ``1.0e-05``, ``0.50``) fails even where its value is within the tolerance.
 """
 
 import json
@@ -13,12 +15,18 @@ import pytest
 
 from golden.regen import COMMANDS, HERE, run
 
-NUMBER = re.compile(rb"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
+#: a point must be followed by a digit, so the range ``2..6`` is the integers 2 and 6
+NUMBER = re.compile(rb"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
 REL_TOL = 1e-12
 
 
 def is_float(token):
     return re.search(rb"[.eE]", token) is not None
+
+
+def non_repr_floats(text):
+    """The float tokens of ``text`` that ``repr`` of their value does not spell."""
+    return [tok for tok in NUMBER.findall(text) if is_float(tok) and repr(float(tok)).encode() != tok]
 
 
 def same_up_to_rounding(got, want):
@@ -54,6 +62,7 @@ def test_cli_output_matches_golden(name, exact, argv):
             assert got == want, f"{name}.{suffix} differs"
         else:
             assert same_up_to_rounding(got, want), f"{name}.{suffix} differs beyond float rounding"
+            assert not non_repr_floats(got), f"{name}.{suffix} prints floats not in repr form"
 
 
 def test_rounding_comparison():
@@ -64,3 +73,10 @@ def test_rounding_comparison():
     assert not same_up_to_rounding(b"a,1,3\n", b"a,1.0,3\n")
     assert not same_up_to_rounding(b"b,0.3,3\n", b"a,0.3,3\n")
     assert not same_up_to_rounding(b"a,0.3\n", b"a,0.3,3\n")
+    assert not same_up_to_rounding(b"l 2..7", b"l 2..6")
+
+
+def test_float_format_check():
+    assert non_repr_floats(b"a,0.1,-2.5e-17,1e+154,3,out of range 2..6\n") == []
+    assert non_repr_floats(b"a,0.10000000000000001,1.0e-05,0.50,1e5,0.30000000000000004\n") == [
+        b"0.10000000000000001", b"1.0e-05", b"0.50", b"1e5"]
