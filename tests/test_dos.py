@@ -285,7 +285,8 @@ def test_ranks_step_over_the_guess_where_the_threshold_rounds_wrong():
     2^-52, but ``1 + v`` rounds up to x: the guess counts one too many. At
     x = 2^-54, ``x - 1`` rounds to -1, so v = -1 is not below it, but
     ``1 + v`` = 0 is below x: the guess counts one too few. At o = 2^60 one
-    ulp of the sum is 256, so a hundred tie groups round to each sum.
+    ulp of the sum is 256, so 256 of the integer values round to each sum,
+    and the guess is off by about 128 tie groups.
     """
     eps = 2.0**-53
     x1 = np.nextafter(1.0, 2.0)
