@@ -16,13 +16,11 @@ from .hamiltonians import (
     build_invariant,
     build_nn_chain,
     build_pair_only,
-    hs_inner,
     normalize,
     sample_random,
 )
 from .spectra import (
     EigenDecomposition,
-    commutator_norm,
     diagonalize_dense,
     min_gap,
 )
@@ -31,7 +29,6 @@ from .symmetry import (
     build_momentum_basis,
     joint_eigenbasis,
     translation_defect,
-    translation_permutation,
 )
 from .entanglement import (
     build_M,
@@ -52,11 +49,11 @@ from .dos import (
     ba_prediction_printed,
     block_link_split,
     clt_bound_check,
-    extensive_moments,
     ks_distance,
     lyapunov_quantities,
     moments,
     power_sums,
+    ring_moments,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

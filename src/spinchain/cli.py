@@ -216,9 +216,15 @@ def cmd_ba_moments(args):
     sigma2 = 1.0 + args.alpha1**2 + args.alpha3**2
     entries = []
     failures = 0
-    # nothing is solved above n = MAX_MOMENT + 2, so no size cap applies; n < 3 is refused before the first solve
-    ms = dos.extensive_moments(lambda n: hamiltonians.build_ba(args.alpha1, args.alpha3, n), args.n)
-    for n, m in zip(args.n, ms):
+    # every size up to MAX_MOMENT is built first, so n < 3 is refused before the first solve; a larger
+    # size takes the window sum of the bond table, which builds no ring and has no size cap
+    small = {n: hamiltonians.build_ba(args.alpha1, args.alpha3, n) for n in args.n if n <= dos.MAX_MOMENT}
+    bond = hamiltonians.ba_bond(args.alpha1, args.alpha3)
+    for n in args.n:
+        if n in small:
+            m = dos.moments(dos.EmpiricalDistribution.from_values(symmetry.joint_eigenbasis(small[n]).eigenvalues))
+        else:
+            m = dos.ring_moments(n, bond, scaled=True)
         if not abs(m[1] - sigma2) <= 1e-10 * max(1.0, sigma2):
             failures += 1
         entries.append({"n": n, "m2": m[1], "m4": m[3], "m6": m[5]})

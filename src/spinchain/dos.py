@@ -11,10 +11,10 @@ from functools import cached_property
 import numpy as np
 
 from .free_fermion import EXACT_CAP
-from .hamiltonians import OperatorSum, hs_inner, ring_bonds
-from .symmetry import joint_eigenbasis
+from .hamiltonians import OperatorSum, bond_table, open_chain, ring_bonds
 
-MAX_MOMENT = 8
+#: highest spectral moment kept; the window sum of :func:`ring_moments` solves open chains of up to MAX_MOMENT + 1 sites
+MAX_MOMENT = 6
 #: slack of the characteristic-function bound
 BOUND_SLACK = 1e-9
 
@@ -281,57 +281,44 @@ def _raw_moments(kappa):
     return m[1:]
 
 
-def extensive_moments(build, ns):
-    """Raw spectral moments m_1..m_MAX_MOMENT of the ring ``build(n)``, one array per n of ``ns``.
+def ring_moments(n, alpha, scaled):
+    """Raw spectral moments m_1..m_MAX_MOMENT of the ring ``_ring(n, alpha, scaled)``, exact for n > MAX_MOMENT.
 
-    ``build(n)`` must give a translation-invariant nearest-neighbour ring
-    with the same terms at every n and a ``1/sqrt(n)`` prefactor. Under the
-    trace state a connected cluster of j terms cannot wrap a ring of more
-    than j sites, so the cumulants of the unscaled ring are n times a
-    per-site value, and ``kappa_j(H_n) = c_j n^(1 - j/2)`` for every
-    n >= j + 1 (Hartmann, Mahler & Hess, Lett. Math. Phys. 68, 103 (2004)).
+    ``alpha`` is the ring's bond table, as :func:`~spinchain.hamiltonians.bond_table` takes it. Under
+    the trace state the k-th cumulant of a sum of bond terms is the sum of the connected parts of
+    the clusters of at most k bonds (Hartmann, Mahler & Hess, Lett. Math. Phys. 68, 103 (2004)),
+    and on a ring of n > k bonds the connected clusters are the arcs. By inclusion-exclusion over
+    its sub-arcs, the arc [a, b] has the part ``J_k[a, b] = kappa_k[a, b] - kappa_k[a+1, b] -
+    kappa_k[a, b-1] + kappa_k[a+1, b-1]``, with ``kappa_k[.]`` the cumulant of the open chain of
+    those bonds (as in the numerical linked-cluster expansion of Rigol, Bryant & Singh, PRL 97,
+    187202 (2006)). Summed over every arc of at most k bonds, the parts telescope to
+    ``kappa_k(H) = sum_a kappa_k[a, a+k-1] - sum_a kappa_k[a, a+k-2]``: the windows of k and of
+    k - 1 bonds that start at each bond a. kappa_1 = Tr H / 2^n is exactly 0, since no bond term
+    is the identity.
 
-    The c_j are read from the sector spectrum at n0 = MAX_MOMENT + 1, the
-    first size where every j <= MAX_MOMENT qualifies, with kappa_1 = Tr H /
-    2^n taken exactly from the term list. They are read again at n0 + 1; a
-    difference beyond the rounding of the moments that cancel in them is a
-    ``RuntimeError``. Every n >= n0 takes its moments from the c_j through
-    the moment-cumulant recursion, with no solve and no ring built; every
-    n < n0 is solved. All rings are built, so a bad size is refused, before
-    the first solve.
+    A window is the open chain of its table rows, solved by ``eigvalsh`` on at most MAX_MOMENT + 1
+    sites; windows with the same rows are solved once, so an invariant ring takes one solve per
+    window length. No ring is built, so n has no cap; n < 3 is refused by ``bond_table``, and
+    n <= MAX_MOMENT, where a window would wrap the ring, is a ``ValueError``.
     """
-    n0 = MAX_MOMENT + 1
-    sizes = {n for n in ns if n < n0}
-    if any(n >= n0 for n in ns):
-        sizes |= {n0, n0 + 1}
-    rings = {n: build(n) for n in sorted(sizes)}
-    spectra = {n: joint_eigenbasis(h).eigenvalues for n, h in rings.items()}
-    solved = {n: moments(EmpiricalDistribution.from_values(v), MAX_MOMENT) for n, v in spectra.items()}
-    if n0 in rings:
-        c = _per_site_cumulants(rings[n0], solved[n0])
-        again = _per_site_cumulants(rings[n0 + 1], solved[n0 + 1])
-        absolute = _power_sums(np.abs(spectra[n0]), MAX_MOMENT)[1:] / len(spectra[n0])
-        for j, (cj, aj, mj) in enumerate(zip(c, again, absolute.tolist()), start=1):
-            # the terms that cancel in c_j are as large as n0^(j/2-1) <|lambda|^j> at n0
-            if not abs(aj - cj) <= 1e-10 * n0 ** (j / 2 - 1) * mj:
-                raise RuntimeError(
-                    f"per-site cumulant c_{j} is {cj!r} at n={n0} but {aj!r} at n={n0 + 1}: the ring is not "
-                    "a translation-invariant nearest-neighbour ring with a 1/sqrt(n) prefactor"
-                )
-    out = []
-    for n in ns:
-        if n < n0:
-            out.append(solved[n])
-        else:
-            out.append(_finite(np.array(_raw_moments([cj * n ** (1 - j / 2) for j, cj in enumerate(c, start=1)]))))
-    return out
+    table = bond_table(n, alpha, scaled)
+    if n <= MAX_MOMENT:
+        raise ValueError(f"the window sum is exact for n > {MAX_MOMENT}, not n={n}")
+    solved = {}
 
+    def cumulants(rows):
+        """kappa_1..kappa_MAX_MOMENT of the open chain of ``rows``; kappa_1 = Tr / 2^n is exactly 0."""
+        key = rows.tobytes()
+        if key not in solved:
+            p = _power_sums(np.linalg.eigvalsh(open_chain(rows).to_dense()), MAX_MOMENT)
+            solved[key] = _cumulants([0.0, *(p[2:] / p[0]).tolist()])
+        return solved[key]
 
-def _per_site_cumulants(h, m):
-    """``c_j = kappa_j(H) n^(j/2 - 1)`` of H on n sites with raw moments m; kappa_1 is exact, from the term list."""
-    trace = float(np.sum(h.coeffs[(h.xs == 0) & (h.zs == 0)]))
-    kappa = _cumulants([trace, *m[1:].tolist()])
-    return [k * h.n ** (j / 2 - 1) for j, k in enumerate(kappa, start=1)]
+    # windows[b][a, k - 1] = kappa_k of the window of b bonds that starts at bond a
+    windows = {b: np.array([cumulants(rows) for rows in table[(np.arange(n)[:, None] + np.arange(b)) % n]])
+               for b in range(1, MAX_MOMENT + 1)}
+    kappa = [0.0] + [math.fsum([*windows[k][:, k - 1], *-windows[k - 1][:, k - 1]]) for k in range(2, MAX_MOMENT + 1)]
+    return _finite(np.array(_raw_moments(kappa)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +331,11 @@ class BlockLinkSplit:
     links: OperatorSum
     l: int
     k_count: int
+
+    @cached_property
+    def link_norm2(self):
+        """``<L, L> = Tr(L^2) / 2^n`` of the links L, the sum of their squared coefficients."""
+        return float(np.dot(self.links.coeffs, self.links.coeffs))
 
     @cached_property
     def block_spectra(self):
@@ -403,7 +395,6 @@ def clt_bound_check(split, eigenvalues, t_list, C=None):
     coefficient bound C is recorded, the cruder bound
     ``sqrt(t^2 ceil(n/l) 12 C^2 / n)`` is also reported.
     """
-    link_norm2 = float(hs_inner(split.links, split.links).real)
     rows = []
     for t in t_list:
         t = float(t)
@@ -412,7 +403,7 @@ def clt_bound_check(split, eigenvalues, t_list, C=None):
         for vals in split.block_spectra:
             phi *= complex(np.mean(np.exp(1j * t * vals)))
         lhs = abs(psi - phi)
-        rhs = float(np.sqrt(t**2 * link_norm2))
+        rhs = float(np.sqrt(t**2 * split.link_norm2))
         coeff_bound = None
         if C is not None:
             coeff_bound = float(np.sqrt(t**2 * split.k_count * 12.0 * C**2 / split.links.n))
@@ -437,12 +428,11 @@ def lyapunov_quantities(split, C=None):
     """
     s_n2 = sum(float(np.dot(b.coeffs, b.coeffs)) for b in split.blocks)
     fourth = sum(float(np.mean(vals**4)) for vals in split.block_spectra)
-    link_norm2 = float(hs_inner(split.links, split.links).real)
     rhs = None
     if C is not None:
         n, l = split.links.n, split.l
         rhs = float(3**7 * 4**4 * C**4 * (l / n + l**2 / n**2))
-    return LyapunovReport(s_n2, fourth, link_norm2, rhs)
+    return LyapunovReport(s_n2, fourth, split.link_norm2, rhs)
 
 
 # ---------------------------------------------------------------------------

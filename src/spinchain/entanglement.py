@@ -193,7 +193,7 @@ def build_M(a, n):
     """Translation average ``(1/sqrt(n)) sum_j T^j sigma_1^(a_1)..sigma_l^(a_l) T^-j``.
 
     Requires ``a != 0`` and ``2l < n`` so the n translated strings are
-    distinct; then ``hs_inner(M, M) = 1`` exactly.
+    distinct; then ``Tr(M^2) / 2^n = 1`` exactly.
     """
     codes = tuple(a)
     l = len(codes)

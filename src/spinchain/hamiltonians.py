@@ -94,13 +94,6 @@ class OperatorSum:
         """True when no term has an odd number of Y factors, so the matrix of the sum is real."""
         return not np.any(np.bitwise_count(self.xs & self.zs) & 1)
 
-    @property
-    def terms(self):
-        return [
-            (float(c), PauliString(self.n, int(x), int(z)))
-            for c, x, z in zip(self.coeffs, self.xs, self.zs)
-        ]
-
     def __add__(self, other):
         if not isinstance(other, OperatorSum):
             return NotImplemented
@@ -151,21 +144,6 @@ class OperatorSum:
         return m
 
 
-def hs_inner(a, b):
-    """Scaled Hilbert-Schmidt inner product ``(1/2^n) Tr(A B^dagger)`` of two operator sums.
-
-    For canonically stored sums this is the Parseval sum over matching
-    strings of products of coefficients.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError(f"site counts differ: {a.n} != {b.n}")
-    keys_a = {(int(x), int(z)): c for x, z, c in zip(a.xs, a.zs, a.coeffs)}
-    total = 0.0
-    for x, z, c in zip(b.xs, b.zs, b.coeffs):
-        total += keys_a.get((int(x), int(z)), 0.0) * c
-    return complex(total)
-
-
 @dataclass(frozen=True)
 class ChainCoefficients:
     """Per-bond couplings ``alpha[j, a, b]`` of a nearest-neighbour ring."""
@@ -201,18 +179,35 @@ def _bond_sites(n):
     return left, np.roll(left, -1)
 
 
-def _ring(n, alpha, scaled):
-    """The ring ``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)``, times ``1/sqrt(n)`` if ``scaled``.
+def bond_table(n, alpha, scaled):
+    """The ``(n, 4, 3)`` coefficient table of the ring ``_ring(n, alpha, scaled)``; n < 3 is a ``ValueError``.
 
-    ``alpha`` is an ``(n, 4, 3)`` table, or one ``(4, 3)`` table for every bond. This is the one place
-    that lays out the bonds: bond j couples sites j and j+1 (cyclically), and its a=0 terms act on
-    site j+1 alone. :func:`ring_bonds` reads the layout back.
+    ``alpha`` is an ``(n, 4, 3)`` table, or one ``(4, 3)`` table for every bond; ``scaled`` multiplies
+    it by ``1/sqrt(n)``.
     """
     _check_ring_size(n)
     alpha = np.broadcast_to(alpha, (n, 4, 3))
-    if scaled:
-        alpha = (1.0 / np.sqrt(n)) * alpha
-    left, right = (m[:, None, None] for m in _bond_sites(n))
+    return (1.0 / np.sqrt(n)) * alpha if scaled else alpha
+
+
+def _ring(n, alpha, scaled):
+    """The ring ``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)``, times ``1/sqrt(n)`` if ``scaled``."""
+    return _bonds(n, bond_table(n, alpha, scaled))
+
+
+def open_chain(rows):
+    """The open chain of the bond rows ``rows[0..L-1]`` (an ``(L, 4, 3)`` table) on L + 1 sites: a ring's layout without its wrap bond."""
+    return _bonds(len(rows) + 1, rows)
+
+
+def _bonds(n, alpha):
+    """``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)`` over the rows j of ``alpha``, on n sites.
+
+    This is the one place that lays out the bonds: bond j couples sites j and j+1 (cyclically), and its
+    a=0 terms act on site j+1 alone. n rows make the ring, n - 1 rows the open chain. :func:`ring_bonds`
+    reads the layout back.
+    """
+    left, right = (m[: len(alpha), None, None] for m in _bond_sites(n))
     x_bits, z_bits = np.array(_CODE_BITS).T
     xs = left * x_bits[:, None] | right * x_bits[1:]
     zs = left * z_bits[:, None] | right * z_bits[1:]
@@ -254,9 +249,14 @@ def build_pair_only(c):
     return _ring(c.n, c.alpha, scaled=False)
 
 
+def ba_bond(alpha1, alpha3):
+    """The ``(4, 3)`` bond table ``X_j X_{j+1} + alpha1 X_{j+1} + alpha3 Z_{j+1}`` of the Ising ring with fields."""
+    return np.array([[alpha1, 0.0, alpha3], [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+
+
 def build_ba(alpha1, alpha3, n):
     """Ising ring with transverse and longitudinal fields, 1/sqrt(n) prefactor."""
-    return build_invariant([[alpha1, 0.0, alpha3], [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3], n)
+    return build_invariant(ba_bond(alpha1, alpha3), n)
 
 
 def build_exyz(epsilon, n):
@@ -265,7 +265,7 @@ def build_exyz(epsilon, n):
 
 
 def normalization_scale(norm2):
-    """``1 / sqrt(norm2)``, the factor that takes ``hs_inner(H, H) = norm2`` to 1.
+    """``1 / sqrt(norm2)``, the factor that takes ``Tr(H^2) / 2^n = norm2`` to 1.
 
     A zero or non-finite ``norm2`` (the zero operator, or coefficients whose
     squares overflow) has no such factor and is a ``ValueError``.
@@ -276,7 +276,7 @@ def normalization_scale(norm2):
 
 
 def normalize(h):
-    """Scale so that ``hs_inner(H, H) = 1`` (unit spectral second moment)."""
+    """Scale so that ``Tr(H^2) / 2^n``, the sum of the squared coefficients, is 1 (unit spectral second moment)."""
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         norm2 = float(np.dot(h.coeffs, h.coeffs))
     return normalization_scale(norm2) * h

@@ -1,10 +1,8 @@
-"""Dense Hermitian diagonalization, minimum gaps, commutator norms and the CSV spectrum table."""
+"""Dense Hermitian diagonalization, minimum gaps and the CSV spectrum table."""
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .hamiltonians import OperatorSum
 
 #: gaps below this fraction of the spectral range are flagged by ``spectrum_table``
 DEGENERACY_RTOL = 1e-10
@@ -68,30 +66,6 @@ def min_gap(vals):
     """Smallest gap between consecutive ascending eigenvalues; ``inf`` for fewer than two."""
     gaps = np.diff(vals)
     return float(gaps.min()) if len(gaps) else float("inf")
-
-
-def commutator_norm(a, b):
-    """Frobenius norm of ``AB - BA`` scaled by ``2^{-n/2}``.
-
-    ``b`` is an :class:`OperatorSum` or a basis permutation given as an
-    index array ``perm`` (``B|i> = |perm[i]>``), as produced by
-    :func:`spinchain.symmetry.translation_permutation`.
-    """
-    da = a.to_dense()
-    if isinstance(b, OperatorSum):
-        if b.n != a.n:
-            raise ValueError("site counts differ")
-        db = b.to_dense()
-        comm = da @ db - db @ da
-    else:
-        # B|i> = |perm[i]>: (AB)[i,j] = A[i, perm[j]], (BA)[i,j] = A[inv[i], j]
-        perm = np.asarray(b, dtype=np.intp)
-        if perm.shape != (len(da),):
-            raise ValueError(f"expected an OperatorSum or a permutation of {len(da)} basis indices")
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
-        comm = da[:, perm] - da[inv, :]
-    return float(np.linalg.norm(comm) / 2 ** (a.n / 2))
 
 
 def spectrum_table(e):

@@ -28,11 +28,6 @@ def _rotate(masks, n):
     return (masks >> 1) | ((masks & 1) << (n - 1))
 
 
-def translation_permutation(n):
-    """Index array ``perm`` with ``T|b> = |perm[b]>``."""
-    return _rotate(np.arange(1 << n), n)
-
-
 def translation_defect(h):
     """``||[H, T]||_F * 2^{-n/2}`` computed exactly from the Pauli term list.
 

@@ -5,6 +5,16 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 * :func:`from_codes` and :func:`from_label` spell Pauli strings site by
   site, and :func:`pauli_to_dense` forms the 2^n x 2^n matrix of one string,
   the oracle of ``pauli.multiply``;
+* :func:`terms` lists an operator sum as ``(coefficient, PauliString)``
+  pairs, and :func:`hs_inner` takes the Hilbert-Schmidt inner product of two
+  sums by matching their strings one by one;
+* :func:`commutator_norm` forms the dense commutator with a second sum or
+  with the translation as the basis permutation of
+  :func:`translation_permutation`, the oracle of the term-list test
+  ``symmetry.translation_defect``;
+* :func:`parseval_moments` takes m1..m6 of an operator sum from the Pauli
+  expansions of H, H^2 and H^3, with no eigensolve, the oracle of
+  ``dos.ring_moments`` on rings too large for a dense solve;
 * :class:`StateVector`, :func:`apply`, :func:`expectation` and
   :func:`apply_sum` act with one Pauli string at a time, the per-string
   oracle of ``OperatorSum.x_groups``;
@@ -38,10 +48,10 @@ import numpy as np
 from spinchain.dos import normal_cdf
 from spinchain.entanglement import AveragePurityResult, _lifted_chunks, _pauli_stack, _purities, _rho_buffers
 from spinchain.free_fermion import collect_spectrum
-from spinchain.hamiltonians import build_exyz
+from spinchain.hamiltonians import OperatorSum, build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
-from spinchain.symmetry import _roots_of_unity, sector_eigensystems, sorted_spectrum, translation_permutation
+from spinchain.symmetry import _roots_of_unity, _rotate, sector_eigensystems, sorted_spectrum
 
 
 def from_codes(codes):
@@ -65,6 +75,89 @@ def pauli_to_dense(s):
     m = np.zeros((1 << s.n, 1 << s.n), dtype=complex)
     m[idx ^ s.x_mask, idx] = (1j ** y_count(s)) * (1.0 - 2.0 * (np.bitwise_count(idx & s.z_mask) & 1))
     return m
+
+
+def terms(h):
+    """The ``(coefficient, PauliString)`` pairs of an operator sum, in its canonical order."""
+    return [(float(c), PauliString(h.n, int(x), int(z))) for c, x, z in zip(h.coeffs, h.xs, h.zs)]
+
+
+def hs_inner(a, b):
+    """Scaled Hilbert-Schmidt inner product ``(1/2^n) Tr(A B^dagger)`` of two operator sums.
+
+    For canonically stored sums this is the Parseval sum over matching
+    strings of products of coefficients.
+    """
+    if a.n != b.n:
+        raise DimensionMismatchError(f"site counts differ: {a.n} != {b.n}")
+    keys_a = {(int(x), int(z)): c for x, z, c in zip(a.xs, a.zs, a.coeffs)}
+    total = 0.0
+    for x, z, c in zip(b.xs, b.zs, b.coeffs):
+        total += keys_a.get((int(x), int(z)), 0.0) * c
+    return complex(total)
+
+
+def translation_permutation(n):
+    """Index array ``perm`` with ``T|b> = |perm[b]>``."""
+    return _rotate(np.arange(1 << n), n)
+
+
+def commutator_norm(a, b):
+    """Frobenius norm of ``AB - BA`` scaled by ``2^{-n/2}``.
+
+    ``b`` is an :class:`OperatorSum` or a basis permutation given as an
+    index array ``perm`` (``B|i> = |perm[i]>``), as produced by
+    :func:`translation_permutation`.
+    """
+    da = a.to_dense()
+    if isinstance(b, OperatorSum):
+        if b.n != a.n:
+            raise ValueError("site counts differ")
+        db = b.to_dense()
+        comm = da @ db - db @ da
+    else:
+        # B|i> = |perm[i]>: (AB)[i,j] = A[i, perm[j]], (BA)[i,j] = A[inv[i], j]
+        perm = np.asarray(b, dtype=np.intp)
+        if perm.shape != (len(da),):
+            raise ValueError(f"expected an OperatorSum or a permutation of {len(da)} basis indices")
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(len(perm))
+        comm = da[:, perm] - da[inv, :]
+    return float(np.linalg.norm(comm) / 2 ** (a.n / 2))
+
+
+def _product(a, b, n):
+    """``(xs, zs, coeffs)`` of ``A B`` for ``A``, ``B`` given as ``(xs, zs, complex coeffs)``, every pair of strings at once.
+
+    With ``P(x, z) = i^{|x&z|} X^x Z^z``, moving ``Z^{z_a}`` past ``X^{x_b}`` gives
+    ``P_a P_b = i^{|x_a&z_a| + |x_b&z_b| + 2|z_a&x_b| - |x&z|} P(x_a^x_b, z_a^z_b)``.
+    """
+    xa, za, ca = (v[:, None] for v in a)
+    xb, zb, cb = b
+    x, z = xa ^ xb, za ^ zb
+    power = np.bitwise_count(xa & za) + np.bitwise_count(xb & zb) + 2 * np.bitwise_count(za & xb) - np.bitwise_count(x & z)
+    keys, where = np.unique((x << n | z).ravel(), return_inverse=True)
+    c = (ca * cb * np.array([1, 1j, -1, -1j])[power % 4]).ravel()
+    return keys >> n, keys & ((1 << n) - 1), np.bincount(where, c.real) + 1j * np.bincount(where, c.imag)
+
+
+def parseval_moments(h):
+    """``m_k = Tr(H^k) / 2^n`` for k = 1..6, as ``hs_inner(H^i, H^j)`` with i + j = k, i, j <= 3.
+
+    H^2 and H^3 are expanded in Pauli strings (:func:`_product`), and each moment is
+    the sum over the strings two expansions share of their coefficient products.
+    """
+    n = h.n
+    powers = [((np.zeros(1, dtype=np.int64),) * 2 + (np.ones(1, dtype=complex),)), (h.xs, h.zs, h.coeffs.astype(complex))]
+    powers += [_product(powers[1], powers[1], n)]
+    powers += [_product(powers[1], powers[2], n)]
+
+    def inner(i, j):
+        (xa, za, ca), (xb, zb, cb) = powers[i], powers[j]
+        _, ia, ib = np.intersect1d(xa << n | za, xb << n | zb, assume_unique=True, return_indices=True)
+        return float(np.sum(ca[ia] * np.conj(cb[ib])).real)
+
+    return np.array([inner(k // 2, k - k // 2) for k in range(1, 7)])
 
 
 @dataclass(frozen=True)
@@ -121,7 +214,7 @@ def expectation(p, v):
 def apply_sum(h, v):
     """``H v`` as the sum over terms of ``c P v``, one string at a time."""
     out = np.zeros(1 << h.n, dtype=complex)
-    for c, p in h.terms:
+    for c, p in terms(h):
         out += c * apply(p, v).amplitudes
     return StateVector(h.n, out)
 

@@ -31,12 +31,13 @@ from spinchain.hamiltonians import (
     build_ba,
     build_exyz,
     build_pair_only,
-    hs_inner,
     normalize,
     sample_random,
 )
 from spinchain.spectra import diagonalize_dense
 from spinchain.symmetry import joint_eigenbasis
+
+from oracles import hs_inner
 
 SLACK = 1e-9
 SEEDS = range(20)

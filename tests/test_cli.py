@@ -162,30 +162,34 @@ def test_ba_moments_ising_special_case(tmp_path):
 
 
 def test_ba_moments_m2_identity_is_checked_relative_to_the_variance(tmp_path, monkeypatch):
-    """A large field passes its true m2 = variance; a wrong m2 still exits 1."""
+    """A large field passes its true m2 = variance, solved or from the window sum; a wrong m2 still exits 1."""
     from spinchain import dos
 
-    argv = ["ba-moments", "--n", "6", "--alpha1", "1e4", "--alpha3", "0"]
+    argv = ["ba-moments", "--n", "6", "40", "--alpha1", "1e4", "--alpha3", "0"]
     code, out = run(tmp_path, "large.json", argv)
     payload = json.loads(out.read_text())
     assert code == 0 and payload["variance"] == 100000001.0
-    extensive = dos.extensive_moments
 
-    def wrong_m2(build, ns):
-        ms = [np.array(m, dtype=float) for m in extensive(build, ns)]
-        for m in ms:
+    def wrong_m2(function):
+        def wrong(*args, **kwargs):
+            m = np.array(function(*args, **kwargs), dtype=float)
             m[1] *= 1 + 1e-9
-        return ms
+            return m
+        return wrong
 
-    monkeypatch.setattr(dos, "extensive_moments", wrong_m2)
-    assert run(tmp_path, "wrong.json", argv)[0] == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(dos, "ring_moments", wrong_m2(dos.ring_moments))
+        assert run(tmp_path, "wrong.json", ["ba-moments", "--n", "40", "--alpha1", "1e4"])[0] == 1
+        assert run(tmp_path, "right_small.json", ["ba-moments", "--n", "6", "--alpha1", "0.5"])[0] == 0
+    monkeypatch.setattr(dos, "moments", wrong_m2(dos.moments))
     assert run(tmp_path, "wrong_small.json", ["ba-moments", "--n", "6", "--alpha1", "0.5"])[0] == 1
 
 
 def test_ba_moments_solves_nothing_above_n0(tmp_path, monkeypatch):
-    """Sizes above SECTOR_CAP take their moments from the per-site cumulants: no orbit table above n = 10.
+    """Sizes above n0 = MAX_MOMENT take their moments from the window sum: no orbit table is built for them.
 
-    m4 - 3 sigma^4 is the fourth cumulant, c_4 / n; it is checked against the one solved at n = 12.
+    At alpha1 = alpha3 = 0.5 the README gives m2 = sigma^2 = 1.5 and m4 = 3 sigma^4 + c_4 / n = 6.75 + 1.5 / n,
+    with the fourth cumulant 1.5 / n checked against the one solved at n = 12.
     """
     from spinchain import symmetry
     from spinchain.hamiltonians import build_ba
@@ -198,16 +202,16 @@ def test_ba_moments_solves_nothing_above_n0(tmp_path, monkeypatch):
         return build(n)
 
     monkeypatch.setattr(symmetry.OrbitTable, "build", recording)
-    code, out = run(tmp_path, "big.json", ["ba-moments", "--n", "6", "16", "40", "1000"])
+    code, out = run(tmp_path, "big.json", ["ba-moments", "--n", "6", "40", "100", "1000"])
     assert code == 0
-    assert sorted(sizes) == [6, 9, 10]
+    assert sizes == [6]
     entries = json.loads(out.read_text())["finite_n"]
-    assert [e["n"] for e in entries] == [6, 16, 40, 1000]
+    assert [e["n"] for e in entries] == [6, 40, 100, 1000]
     vals = symmetry.joint_eigenbasis(build_ba(0.5, 0.5, 12)).eigenvalues
-    c4 = 12 * (float(np.mean(vals**4)) - 3 * 1.5**2)
+    assert 12 * (float(np.mean(vals**4)) - 3 * 1.5**2) == pytest.approx(1.5, rel=1e-12)
     for e in entries[1:]:
         assert e["m2"] == pytest.approx(1.5, rel=1e-12)
-        assert e["m4"] - 3 * 1.5**2 == pytest.approx(c4 / e["n"], rel=1e-10)
+        assert e["m4"] == pytest.approx(6.75 + 1.5 / e["n"], rel=1e-12)
 
 
 def test_spectrum_export(tmp_path):

@@ -21,23 +21,24 @@ from spinchain.dos import (
     moments,
     normal_cdf,
     power_sums,
+    ring_moments,
 )
 from spinchain import dos, free_fermion
 from spinchain.free_fermion import mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     ChainCoefficients,
     OperatorSum,
+    ba_bond,
     build_ba,
     build_exyz,
     build_nn_chain,
     normalize,
     sample_random,
 )
-from spinchain.pauli import PauliString
-from spinchain.spectra import commutator_norm, diagonalize_dense
-from spinchain.symmetry import joint_eigenbasis
+from spinchain.spectra import diagonalize_dense
+from spinchain.symmetry import joint_eigenbasis, translation_defect
 
-from oracles import exact_ks_distance, from_label
+from oracles import commutator_norm, exact_ks_distance, from_label, parseval_moments, terms
 
 
 def field_chain_values(n):
@@ -355,25 +356,25 @@ def test_sum_set_power_sums_match_collected(monkeypatch, chunk_bits):
 
 
 def test_streamed_moments_match_rademacher_cumulants_n28():
-    """m2..m8 of sum_j (+-delta_j) at n=28, streamed, against its exact cumulants.
+    """m1..m6 of sum_j (+-delta_j) at n=28, streamed, against its exact cumulants.
 
     The values are ``c sum_j s_j delta_j`` with independent uniform signs, so
     the 2r-th cumulant is ``kappa_2r(Rademacher) c^2r sum_j delta_j^2r`` with
-    Rademacher cumulants 1, -2, 16, -272; odd cumulants vanish.
+    Rademacher cumulants 1, -2, 16; odd cumulants vanish.
     """
     n, eps = 28, 0.5
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
     low, offsets = spectrum_sum_set(n, eps, scale=scale)
     assert len(low) * len(offsets) == 1 << n
     delta = mode_energies(n, eps).delta * scale
-    kappa = {2 * r: c * float(np.sum(delta ** (2 * r))) for r, c in ((1, 1), (2, -2), (3, 16), (4, -272))}
+    kappa = {2 * r: c * float(np.sum(delta ** (2 * r))) for r, c in ((1, 1), (2, -2), (3, 16))}
     m = [1.0]
-    for k in range(1, 9):
+    for k in range(1, 7):
         m.append(sum(math.comb(k - 1, j - 1) * kappa.get(j, 0.0) * m[k - j] for j in range(1, k + 1)))
     got = power_sums(low, offsets) / (1 << n)
-    for k in (2, 4, 6, 8):
+    for k in (2, 4, 6):
         assert got[k - 1] == pytest.approx(m[k], rel=1e-12), k
-    for k in (1, 3, 5, 7):
+    for k in (1, 3, 5):
         assert abs(got[k - 1]) < 1e-12 * m[k + 1], k
 
 
@@ -383,50 +384,116 @@ def test_moments_field_chain():
     assert m[3] == pytest.approx(2.5)
 
 
-RINGS = [pytest.param(lambda n, a=a: build_ba(*a, n), id=f"ba{a}")
+def random_ring(kind, seed):
+    """``n -> (sample_random(kind, n, seed), its bond table, scaled)``, the table drawn as ``sample_random`` draws it."""
+    def ring(n):
+        rng = np.random.default_rng(seed)
+        if kind == "invariant":
+            alpha = rng.standard_normal((4, 3))
+        else:
+            alpha = ChainCoefficients.random(n, rng, pair_only=kind == "pair_only").alpha
+        return sample_random(kind, n, seed), alpha, kind != "pair_only"
+    return ring
+
+
+def exyz_ring(eps):
+    return lambda n: (build_exyz(eps, n), exyz_bond(eps), False)
+
+
+def exyz_bond(eps):
+    return np.array([[0.0, 0.0, 1.0], [0.0, eps, 0.0], [0.0] * 3, [0.0] * 3])
+
+
+RINGS = [pytest.param(lambda n, a=a: (build_ba(*a, n), ba_bond(*a), True), id=f"ba{a}")
          for a in ((0.0, 0.0), (0.5, 0.5), (0.25, 1.0), (1.0, 0.25), (0.7139, 0.3311))]
-RINGS += [pytest.param(lambda n, s=s: sample_random("invariant", n, s), id=f"invariant{s}") for s in range(5)]
+RINGS += [pytest.param(random_ring("invariant", s), id=f"invariant{s}") for s in range(5)]
+RINGS += [pytest.param(random_ring(kind, s), id=f"{kind}{s}") for kind in ("nn", "pair_only") for s in range(2)]
+RINGS += [pytest.param(exyz_ring(eps), id=f"exyz{eps}") for eps in (0.5, 1.3)]
 
 
-@pytest.mark.parametrize("build", RINGS)
-def test_extensive_moments_match_sector_ed(build):
-    """From the per-site cumulants of n = 9 and 10, m1..m8 at n = 9..13 are the moments of the solved spectrum.
+def even_moment_scale(m):
+    """An upper bound of ``<|lambda|^k>`` from the even moments: m_k for even k, sqrt(m_{k-1} m_{k+1}) for odd k."""
+    even = np.concatenate([[1.0], m[1::2]])
+    return np.array([m[k - 1] if k % 2 == 0 else math.sqrt(even[k // 2] * even[k // 2 + 1]) for k in range(1, MAX_MOMENT + 1)])
 
-    Odd moments may vanish, so each is held to 1e-10 of <|lambda|^k>, which
-    for an even k is the moment itself. Below n = 9 the moments are the
-    solved ones bit for bit.
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_extensive_moments_match_sector_ed(ring):
+    """The window sum gives m1..m6 of the solved spectrum at n = 7 (the first size it takes) to 13.
+
+    The moments of a translation-invariant ring come from its sector spectrum. A site-dependent
+    ring is solved densely up to n = 10; above, a dense solve would form a 2^n x 2^n complex
+    matrix of 64 MiB and more, and its moments come from the Pauli expansions of H, H^2 and H^3.
+    Odd moments may vanish, so each is held to 1e-12 of ``sqrt(m_{k-1} m_{k+1})``, at least
+    ``<|lambda|^k>``; an even moment is held to 1e-12 of itself.
     """
-    ns = [6, 8, 9, 10, 11, 12, 13]
-    for n, got in zip(ns, dos.extensive_moments(build, ns)):
-        vals = joint_eigenbasis(build(n)).eigenvalues
-        want = moments(EmpiricalDistribution.from_values(vals), MAX_MOMENT)
-        if n < MAX_MOMENT + 1:
-            assert np.array_equal(got, want)
-        scale = np.array([np.mean(np.abs(vals) ** k) for k in range(1, MAX_MOMENT + 1)])
-        assert np.all(np.abs(got - want) <= 1e-10 * scale), n
+    for n in range(MAX_MOMENT + 1, 14):
+        h, alpha, scaled = ring(n)
+        got = ring_moments(n, alpha, scaled)
+        if translation_defect(h) == 0.0 or n <= 10:
+            want = moments(EmpiricalDistribution.from_values(joint_eigenbasis(h).eigenvalues))
+        else:
+            want = parseval_moments(h)
+        assert np.all(np.abs(got - want) <= 1e-12 * even_moment_scale(want)), n
+
+
+def test_parseval_moments_match_dense_ed():
+    """The Pauli-expansion moments of the oracle equal those of a dense solve, on rings small enough for one."""
+    for kind in ("nn", "pair_only", "invariant"):
+        for n in (3, 5, 8):
+            h = sample_random(kind, n, 1)
+            vals = np.linalg.eigvalsh(h.to_dense())
+            scale = np.array([np.mean(np.abs(vals) ** k) for k in range(1, MAX_MOMENT + 1)])
+            want = moments(EmpiricalDistribution.from_values(vals))
+            assert np.all(np.abs(parseval_moments(h) - want) <= 1e-12 * scale), (kind, n)
 
 
 def test_extensive_moments_of_field_ring_at_large_n():
-    """``(1/sqrt(n)) sum_j Z_j`` has the binomial spectrum (n - 2r)/sqrt(n); its moments are exact sums at any n."""
-    def build(n):
-        return OperatorSum.from_terms(n, [(1 / math.sqrt(n), PauliString.from_sites(n, {j: 3})) for j in range(1, n + 1)])
-
-    ns = [9, 50, 1000]
-    for n, got in zip(ns, dos.extensive_moments(build, ns)):
+    """``(1/sqrt(n)) sum_j Z_j``, one bond row, has the binomial spectrum (n - 2r)/sqrt(n); its moments are exact sums at any n."""
+    field = np.zeros((4, 3))
+    field[0, 2] = 1.0  # a = 0, right factor Z: Z_{j+1} alone
+    for n in (9, 50, 1000):
+        got = ring_moments(n, field, scaled=True)
         want = [sum(math.comb(n, r) * (n - 2 * r) ** k for r in range(n + 1)) / (2**n * n ** (k // 2))
                 / (math.sqrt(n) if k % 2 else 1) for k in range(1, MAX_MOMENT + 1)]
         assert got[1::2] == pytest.approx(want[1::2], rel=1e-12)
         assert np.all(np.abs(got[0::2]) <= 1e-12 * np.array(want[1::2])), n
 
 
-@pytest.mark.parametrize("build", [
-    pytest.param(lambda n: build_exyz(0.5, n), id="no-prefactor"),
-    pytest.param(lambda n: sample_random("nn", n, 0), id="site-dependent"),
-])
-def test_extensive_moments_refuse_rings_without_per_site_cumulants(build):
-    """A ring without the 1/sqrt(n) prefactor, or one whose couplings change with n, fails the check at n = 10."""
-    with pytest.raises(RuntimeError, match="per-site cumulant c_2 .* at n=9 but .* at n=10"):
-        dos.extensive_moments(build, [40])
+@pytest.mark.parametrize("n", [7, 50, 1000])
+def test_ring_moments_of_exyz_match_its_mode_energies(n):
+    """``sum_j (eps X_j Y_{j+1} + Z_j)`` has the spectrum ``sum_j (+-delta_j)``, every sign pattern once.
+
+    So its 2r-th cumulant is the coin cumulant 1, -2, 16 (r = 1, 2, 3) times ``sum_j delta_j^2r``,
+    and its odd cumulants vanish.
+    """
+    eps = 0.5
+    delta = mode_energies(n, eps).delta
+    kappa = [0.0 if k % 2 else c * math.fsum(delta**k) for k, c in zip(range(1, 7), (0, 1, 0, -2, 0, 16))]
+    want = np.array(dos._raw_moments(kappa))
+    got = ring_moments(n, exyz_bond(eps), scaled=False)
+    assert got[1::2] == pytest.approx(want[1::2], rel=1e-12)
+    assert np.all(np.abs(got[0::2]) <= 1e-12 * even_moment_scale(want)[0::2])
+
+
+def test_ring_moments_solve_each_window_of_an_invariant_ring_once(monkeypatch):
+    """An invariant ring takes one solve per window length, 1..MAX_MOMENT bonds, at any n."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        solves.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ring_moments(1000, ba_bond(0.5, 0.5), scaled=True)
+    assert sorted(solves) == [1 << (bonds + 1) for bonds in range(1, MAX_MOMENT + 1)]
+
+
+@pytest.mark.parametrize("n", [-1, 2, MAX_MOMENT])
+def test_ring_moments_refuse_rings_a_window_would_wrap(n):
+    with pytest.raises(ValueError, match="ring builders need n >= 3|exact for n > 6"):
+        ring_moments(n, ba_bond(0.5, 0.5), scaled=True)
 
 
 def test_moments_refuse_overflowed_power_sums():
@@ -493,9 +560,9 @@ def test_split_reassembles_random_rings_term_for_term(nl, seed):
     n, l = nl
     h = sample_random("nn", n, seed)
     split = block_link_split(h, l)
-    parts = [t for part in split.blocks + (split.links,) for t in part.terms]
+    parts = [t for part in split.blocks + (split.links,) for t in terms(part)]
     key = lambda t: (t[1].x_mask, t[1].z_mask)
-    assert sorted(parts, key=key) == sorted(h.terms, key=key)
+    assert sorted(parts, key=key) == sorted(terms(h), key=key)
 
 
 def test_clt_rows_t_zero_and_positive():

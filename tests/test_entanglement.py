@@ -18,7 +18,6 @@ from spinchain.hamiltonians import (
     OperatorSum,
     build_ba,
     build_pair_only,
-    hs_inner,
     sample_random,
 )
 from spinchain.pauli import PauliString
@@ -30,9 +29,11 @@ from oracles import (
     apply_sum,
     average_purity,
     full_space_residual,
+    hs_inner,
     joint_eigenbasis_lifted,
     pauli_coefficients,
     reduce_contiguous,
+    terms,
 )
 
 
@@ -178,7 +179,7 @@ def test_build_M_single_z():
 def test_build_M_xx_pairs():
     m = build_M((1, 1), 5)
     assert m.num_terms == 5
-    assert all(s.label.count("I") == 3 for _, s in m.terms)
+    assert all(s.label.count("I") == 3 for _, s in terms(m))
     assert abs(hs_inner(m, m).real - 1.0) < 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchain.hamiltonians import OperatorSum, hs_inner
+from spinchain.hamiltonians import OperatorSum
 from spinchain.pauli import (
     DimensionMismatchError,
     PauliString,
@@ -13,7 +13,7 @@ from spinchain.pauli import (
     multiply,
 )
 
-from oracles import StateVector, apply, expectation, from_codes, from_label, pauli_to_dense
+from oracles import StateVector, apply, expectation, from_codes, from_label, hs_inner, pauli_to_dense
 
 # independent dense oracle: kron products built from explicit 2x2 matrices
 SIGMA = [

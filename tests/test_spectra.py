@@ -12,14 +12,11 @@ from spinchain.hamiltonians import (
 )
 from spinchain.spectra import (
     EigenDecomposition,
-    commutator_norm,
     diagonalize_dense,
     min_gap,
     spectrum_table,
 )
-from spinchain.symmetry import translation_permutation
-
-from oracles import from_label
+from oracles import commutator_norm, from_label, translation_permutation
 
 
 def op(n, label, coeff=1.0):

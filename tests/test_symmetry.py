@@ -15,7 +15,7 @@ from spinchain.hamiltonians import (
     sample_random,
 )
 from spinchain.pauli import PauliString
-from spinchain.spectra import commutator_norm, diagonalize_dense
+from spinchain.spectra import diagonalize_dense
 from spinchain.symmetry import (
     COMMUTATION_TOL,
     SECTOR_CAP,
@@ -26,10 +26,18 @@ from spinchain.symmetry import (
     momentum_blocks,
     sector_eigensystems,
     translation_defect,
-    translation_permutation,
 )
 
-from oracles import average_purity, dense_basis, full_space_residual, joint_eigenbasis_lifted, lift, pauli_to_dense
+from oracles import (
+    average_purity,
+    commutator_norm,
+    dense_basis,
+    full_space_residual,
+    joint_eigenbasis_lifted,
+    lift,
+    pauli_to_dense,
+    translation_permutation,
+)
 
 
 def translate_index(b, n):
