@@ -310,14 +310,18 @@ def ring_moments(n, alpha, scaled):
         """kappa_1..kappa_MAX_MOMENT of the open chain of ``rows``; kappa_1 = Tr / 2^n is exactly 0."""
         key = rows.tobytes()
         if key not in solved:
-            p = _power_sums(np.linalg.eigvalsh(open_chain(rows).to_dense()), MAX_MOMENT)
-            solved[key] = _cumulants([0.0, *(p[2:] / p[0]).tolist()])
+            vals = np.linalg.eigvalsh(open_chain(rows).to_dense())
+            solved[key] = _cumulants([0.0, *(power_sums(vals)[1:] / len(vals)).tolist()])
         return solved[key]
 
     # windows[b][a, k - 1] = kappa_k of the window of b bonds that starts at bond a
     windows = {b: np.array([cumulants(rows) for rows in table[(np.arange(n)[:, None] + np.arange(b)) % n]])
                for b in range(1, MAX_MOMENT + 1)}
-    kappa = [0.0] + [math.fsum([*windows[k][:, k - 1], *-windows[k - 1][:, k - 1]]) for k in range(2, MAX_MOMENT + 1)]
+    kappa = [0.0]
+    for k in range(2, MAX_MOMENT + 1):
+        terms = np.concatenate([windows[k][:, k - 1], -windows[k - 1][:, k - 1]])
+        # fsum refuses inf - inf; an overflowed window is refused below, as a moment that is not finite
+        kappa.append(math.fsum(terms) if np.all(np.isfinite(terms)) else math.nan)
     return _finite(np.array(_raw_moments(kappa)))
 
 

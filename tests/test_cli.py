@@ -185,6 +185,12 @@ def test_ba_moments_m2_identity_is_checked_relative_to_the_variance(tmp_path, mo
     assert run(tmp_path, "wrong_small.json", ["ba-moments", "--n", "6", "--alpha1", "0.5"])[0] == 1
 
 
+@pytest.mark.parametrize("n", ["6", "40"])
+def test_ba_moments_refuse_overflowing_moments(tmp_path, n):
+    """Sixth powers of eigenvalues near 1e100 overflow: exit 3, solved or from the window sum, with no numpy warning."""
+    assert run(tmp_path, "big.json", ["ba-moments", "--n", n, "--alpha1", "1e100"])[0] == 3
+
+
 def test_ba_moments_solves_nothing_above_n0(tmp_path, monkeypatch):
     """Sizes above n0 = MAX_MOMENT take their moments from the window sum: no orbit table is built for them.
 
