@@ -52,6 +52,10 @@ COMMANDS = [
     ("refuse-spectrum-invariant-n2", False, ["spectrum", "--n", "2", "--model", "invariant"]),
     ("refuse-spectrum-invariant-n-1", False, ["spectrum", "--n", "-1", "--model", "invariant"]),
     ("refuse-spectrum-nn-n-1", False, ["spectrum", "--n", "-1", "--model", "nn"]),
+    ("refuse-purity-sweep-above-dense-cap", False, ["purity-sweep", "--model", "nn", "--n", "14"]),
+    ("refuse-purity-sweep-above-sector-cap", False, ["purity-sweep", "--model", "invariant", "--n", "16",
+                                                     "--samples", "1"]),
+    ("refuse-clt-check-above-dense-cap", False, ["clt-check", "--n", "14"]),
     ("refuse-clt-check-n-1", False, ["clt-check", "--n", "-1"]),
     ("refuse-clt-check-l1", False, ["clt-check", "--n", "6", "--l", "1"]),
     ("refuse-clt-check-l-above-n", False, ["clt-check", "--n", "6", "--l", "2", "7"]),
