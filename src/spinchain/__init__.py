@@ -28,7 +28,6 @@ from .symmetry import (
     MomentumSector,
     build_momentum_basis,
     joint_eigenbasis,
-    translation_defect,
 )
 from .entanglement import (
     build_M,

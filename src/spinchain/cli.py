@@ -122,8 +122,8 @@ def cmd_purity_sweep(args):
 def _dos_input(args, n):
     """What ``dos`` needs for one ``--n``, refused here if bad: a function that builds its distribution."""
     if args.model == "exyz":
-        scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
         free_fermion.check_size(n)
+        scale = hamiltonians.normalization_scale(n * (1.0 + args.epsilon**2)) if args.normalize else 1.0
         return lambda: dos.EmpiricalDistribution.from_sum_set(*free_fermion.spectrum_sum_set(n, args.epsilon, scale))
     h = _build_model(
         args.model, n, seed=args.seed, alpha1=args.alpha1, alpha3=args.alpha3,

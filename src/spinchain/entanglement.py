@@ -13,8 +13,8 @@ import numpy as np
 
 from .hamiltonians import OperatorSum
 from .pauli import PauliString
-from .spectra import EigenDecomposition, diagonalize_dense, min_gap
-from .symmetry import COMMUTATION_TOL, sector_eigensystems, sorted_spectrum, translation_defect
+from .spectra import EigenDecomposition, min_gap
+from .symmetry import _rotate, eigensystems, sorted_spectrum
 
 #: trace, Hermitian and positivity tolerance of every reduced density matrix
 RDM_TOL = 1e-10
@@ -201,12 +201,12 @@ def build_M(a, n):
         raise ValueError("a must not be the all-zero tuple")
     if 2 * l >= n:
         raise ValueError(f"need 2l < n for distinct translates (l={l}, n={n})")
-    pref = 1.0 / np.sqrt(n)
-    terms = []
-    for j in range(n):
-        sites = {(i + j) % n + 1: c for i, c in enumerate(codes) if c != 0}
-        terms.append((pref, PauliString.from_sites(n, sites)))
-    return OperatorSum.from_terms(n, terms)
+    s = PauliString.from_sites(n, {i + 1: c for i, c in enumerate(codes) if c != 0})
+    xs, zs = [s.x_mask], [s.z_mask]
+    for _ in range(n - 1):  # T^j S T^-j: the masks rotated j times, as T rotates the basis indices
+        xs.append(_rotate(xs[-1], n))
+        zs.append(_rotate(zs[-1], n))
+    return OperatorSum._canonical(n, np.array(xs), np.array(zs), np.full(n, 1.0 / np.sqrt(n)))
 
 
 @dataclass(frozen=True)
@@ -233,12 +233,12 @@ def sector_purities(h, ls):
     """Eigenvalues and mean purities of sites 1..l, for each l in ``ls``, of the eigenbasis of H.
 
     ``ls`` must hold distinct sizes in 1..n-1 (``ValueError`` before any
-    solve). A translation-invariant H is solved one momentum sector
-    (:func:`symmetry.sector_eigensystems`) at a time, whose eigenvectors go
+    solve). H is solved a block at a time by :func:`symmetry.eigensystems`:
+    one momentum sector of a translation-invariant H, whose eigenvectors go
     through the purity loop by the sector's gather map and are dropped before
-    the next sector: no 2^n x 2^n or 2^n x dim_k array is formed. The
+    the next sector, so no 2^n x 2^n or 2^n x dim_k array is formed; any
+    other H is one dense ``eigh``, with no momenta and no bound claimed. The
     purities are averaged in the state order of :func:`symmetry.sorted_spectrum`.
-    Any other H takes one dense ``eigh``, with no momenta and no bound claimed.
 
     Returns an :class:`EigenDecomposition` without eigenvectors (its
     ``residual`` is the largest eigen residual) and a dict mapping each l
@@ -247,18 +247,13 @@ def sector_purities(h, ls):
     n = h.n
     if len(set(ls)) != len(ls) or not all(1 <= l < n for l in ls):
         raise ValueError(f"block sizes {list(ls)} must be distinct and in 1..{n - 1}")
-    if translation_defect(h) > COMMUTATION_TOL:
-        e = diagonalize_dense(h)
-        per_state = _purities(_lifted_chunks(e.eigenvectors, n), n, ls)
-        results = {l: AveragePurityResult(float(np.mean(p)), p, l, n, False) for l, p in per_state.items()}
-        return EigenDecomposition(e.eigenvalues, None, e.residual), results
     solved = []
 
     def chunks():
-        for sector, vals, vecs, res in sector_eigensystems(h):
+        for sector, vals, vecs, res in eigensystems(h):
             solved.append((sector, vals, res))
-            yield from _lifted_chunks(vecs, n, sector.gather_map())
-            del vecs  # before the next sector's block is built
+            yield from _lifted_chunks(vecs, n, sector and sector.gather_map())
+            del vecs  # before the next block is built
 
     per_state = _purities(chunks(), n, ls)
     vals, ks, order = sorted_spectrum([(sector, v) for sector, v, _ in solved])
@@ -266,7 +261,7 @@ def sector_purities(h, ls):
     for l, p in per_state.items():
         p = p[order]
         # pairwise summation via np.mean keeps the reduction deterministic
-        results[l] = AveragePurityResult(float(np.mean(p)), p, l, n, 2 * l < n)
+        results[l] = AveragePurityResult(float(np.mean(p)), p, l, n, ks is not None and 2 * l < n)
     return EigenDecomposition(vals, None, max(r for *_, r in solved), ks), results
 
 

@@ -21,7 +21,8 @@ class SizeLimitError(ValueError):
     """Raised before allocation when n exceeds a size cap.
 
     The caps are :data:`DENSE_CAP` for dense and ``symmetry.SECTOR_CAP`` for
-    per-sector exact diagonalization, and ``free_fermion.EXACT_CAP`` and
+    per-sector exact diagonalization (``symmetry.check_size`` picks which
+    one an H is held to), and ``free_fermion.EXACT_CAP`` and
     ``free_fermion.STREAM_CAP`` for the collected and the sum-set exyz
     spectrum.
     """
@@ -52,18 +53,6 @@ class OperatorSum:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "zs", zs)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_terms(cls, n, terms):
-        """Build from ``(coefficient, PauliString)`` pairs, merging duplicates."""
-        xs, zs, cs = [], [], []
-        for coeff, string in terms:
-            if string.n != n:
-                raise DimensionMismatchError(f"term on {string.n} sites, expected {n}")
-            xs.append(string.x_mask)
-            zs.append(string.z_mask)
-            cs.append(coeff)
-        return cls._canonical(n, np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64), np.array(cs, dtype=float))
 
     @classmethod
     def zero(cls, n):

@@ -5,9 +5,10 @@ site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
 
 Sector blocks are built straight from the Pauli term list and a table of
 translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved one at
-a time by :func:`sector_eigensystems`; no 2^n x 2^n array is formed. A real
+a time by :func:`eigensystems`; no 2^n x 2^n array is formed. A real
 H solves only the sectors k <= n/2 and takes each sector n-k as the
-conjugate of sector k.
+conjugate of sector k. :func:`check_size` decides, once per H, whether it
+takes this path (:func:`is_invariant`) or one dense solve.
 """
 
 from dataclasses import dataclass
@@ -17,9 +18,8 @@ import numpy as np
 from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, diagonalize_dense, eigensystem
 
-COMMUTATION_TOL = 1e-10
-#: largest n of a per-sector solve: ``sector_eigensystems`` checks it before
-#: any block is built; no sector path forms a 2^n x 2^n matrix
+#: largest n of a per-sector solve, checked by :func:`check_size`; no sector
+#: path forms a 2^n x 2^n matrix
 SECTOR_CAP = 15
 
 
@@ -28,19 +28,16 @@ def _rotate(masks, n):
     return (masks >> 1) | ((masks & 1) << (n - 1))
 
 
-def translation_defect(h):
-    """``||[H, T]||_F * 2^{-n/2}`` computed exactly from the Pauli term list.
+def is_invariant(h):
+    """True when H commutes with T, read exactly from the Pauli term list.
 
     ``T P T^dagger`` is the string whose x and z masks are rotated like the
-    basis indices, with the same coefficient. Since T is unitary and the
-    strings are orthogonal, the scaled Frobenius norm of the commutator is
-    the Euclidean distance between the coefficients of H and of ``T H
-    T^dagger`` (Parseval); it is exactly 0.0 when the rotated term list
-    reproduces H bit for bit.
+    basis indices, with the same coefficient. So H is invariant when the
+    rotated term list is H's own: each coefficient then cancels its own
+    copy to an exact 0.0, which the canonical form drops.
     """
     rotated = OperatorSum(h.n, _rotate(h.xs, h.n), _rotate(h.zs, h.n), h.coeffs)
-    diff = (h - rotated).coeffs
-    return float(np.sqrt(np.dot(diff, diff)))
+    return (h - rotated).num_terms == 0
 
 
 def _roots_of_unity(n):
@@ -152,22 +149,17 @@ def _transitions(h, table):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(amps), np.concatenate(shifts)
 
 
-def momentum_blocks(h):
-    """Yield ``(sector, H_k)`` for every non-empty momentum sector of H that needs a solve.
+def _momentum_blocks(h):
+    """Yield ``(sector, H_k)`` for every non-empty momentum sector of an invariant H that needs a solve.
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
     the basis ``B_k`` of the sector (:meth:`MomentumSector.gather_map`). A block is real
     when every entry is. A real H (:attr:`OperatorSum.is_real`) yields only
     k <= n/2: the basis of sector n-k is the conjugate of that of sector k,
-    so ``H_{n-k} = conj(H_k)`` and its block is never built. Raises
-    ``ValueError`` when H is not translation invariant to within
-    :data:`COMMUTATION_TOL` (see :func:`translation_defect`).
+    so ``H_{n-k} = conj(H_k)`` and its block is never built.
     """
     n = h.n
-    defect = translation_defect(h)
-    if defect > COMMUTATION_TOL:
-        raise ValueError(f"H does not commute with T (scaled norm {defect:.3e} > {COMMUTATION_TOL:.1e})")
     sectors = build_momentum_basis(n)
     if h.is_real:
         sectors = sectors[:n // 2 + 1]
@@ -190,17 +182,35 @@ def momentum_blocks(h):
         yield sector, block
 
 
-def sector_eigensystems(h, want_vectors=True):
-    """Yield ``(sector, vals, vecs, residual)`` for every non-empty momentum sector of H.
+def check_size(h):
+    """Pick the eigen path of H and refuse H above its cap, before anything of size 2^n is built or solved.
 
-    Each block of :func:`momentum_blocks` is diagonalized by
+    Returns True for the momentum-sector path of an invariant H
+    (:func:`is_invariant`), capped at :data:`SECTOR_CAP`, and False for one
+    dense solve, capped at ``DENSE_CAP``; above the cap it raises
+    ``SizeLimitError``. :func:`eigensystems` decides by it, and a command
+    with several sizes calls it on each before its first solve.
+    """
+    invariant = is_invariant(h)
+    cap, path = (SECTOR_CAP, "sector") if invariant else (DENSE_CAP, "dense")
+    if h.n > cap:
+        raise SizeLimitError(f"n={h.n} exceeds {path} cap {cap}")
+    return invariant
+
+
+def eigensystems(h, want_vectors=True):
+    """Yield ``(sector, vals, vecs, residual)`` for the eigen path of H that :func:`check_size` picks.
+
+    An H that is not translation invariant yields one dense block
+    (:func:`spectra.diagonalize_dense`) with ``sector`` None. An invariant H
+    yields every non-empty momentum sector, each block diagonalized by
     :func:`spectra.eigensystem` (``eigvalsh`` when ``want_vectors`` is false;
     then ``vecs`` is None and ``residual`` 0.0). ``residual`` is the largest
-    sector-space residual ``||H_k v - lambda v||`` of the block. It equals
+    residual ``||M v - lambda v||`` of the block. For a sector it equals
     the full-space residual of the lifted eigenvector ``B_k v``: H maps
-    sector k into itself, because invariance is checked exactly on the term
-    list, and ``B_k`` is an isometry. The lifted vectors are T eigenvectors
-    by construction.
+    sector k into itself, because invariance is exact on the term list, and
+    ``B_k`` is an isometry. The lifted vectors are T eigenvectors by
+    construction.
 
     A real H solves only k <= n/2. Right after each solved 0 < k < n/2 comes
     its mirror n-k, whose block is ``conj(H_k)``: the same eigenvalues and
@@ -208,9 +218,11 @@ def sector_eigensystems(h, want_vectors=True):
     0, 1, n-1, 2, n-2, ..., and a consumer holds one sector's vectors at a time.
     """
     n = h.n
-    if n > SECTOR_CAP:
-        raise SizeLimitError(f"n={n} exceeds sector cap {SECTOR_CAP}")
-    for sector, block in momentum_blocks(h):
+    if not check_size(h):
+        e = diagonalize_dense(h, want_vectors)
+        yield None, e.eigenvalues, e.eigenvectors, e.residual
+        return
+    for sector, block in _momentum_blocks(h):
         vals, vecs, residual = eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
         yield sector, vals, vecs, residual
         if h.is_real and 0 < 2 * sector.k < n:
@@ -221,48 +233,32 @@ def sector_eigensystems(h, want_vectors=True):
 
 
 def sorted_spectrum(solved):
-    """Global order of the states of ``(sector, vals)`` pairs, taken in the order given.
+    """Global order of the states of the ``(sector, vals)`` pairs of :func:`eigensystems`, taken in the order given.
 
     Eigenvalues ascend, with a stable tie-break on the momentum label k, so
     the sorted values and momenta do not depend on the sectors' order. The
     ±k sectors of a real H share their eigenvalues bit for bit, so each such
     tie is exact and the smaller k comes first. Returns the sorted eigenvalues,
     their momenta and ``order``: global state i is state ``order[i]`` of the
-    sectors' concatenation.
+    sectors' concatenation. The one dense block of a non-invariant H is
+    already ascending and has no momenta (None).
     """
+    if solved[0][0] is None:
+        vals = solved[0][1]
+        return vals, None, np.arange(len(vals))
     vals = np.concatenate([v for _, v in solved])
     ks = np.concatenate([np.full(s.dim, s.k) for s, _ in solved])
     order = np.lexsort((ks, vals))
     return vals[order], ks[order], order
 
 
-def check_size(h):
-    """Refuse H before anything of size 2^n is built or solved.
-
-    Raises ``SizeLimitError`` when n is above the cap of the path that
-    :func:`joint_eigenbasis` and ``entanglement.sector_purities`` take for
-    H: :data:`SECTOR_CAP` for a translation-invariant H, ``DENSE_CAP``
-    otherwise. A command with several sizes checks each before its first solve.
-    """
-    if translation_defect(h) <= COMMUTATION_TOL:
-        cap, path = SECTOR_CAP, "sector"
-    else:
-        cap, path = DENSE_CAP, "dense"
-    if h.n > cap:
-        raise SizeLimitError(f"n={h.n} exceeds {path} cap {cap}")
-
-
 def joint_eigenbasis(h):
     """Eigenvalues of H; with momenta, sector by sector, when H is translation invariant.
 
-    H is invariant when :func:`translation_defect` is at most
-    :data:`COMMUTATION_TOL`. Per-sector diagonalization labels every state
-    with its momentum even when H is degenerate across momenta, and the
-    eigenvalues are sorted as in :func:`sorted_spectrum`. Any other H takes
-    one dense ``eigvalsh`` and has no momenta. No eigenvectors are kept.
+    Per-sector diagonalization labels every state with its momentum even
+    when H is degenerate across momenta, and the eigenvalues are sorted as
+    in :func:`sorted_spectrum`. Any other H takes one dense ``eigvalsh`` and
+    has no momenta. No eigenvectors are kept.
     """
-    if translation_defect(h) > COMMUTATION_TOL:
-        return diagonalize_dense(h, want_vectors=False)
-    solved = [(s, v) for s, v, _, _ in sector_eigensystems(h, want_vectors=False)]
-    vals, ks, _ = sorted_spectrum(solved)
+    vals, ks, _ = sorted_spectrum([(s, v) for s, v, _, _ in eigensystems(h, want_vectors=False)])
     return EigenDecomposition(vals, None, 0.0, ks)

@@ -59,6 +59,7 @@ COMMANDS = [
     ("refuse-clt-check-n-1", False, ["clt-check", "--n", "-1"]),
     ("refuse-clt-check-l1", False, ["clt-check", "--n", "6", "--l", "1"]),
     ("refuse-clt-check-l-above-n", False, ["clt-check", "--n", "6", "--l", "2", "7"]),
+    ("refuse-dos-exyz-n-1", False, ["dos", "--n", "-1"]),
     ("refuse-dos-above-stream-cap", False, ["dos", "--n", "8", "29"]),
     ("refuse-purity-sweep-samples", False, ["purity-sweep", "--n", "6", "--samples", "0"]),
     ("refuse-dos-nan", False, ["dos", "--n", "6", "--epsilon", "nan"]),

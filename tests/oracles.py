@@ -5,13 +5,14 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 * :func:`from_codes` and :func:`from_label` spell Pauli strings site by
   site, and :func:`pauli_to_dense` forms the 2^n x 2^n matrix of one string,
   the oracle of ``pauli.multiply``;
-* :func:`terms` lists an operator sum as ``(coefficient, PauliString)``
-  pairs, and :func:`hs_inner` takes the Hilbert-Schmidt inner product of two
-  sums by matching their strings one by one;
+* :func:`from_terms` builds an operator sum from ``(coefficient,
+  PauliString)`` pairs and :func:`terms` lists one as such pairs, and
+  :func:`hs_inner` takes the Hilbert-Schmidt inner product of two sums by
+  matching their strings one by one;
 * :func:`commutator_norm` forms the dense commutator with a second sum or
   with the translation as the basis permutation of
-  :func:`translation_permutation`, the oracle of the term-list test
-  ``symmetry.translation_defect``;
+  :func:`translation_permutation`, the oracle of the exact term-list test
+  ``symmetry.is_invariant``;
 * :func:`parseval_moments` takes m1..m6 of an operator sum from the Pauli
   expansions of H, H^2 and H^3, with no eigensolve, the oracle of
   ``dos.ring_moments`` on rings too large for a dense solve;
@@ -21,10 +22,10 @@ No CLI path runs any of these; each is the slow, direct form of one path:
 * :func:`lift`, :func:`dense_basis` and :func:`joint_eigenbasis_lifted`
   scatter sector vectors into full space and form the 2^n x dim
   momentum-sector bases and the 2^n x 2^n lifted joint (H, T) eigenbasis,
-  the oracle of ``MomentumSector.gather_map``, ``symmetry.momentum_blocks``
-  and ``entanglement.sector_purities``; :func:`full_space_residual` holds
-  the lifted columns against dense H and T, since they come from
-  ``symmetry.sector_eigensystems`` itself;
+  the oracle of ``MomentumSector.gather_map``, the sector blocks of
+  ``symmetry.eigensystems`` and ``entanglement.sector_purities``;
+  :func:`full_space_residual` holds the lifted columns against dense H and
+  T, since they come from ``symmetry.eigensystems`` itself;
 * :func:`average_purity` takes the mean purity of a full eigenbasis, such
   as the lifted one, through the library's purity loop with the identity
   map, the oracle of the sector stream of ``entanglement.sector_purities``;
@@ -51,7 +52,7 @@ from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import OperatorSum, build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
 from spinchain.spectra import EigenDecomposition, diagonalize_dense
-from spinchain.symmetry import _roots_of_unity, _rotate, sector_eigensystems, sorted_spectrum
+from spinchain.symmetry import _roots_of_unity, _rotate, eigensystems, sorted_spectrum
 
 
 def from_codes(codes):
@@ -75,6 +76,16 @@ def pauli_to_dense(s):
     m = np.zeros((1 << s.n, 1 << s.n), dtype=complex)
     m[idx ^ s.x_mask, idx] = (1j ** y_count(s)) * (1.0 - 2.0 * (np.bitwise_count(idx & s.z_mask) & 1))
     return m
+
+
+def from_terms(n, pairs):
+    """The operator sum of ``(coefficient, PauliString)`` pairs on n sites, duplicate strings merged."""
+    for _, s in pairs:
+        if s.n != n:
+            raise DimensionMismatchError(f"term on {s.n} sites, expected {n}")
+    xs = np.array([s.x_mask for _, s in pairs], dtype=np.int64)
+    zs = np.array([s.z_mask for _, s in pairs], dtype=np.int64)
+    return OperatorSum._canonical(n, xs, zs, np.array([c for c, _ in pairs], dtype=float))
 
 
 def terms(h):
@@ -246,7 +257,7 @@ def joint_eigenbasis_lifted(h):
     States are in the global order of :func:`symmetry.sorted_spectrum`;
     ``residual`` is the largest sector residual.
     """
-    solved = list(sector_eigensystems(h))
+    solved = list(eigensystems(h))
     vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
     column = np.empty_like(order)
     column[order] = np.arange(len(order))

@@ -27,7 +27,6 @@ from spinchain import dos, free_fermion
 from spinchain.free_fermion import mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     ChainCoefficients,
-    OperatorSum,
     ba_bond,
     build_ba,
     build_exyz,
@@ -36,9 +35,9 @@ from spinchain.hamiltonians import (
     sample_random,
 )
 from spinchain.spectra import diagonalize_dense
-from spinchain.symmetry import joint_eigenbasis, translation_defect
+from spinchain.symmetry import is_invariant, joint_eigenbasis
 
-from oracles import commutator_norm, exact_ks_distance, from_label, parseval_moments, terms
+from oracles import commutator_norm, exact_ks_distance, from_label, from_terms, parseval_moments, terms
 
 
 def field_chain_values(n):
@@ -430,7 +429,7 @@ def test_extensive_moments_match_sector_ed(ring):
     for n in range(MAX_MOMENT + 1, 14):
         h, alpha, scaled = ring(n)
         got = ring_moments(n, alpha, scaled)
-        if translation_defect(h) == 0.0 or n <= 10:
+        if is_invariant(h) or n <= 10:
             want = moments(EmpiricalDistribution.from_values(joint_eigenbasis(h).eigenvalues))
         else:
             want = parseval_moments(h)
@@ -532,7 +531,7 @@ def test_block_link_split_n6_l3():
 @pytest.mark.parametrize("label", ["XIXII", "XYZII", "IZZZI", "IIIII"])
 def test_block_link_split_refuses_terms_off_the_ring_bonds(label):
     """A term on two sites that are not neighbours, on three sites or on none is refused by name."""
-    h = sample_random("nn", 5, 0) + OperatorSum.from_terms(5, [(0.5, from_label(label))])
+    h = sample_random("nn", 5, 0) + from_terms(5, [(0.5, from_label(label))])
     with pytest.raises(ValueError, match=f"term {label} is not a nearest-neighbour ring term"):
         block_link_split(h, 2)
 

@@ -29,6 +29,7 @@ from oracles import (
     apply_sum,
     average_purity,
     full_space_residual,
+    from_terms,
     hs_inner,
     joint_eigenbasis_lifted,
     pauli_coefficients,
@@ -168,7 +169,7 @@ def test_pauli_coefficients_match_kronecker_oracle(l):
 
 def test_build_M_single_z():
     m = build_M((3,), 5)
-    want = OperatorSum.from_terms(
+    want = from_terms(
         5, [(1 / np.sqrt(5), PauliString.from_sites(5, {j: 3})) for j in range(1, 6)]
     )
     assert np.allclose(m.coeffs, want.coeffs)
@@ -198,7 +199,7 @@ def test_build_M_expectation_identity():
     sigma1 = PauliString.from_sites(9, {1: 1})
     for j in (0, 17, 100, 511):
         v = StateVector(9, e.eigenvectors[:, j])
-        lhs = np.vdot(v.amplitudes, apply_sum(OperatorSum.from_terms(9, [(1.0, sigma1)]), v).amplitudes)
+        lhs = np.vdot(v.amplitudes, apply_sum(from_terms(9, [(1.0, sigma1)]), v).amplitudes)
         rhs = np.vdot(v.amplitudes, apply_sum(m, v).amplitudes) / np.sqrt(9)
         assert abs(lhs - rhs) < 1e-10
 
@@ -224,7 +225,7 @@ def test_average_purity_needs_joint_basis():
     and is correctly flagged as outside the theorem's hypotheses."""
     n = 6
     terms = [(1.0, PauliString.from_sites(n, {j: 3})) for j in range(1, n + 1)]
-    h = OperatorSum.from_terms(n, terms)
+    h = from_terms(n, terms)
     vals = np.sort(np.diag(h.to_dense()).real)
     e = EigenDecomposition(vals, np.eye(1 << n)[:, np.argsort(np.diag(h.to_dense()).real)])
     res = average_purity(e, 1)

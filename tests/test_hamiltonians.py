@@ -26,6 +26,7 @@ from oracles import (
     apply_sum,
     commutator_norm,
     from_label,
+    from_terms,
     hs_inner,
     pauli_to_dense,
     terms,
@@ -208,9 +209,9 @@ def test_sampled_coefficient_statistics():
 
 
 def test_to_dense_small_cases():
-    z = OperatorSum.from_terms(1, [(1.0, from_label("Z"))])
+    z = from_terms(1, [(1.0, from_label("Z"))])
     assert np.allclose(z.to_dense(), np.diag([1.0, -1.0]))
-    xx = OperatorSum.from_terms(2, [(1.0, from_label("XX"))])
+    xx = from_terms(2, [(1.0, from_label("XX"))])
     assert np.allclose(xx.to_dense(), np.fliplr(np.eye(4)))
 
 
@@ -239,7 +240,7 @@ def operator_sums(draw):
     masks = st.integers(0, (1 << n) - 1)
     coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     terms = draw(st.lists(st.tuples(coeff, masks, masks), max_size=12))
-    return OperatorSum.from_terms(n, [(c, PauliString(n, x, z)) for c, x, z in terms])
+    return from_terms(n, [(c, PauliString(n, x, z)) for c, x, z in terms])
 
 
 @given(h=operator_sums(), seed=st.integers(0, 2**32 - 1))
@@ -281,7 +282,7 @@ def reference_ring(alpha, pref):
         (pref * alpha[j - 1, a, b - 1], PauliString.from_sites(n, {j: a, j % n + 1: b}))
         for j in range(1, n + 1) for a in range(4) for b in range(1, 4)
     ]
-    return OperatorSum.from_terms(n, terms)
+    return from_terms(n, terms)
 
 
 def same_arrays(h, g):
@@ -320,5 +321,5 @@ def test_ring_bonds_reads_back_the_bond_of_each_term(n, data):
 
 def test_operator_sum_merges_duplicates():
     p = from_label("XZI")
-    h = OperatorSum.from_terms(3, [(1.0, p), (2.0, p), (-3.0, p)])
+    h = from_terms(3, [(1.0, p), (2.0, p), (-3.0, p)])
     assert h.num_terms == 0

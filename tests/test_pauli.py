@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchain.hamiltonians import OperatorSum
 from spinchain.pauli import (
     DimensionMismatchError,
     PauliString,
@@ -13,7 +12,7 @@ from spinchain.pauli import (
     multiply,
 )
 
-from oracles import StateVector, apply, expectation, from_codes, from_label, hs_inner, pauli_to_dense
+from oracles import StateVector, apply, expectation, from_codes, from_label, from_terms, hs_inner, pauli_to_dense
 
 # independent dense oracle: kron products built from explicit 2x2 matrices
 SIGMA = [
@@ -112,7 +111,7 @@ def test_apply_preserves_norm():
 
 
 def as_sum(s):
-    return OperatorSum.from_terms(s.n, [(1.0, s)])
+    return from_terms(s.n, [(1.0, s)])
 
 
 def test_hs_inner_examples():

@@ -5,7 +5,6 @@ import pytest
 
 from spinchain.hamiltonians import (
     ChainCoefficients,
-    OperatorSum,
     build_exyz,
     build_pair_only,
     sample_random,
@@ -16,11 +15,11 @@ from spinchain.spectra import (
     min_gap,
     spectrum_table,
 )
-from oracles import commutator_norm, from_label, translation_permutation
+from oracles import commutator_norm, from_label, from_terms, translation_permutation
 
 
 def op(n, label, coeff=1.0):
-    return OperatorSum.from_terms(n, [(coeff, from_label(label))])
+    return from_terms(n, [(coeff, from_label(label))])
 
 
 def cluster_sizes(vals, rel_tol):

@@ -17,15 +17,14 @@ from spinchain.hamiltonians import (
 from spinchain.pauli import PauliString
 from spinchain.spectra import diagonalize_dense
 from spinchain.symmetry import (
-    COMMUTATION_TOL,
     SECTOR_CAP,
     MomentumSector,
     OrbitTable,
+    _momentum_blocks,
     build_momentum_basis,
+    eigensystems,
+    is_invariant,
     joint_eigenbasis,
-    momentum_blocks,
-    sector_eigensystems,
-    translation_defect,
 )
 
 from oracles import (
@@ -134,21 +133,31 @@ def test_joint_eigenbasis_matches_dense_spectrum():
     assert e.residual < 1e-10
 
 
-def test_momentum_blocks_reject_non_invariant():
-    h = sample_random("nn", 5, 0)
-    with pytest.raises(ValueError, match="does not commute with T"):
-        next(momentum_blocks(h))
-
-
 @pytest.mark.parametrize("model", ["nn", "pair_only"])
 def test_joint_eigenbasis_of_non_invariant_ring_is_one_dense_solve(model):
-    """A ring that fails the term-list test gets the dense eigenvalues bit for bit, with no momenta."""
+    """A ring that fails the term-list test is one dense block: the dense eigenvalues bit for bit, with no momenta."""
     h = sample_random(model, 7, 0)
-    assert translation_defect(h) > COMMUTATION_TOL
+    assert not is_invariant(h)
+    dense = diagonalize_dense(h)
+    [(sector, vals, vecs, residual)] = eigensystems(h)
+    assert sector is None and np.array_equal(vals, dense.eigenvalues)
+    assert np.array_equal(vecs, dense.eigenvectors) and residual == dense.residual
     e = joint_eigenbasis(h)
-    dense = diagonalize_dense(h, want_vectors=False)
-    assert np.array_equal(e.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(e.eigenvalues, diagonalize_dense(h, want_vectors=False).eigenvalues)
     assert e.momenta is None and e.eigenvectors is None
+
+
+def test_one_ulp_off_an_invariant_ring_is_not_invariant():
+    """Moving one coefficient of an invariant ring by one ulp breaks invariance: no momenta, one dense solve."""
+    h = sample_random("invariant", 6, 1)
+    coeffs = h.coeffs.copy()
+    coeffs[0] = np.nextafter(coeffs[0], np.inf)
+    nudged = OperatorSum(h.n, h.xs, h.zs, coeffs)
+    assert is_invariant(h) and not is_invariant(nudged)
+    assert commutator_norm(nudged, translation_permutation(6)) > 0.0
+    e = joint_eigenbasis(nudged)
+    assert e.momenta is None
+    assert np.array_equal(e.eigenvalues, diagonalize_dense(nudged, want_vectors=False).eigenvalues)
 
 
 def test_joint_eigenbasis_columns_orthonormal():
@@ -193,14 +202,11 @@ RINGS = {
 
 @pytest.mark.parametrize("kind", sorted(RINGS))
 @pytest.mark.parametrize("n", [3, 6, 9])
-def test_translation_defect_matches_dense_commutator(kind, n):
+def test_is_invariant_matches_dense_commutator(kind, n):
+    """The dense ``||[H, T]||`` reads ~2e-16 on the invariant rings and above 4 on the ``nn`` rings."""
     h = RINGS[kind](n)
-    defect = translation_defect(h)
-    assert abs(defect - commutator_norm(h, translation_permutation(n))) < 1e-12
-    if kind in ("invariant", "ba", "exyz"):
-        assert defect == 0.0
-    else:
-        assert defect > 1e-6
+    assert is_invariant(h) == (kind != "nn")
+    assert is_invariant(h) == (commutator_norm(h, translation_permutation(n)) < 1e-12)
 
 
 COUPLINGS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -208,24 +214,25 @@ RING_N = st.integers(3, 8)
 
 
 @given(n=RING_N, alpha=st.lists(COUPLINGS, min_size=12, max_size=12))
-def test_translation_defect_zero_on_sampled_invariant_rings(n, alpha):
-    assert translation_defect(build_invariant(np.reshape(alpha, (4, 3)), n)) == 0.0
+def test_is_invariant_on_sampled_invariant_rings(n, alpha):
+    assert is_invariant(build_invariant(np.reshape(alpha, (4, 3)), n))
 
 
 @given(n=RING_N, alpha1=COUPLINGS, alpha3=COUPLINGS)
-def test_translation_defect_zero_on_sampled_ba_rings(n, alpha1, alpha3):
-    assert translation_defect(build_ba(alpha1, alpha3, n)) == 0.0
+def test_is_invariant_on_sampled_ba_rings(n, alpha1, alpha3):
+    assert is_invariant(build_ba(alpha1, alpha3, n))
 
 
 @given(n=RING_N, seed=st.integers(0, 2**32 - 1))
-def test_translation_defect_equals_commutator_on_random_nn_rings(n, seed):
+def test_is_invariant_agrees_with_commutator_on_random_nn_rings(n, seed):
     h = build_nn_chain(ChainCoefficients.random(n, np.random.default_rng(seed)))
-    assert abs(translation_defect(h) - commutator_norm(h, translation_permutation(n))) < 1e-12
+    assert not is_invariant(h)
+    assert commutator_norm(h, translation_permutation(n)) >= 1e-12
 
 
-def test_translation_defect_exact_after_normalize():
-    assert translation_defect(normalize(sample_random("invariant", 7, 2))) == 0.0
-    assert translation_defect(OperatorSum.zero(4)) == 0.0
+def test_is_invariant_after_normalize():
+    assert is_invariant(normalize(sample_random("invariant", 7, 2)))
+    assert is_invariant(OperatorSum.zero(4))
 
 
 @pytest.mark.parametrize("n", [6, 8, 9])
@@ -234,7 +241,7 @@ def test_momentum_blocks_match_projected_dense(n):
     for h in (sample_random("invariant", n, 11), build_ba(0.5, 0.25, n)):
         dense = h.to_dense()
         seen = []
-        for sector, block in momentum_blocks(h):
+        for sector, block in _momentum_blocks(h):
             basis = dense_basis(sector)
             assert np.max(np.abs(block - basis.conj().T @ dense @ basis)) < 1e-12
             seen.append(sector.k)
@@ -247,7 +254,7 @@ def test_momentum_blocks_match_projected_dense(n):
 
 
 def test_momentum_blocks_real_where_phases_are():
-    blocks = {s.k: b for s, b in momentum_blocks(build_ba(0.5, 0.25, 8))}
+    blocks = {s.k: b for s, b in _momentum_blocks(build_ba(0.5, 0.25, 8))}
     assert not np.iscomplexobj(blocks[0]) and not np.iscomplexobj(blocks[4])
     assert np.iscomplexobj(blocks[1])
 
@@ -296,7 +303,7 @@ def test_sector_residual_equals_full_space_residual(n):
         full = full_space_residual(h, e)
         assert abs(e.residual - full) < 1e-12
         assert e.residual < 1e-10 and full < 1e-10
-        sector_max = max(res for _, _, _, res in sector_eigensystems(h))
+        sector_max = max(res for _, _, _, res in eigensystems(h))
         assert sector_max == e.residual
 
 
@@ -320,9 +327,9 @@ def test_real_ring_solves_each_plus_minus_k_pair_once(n, monkeypatch):
         assert calls == ["eigvalsh"] * solves
         assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h.to_dense()))) < 1e-10
         calls.clear()
-        assert [s.k for s, _, _, _ in sector_eigensystems(h)] == order
+        assert [s.k for s, _, _, _ in eigensystems(h)] == order
         assert calls == ["eigh"] * solves
-    vals = {s.k: v for s, v, _, _ in sector_eigensystems(real, want_vectors=False)}
+    vals = {s.k: v for s, v, _, _ in eigensystems(real, want_vectors=False)}
     for k in range(1, (n + 1) // 2):
         assert np.array_equal(vals[k], vals[n - k])
 
@@ -333,7 +340,7 @@ def test_values_only_sectors_use_eigvalsh(monkeypatch):
         raise AssertionError("eigh called on the eigenvalues-only path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    stream = list(sector_eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False))
+    stream = list(eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False))
     assert all(vecs is None and res == 0.0 for _, _, vecs, res in stream)
     assert joint_eigenbasis(build_ba(0.5, 0.25, 7)).size == 128
 
