@@ -9,13 +9,9 @@ from .pauli import (
     multiply,
 )
 from .hamiltonians import (
-    ChainCoefficients,
     OperatorSum,
     build_ba,
     build_exyz,
-    build_invariant,
-    build_nn_chain,
-    build_pair_only,
     normalize,
     sample_random,
 )

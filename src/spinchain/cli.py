@@ -166,8 +166,11 @@ def cmd_dos(args):
 def cmd_clt_check(args):
     failures = 0
     rows = []
-    h = _build_model("nn", args.n, seed=args.seed, normalized=True)
-    splits = [dos.block_link_split(h, l) for l in args.l]  # a bad --l exits 2 before the first solve
+    table = hamiltonians.sample_table("nn", args.n, _derived_seed(args.seed, 0))
+    table = hamiltonians.normalization_scale(float(np.sum(np.square(table)))) * table
+    # H and its splits come from the one table; a bad --l exits 2 before the first solve
+    h = hamiltonians.ring(table)
+    splits = [dos.block_link_split(table, l) for l in args.l]
     vals = symmetry.joint_eigenbasis(h).eigenvalues
     for split in splits:
         for row in dos.clt_bound_check(split, vals, args.t, C=args.coeff_bound):

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .free_fermion import EXACT_CAP
-from .hamiltonians import OperatorSum, bond_table, open_chain, ring_bonds
+from .hamiltonians import bond_table, open_chain
 
 #: highest spectral moment kept; the window sum of :func:`ring_moments` solves open chains of up to MAX_MOMENT + 1 sites
 MAX_MOMENT = 6
@@ -281,8 +281,13 @@ def _raw_moments(kappa):
     return m[1:]
 
 
+def _chain_spectrum(rows):
+    """Eigenvalues of the open chain of the bond rows ``rows``, on its own ``len(rows) + 1`` sites."""
+    return np.linalg.eigvalsh(open_chain(rows).to_dense())
+
+
 def ring_moments(n, alpha, scaled):
-    """Raw spectral moments m_1..m_MAX_MOMENT of the ring ``_ring(n, alpha, scaled)``, exact for n > MAX_MOMENT.
+    """Raw spectral moments m_1..m_MAX_MOMENT of the ring of ``bond_table(n, alpha, scaled)``, exact for n > MAX_MOMENT.
 
     ``alpha`` is the ring's bond table, as :func:`~spinchain.hamiltonians.bond_table` takes it. Under
     the trace state the k-th cumulant of a sum of bond terms is the sum of the connected parts of
@@ -310,7 +315,7 @@ def ring_moments(n, alpha, scaled):
         """kappa_1..kappa_MAX_MOMENT of the open chain of ``rows``; kappa_1 = Tr / 2^n is exactly 0."""
         key = rows.tobytes()
         if key not in solved:
-            vals = np.linalg.eigvalsh(open_chain(rows).to_dense())
+            vals = _chain_spectrum(rows)
             solved[key] = _cumulants([0.0, *(power_sums(vals)[1:] / len(vals)).tolist()])
         return solved[key]
 
@@ -331,53 +336,56 @@ def ring_moments(n, alpha, scaled):
 
 @dataclass(frozen=True)
 class BlockLinkSplit:
-    blocks: tuple
-    links: OperatorSum
+    """The ``(n, 4, 3)`` bond table of a ring cut into blocks of l sites joined by link bonds.
+
+    Bond j (table row j - 1) is a link iff ``j mod l == 0`` or j = n (the wrap bond plays the role
+    of the zeroth link). Block k keeps the rows of bonds (k-1)l+1 .. min(kl, n)-1 and is their open
+    chain on sites (k-1)l+1 .. min(kl, n). Blocks and links share no row and hold every row.
+    """
+
+    table: np.ndarray
     l: int
-    k_count: int
+
+    @property
+    def n(self):
+        return len(self.table)
+
+    @property
+    def k_count(self):
+        return -(-self.n // self.l)
+
+    @property
+    def blocks(self):
+        """The table rows of each block: rows (k-1)l .. min(kl, n) - 2 of block k."""
+        return tuple(self.table[k * self.l : min((k + 1) * self.l, self.n) - 1] for k in range(self.k_count))
+
+    @property
+    def link_rows(self):
+        """Indices of the table rows of the link bonds."""
+        j = np.arange(1, self.n + 1)
+        return np.flatnonzero((j % self.l == 0) | (j == self.n))
 
     @cached_property
     def link_norm2(self):
-        """``<L, L> = Tr(L^2) / 2^n`` of the links L, the sum of their squared coefficients."""
-        return float(np.dot(self.links.coeffs, self.links.coeffs))
+        """``<L, L> = Tr(L^2) / 2^n`` of the links L, the sum of their squared rows."""
+        return _norm2(self.table[self.link_rows])
 
     @cached_property
     def block_spectra(self):
-        """Eigenvalues of block k on its window, sites (k-1)l+1 .. min(kl, n); scaled traces of the block are their means.
-
-        Shifting the masks right by ``n - min(kl, n)`` puts the window on the low bits, site
-        (k-1)l+1 highest, so the block is diagonalized on the window's sites alone.
-        """
-        n = self.links.n
-        spectra = []
-        for k, b in enumerate(self.blocks, start=1):
-            top = min(k * self.l, n)
-            window = OperatorSum(top - (k - 1) * self.l, b.xs >> (n - top), b.zs >> (n - top), b.coeffs)
-            spectra.append(np.linalg.eigvalsh(window.to_dense()))
-        return spectra
+        """Eigenvalues of each block on its own sites, the window solve of :func:`ring_moments`; scaled traces of the block are their means."""
+        return [_chain_spectrum(rows) for rows in self.blocks]
 
 
-def block_link_split(h, l):
-    """Split a ring chain into disjoint blocks of l sites plus removed links.
+def _norm2(rows):
+    """``Tr(B^2) / 2^n`` of the bonds ``rows``, the sum of their squared coefficients."""
+    return float(np.sum(np.square(rows)))
 
-    Bond j (:func:`~spinchain.hamiltonians.ring_bonds`) goes to the links iff
-    ``j mod l == 0`` (the wrap bond j=n plays the role of the zeroth link);
-    block k keeps bonds (k-1)l+1 .. kl-1 and is supported on sites
-    (k-1)l+1 .. min(kl, n). Blocks + links reassemble the input exactly,
-    term for term; each part keeps H's canonical term order.
-    """
-    n = h.n
-    if not 2 <= l <= n:
-        raise ValueError(f"block length {l} out of range 2..{n}")
-    k_count = -(-n // l)
-    bonds = ring_bonds(h)
-    link = (bonds % l == 0) | (bonds == n)
-    block = (bonds - 1) // l
 
-    def part(keep):
-        return OperatorSum(n, h.xs[keep], h.zs[keep], h.coeffs[keep])
-
-    return BlockLinkSplit(tuple(part(~link & (block == k)) for k in range(k_count)), part(link), l, k_count)
+def block_link_split(table, l):
+    """Split the ring of the ``(n, 4, 3)`` bond ``table`` into blocks of l sites and links (:class:`BlockLinkSplit`)."""
+    if not 2 <= l <= len(table):
+        raise ValueError(f"block length {l} out of range 2..{len(table)}")
+    return BlockLinkSplit(table, l)
 
 
 @dataclass(frozen=True)
@@ -410,7 +418,7 @@ def clt_bound_check(split, eigenvalues, t_list, C=None):
         rhs = float(np.sqrt(t**2 * split.link_norm2))
         coeff_bound = None
         if C is not None:
-            coeff_bound = float(np.sqrt(t**2 * split.k_count * 12.0 * C**2 / split.links.n))
+            coeff_bound = float(np.sqrt(t**2 * split.k_count * 12.0 * C**2 / split.n))
         rows.append(CltRow(t, float(lhs), rhs, coeff_bound))
     return rows
 
@@ -430,11 +438,11 @@ def lyapunov_quantities(split, C=None):
     blocks); traces are computed on each block's window, never on the full
     2^n space.
     """
-    s_n2 = sum(float(np.dot(b.coeffs, b.coeffs)) for b in split.blocks)
+    s_n2 = sum(_norm2(rows) for rows in split.blocks)
     fourth = sum(float(np.mean(vals**4)) for vals in split.block_spectra)
     rhs = None
     if C is not None:
-        n, l = split.links.n, split.l
+        n, l = split.n, split.l
         rhs = float(3**7 * 4**4 * C**4 * (l / n + l**2 / n**2))
     return LyapunovReport(s_n2, fourth, split.link_norm2, rhs)
 

@@ -1,6 +1,6 @@
-"""Builders for the spin-chain Hamiltonian families as real Pauli-string sums.
+"""The spin-chain Hamiltonian families as real Pauli-string sums, each the :func:`ring` of its bond table.
 
-Coefficient array layout: ``alpha[j, a, b]`` with ``j = 0..n-1`` the bond
+Bond table layout: ``alpha[j, a, b]`` with ``j = 0..n-1`` the bond
 index (bond ``j`` couples sites ``j+1`` and ``j+2``, cyclically),
 ``a = 0..3`` the left Pauli code and ``b = 0..2`` standing for the right
 Pauli code ``b+1`` (the right factor is never the identity).
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _CODE_BITS, DimensionMismatchError, PauliString, _z_signs
+from .pauli import _CODE_BITS, DimensionMismatchError, _z_signs
 
 #: largest n of a 2^n x 2^n matrix: checked by ``to_dense`` before it is formed
 DENSE_CAP = 13
@@ -133,43 +133,13 @@ class OperatorSum:
         return m
 
 
-@dataclass(frozen=True)
-class ChainCoefficients:
-    """Per-bond couplings ``alpha[j, a, b]`` of a nearest-neighbour ring."""
-
-    n: int
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (self.n, 4, 3):
-            raise ValueError(f"expected alpha shape {(self.n, 4, 3)}, got {alpha.shape}")
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "alpha", alpha)
-
-    @classmethod
-    def random(cls, n, rng, pair_only=False):
-        _check_ring_size(n)  # before the draw, which refuses a negative n with numpy's own message
-        alpha = rng.standard_normal((n, 4, 3))
-        if pair_only:
-            alpha[:, 0, :] = 0.0
-        return cls(n, alpha)
-
-
 def _check_ring_size(n):
     if n < 3:
         raise ValueError("ring builders need n >= 3 (a 2-ring duplicates bonds)")
 
 
-def _bond_sites(n):
-    """Masks of the sites bond j = 1..n couples: site j, bit n-j, and site j+1, cyclically."""
-    left = np.left_shift(1, n - 1 - np.arange(n))
-    return left, np.roll(left, -1)
-
-
 def bond_table(n, alpha, scaled):
-    """The ``(n, 4, 3)`` coefficient table of the ring ``_ring(n, alpha, scaled)``; n < 3 is a ``ValueError``.
+    """The ``(n, 4, 3)`` bond table of a ring on n sites; n < 3 is a ``ValueError``.
 
     ``alpha`` is an ``(n, 4, 3)`` table, or one ``(4, 3)`` table for every bond; ``scaled`` multiplies
     it by ``1/sqrt(n)``.
@@ -179,9 +149,9 @@ def bond_table(n, alpha, scaled):
     return (1.0 / np.sqrt(n)) * alpha if scaled else alpha
 
 
-def _ring(n, alpha, scaled):
-    """The ring ``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)``, times ``1/sqrt(n)`` if ``scaled``."""
-    return _bonds(n, bond_table(n, alpha, scaled))
+def ring(table):
+    """The ring ``sum_j sum_{a,b} table[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)`` of an ``(n, 4, 3)`` bond table."""
+    return _bonds(len(table), table)
 
 
 def open_chain(rows):
@@ -193,49 +163,15 @@ def _bonds(n, alpha):
     """``sum_j sum_{a,b} alpha[j, a, b] sigma_j^(a) sigma_{j+1}^(b+1)`` over the rows j of ``alpha``, on n sites.
 
     This is the one place that lays out the bonds: bond j couples sites j and j+1 (cyclically), and its
-    a=0 terms act on site j+1 alone. n rows make the ring, n - 1 rows the open chain. :func:`ring_bonds`
-    reads the layout back.
+    a=0 terms act on site j+1 alone. n rows make the ring, n - 1 rows the open chain.
     """
-    left, right = (m[: len(alpha), None, None] for m in _bond_sites(n))
+    left = np.left_shift(1, n - 1 - np.arange(n))  # site j of bond j = 1..n is bit n-j
+    left, right = (m[: len(alpha), None, None] for m in (left, np.roll(left, -1)))
     x_bits, z_bits = np.array(_CODE_BITS).T
     xs = left * x_bits[:, None] | right * x_bits[1:]
     zs = left * z_bits[:, None] | right * z_bits[1:]
     keep = alpha != 0.0
     return OperatorSum._canonical(n, xs[keep], zs[keep], alpha[keep])
-
-
-def ring_bonds(h):
-    """Bond 1..n of each term of a nearest-neighbour ring, in term order: the layout of :func:`_ring` read back.
-
-    A term is on bond j when it acts only on sites j and j+1 (cyclically) and does act on site
-    j+1. Any other term is a ``ValueError`` that names it.
-    """
-    n = h.n
-    left, right = _bond_sites(n)
-    support = (h.xs | h.zs)[:, None]
-    on = ((support & ~(left | right)) == 0) & ((support & right) != 0)
-    off = np.flatnonzero(~on.any(axis=1))
-    if len(off):
-        k = off[0]
-        raise ValueError(f"term {PauliString(n, int(h.xs[k]), int(h.zs[k])).label} is not a nearest-neighbour ring term")
-    return np.argmax(on, axis=1) + 1
-
-
-def build_nn_chain(c):
-    """Nearest-neighbour ring ``(1/sqrt(n)) sum_j sum_{a,b} alpha sigma_j sigma_{j+1}``."""
-    return _ring(c.n, c.alpha, scaled=True)
-
-
-def build_invariant(alpha12, n):
-    """Translation-invariant ring: site-independent couplings (12 reals)."""
-    return _ring(n, np.reshape(alpha12, (4, 3)), scaled=True)
-
-
-def build_pair_only(c):
-    """Ring with two-site terms only; no 1/sqrt(n) prefactor (every term weight 2)."""
-    if np.any(c.alpha[:, 0, :] != 0.0):
-        raise ValueError("pair-only chain must have zero a=0 coefficients")
-    return _ring(c.n, c.alpha, scaled=False)
 
 
 def ba_bond(alpha1, alpha3):
@@ -245,12 +181,12 @@ def ba_bond(alpha1, alpha3):
 
 def build_ba(alpha1, alpha3, n):
     """Ising ring with transverse and longitudinal fields, 1/sqrt(n) prefactor."""
-    return build_invariant(ba_bond(alpha1, alpha3), n)
+    return ring(bond_table(n, ba_bond(alpha1, alpha3), scaled=True))
 
 
 def build_exyz(epsilon, n):
     """``sum_j (epsilon X_j Y_{j+1} + Z_j)``; no prefactor, free-fermion solvable."""
-    return _ring(n, [[0.0, 0.0, 1.0], [0.0, epsilon, 0.0], [0.0] * 3, [0.0] * 3], scaled=False)
+    return ring(bond_table(n, [[0.0, 0.0, 1.0], [0.0, epsilon, 0.0], [0.0] * 3, [0.0] * 3], scaled=False))
 
 
 def normalization_scale(norm2):
@@ -271,18 +207,28 @@ def normalize(h):
     return normalization_scale(norm2) * h
 
 
-def sample_random(kind, n, seed):
-    """Seeded random Hamiltonian with i.i.d. standard normal coefficients.
+def sample_table(kind, n, seed):
+    """Seeded random bond table with i.i.d. standard normal coefficients.
 
     The generator is numpy's ``default_rng`` (PCG64) seeded with ``seed``;
-    identical seeds give identical term lists.  ``kind`` is one of
-    ``nn | invariant | pair_only``.
+    identical seeds give identical tables. ``kind`` is one of
+    ``nn | invariant | pair_only``: ``nn`` draws all ``(n, 4, 3)``
+    couplings, ``invariant`` one ``(4, 3)`` row for every bond, both times
+    ``1/sqrt(n)``; ``pair_only`` draws like ``nn``, zeroes the a=0 (one-site)
+    terms and keeps no prefactor (every term weight 2).
     """
     rng = np.random.default_rng(seed)
-    if kind == "nn":
-        return build_nn_chain(ChainCoefficients.random(n, rng))
     if kind == "invariant":
-        return build_invariant(rng.standard_normal((4, 3)), n)
+        return bond_table(n, rng.standard_normal((4, 3)), scaled=True)
+    if kind not in ("nn", "pair_only"):
+        raise ValueError(f"unknown kind {kind!r}")
+    _check_ring_size(n)  # before the draw, which refuses a negative n with numpy's own message
+    alpha = rng.standard_normal((n, 4, 3))
     if kind == "pair_only":
-        return build_pair_only(ChainCoefficients.random(n, rng, pair_only=True))
-    raise ValueError(f"unknown kind {kind!r}")
+        alpha[:, 0, :] = 0.0
+    return bond_table(n, alpha, scaled=kind == "nn")
+
+
+def sample_random(kind, n, seed):
+    """The ring of :func:`sample_table`."""
+    return ring(sample_table(kind, n, seed))

@@ -27,12 +27,12 @@ from spinchain.entanglement import (
 )
 from spinchain.free_fermion import collect_spectrum, spectrum_sum_set
 from spinchain.hamiltonians import (
-    ChainCoefficients,
     build_ba,
     build_exyz,
-    build_pair_only,
     normalize,
+    ring,
     sample_random,
+    sample_table,
 )
 from spinchain.spectra import diagonalize_dense
 from spinchain.symmetry import joint_eigenbasis
@@ -104,8 +104,7 @@ def test_criterion_3_pair_only_exactness():
     checked = 0
     worst_purity = worst_odd = 0.0
     for seed in range(25):
-        c = ChainCoefficients.random(n, np.random.default_rng(seed), pair_only=True)
-        e = diagonalize_dense(build_pair_only(c))
+        e = diagonalize_dense(sample_random("pair_only", n, seed))
         rep1 = pair_only_checks(e, 1)
         if rep1.degenerate:
             continue
@@ -168,11 +167,12 @@ def test_criterion_5_density_of_states_trend():
 
 
 def test_criterion_6_characteristic_function_bound():
-    h = normalize(sample_random("nn", 10, 0))
-    vals = joint_eigenbasis(h).eigenvalues
+    table = sample_table("nn", 10, 0)
+    table = table / np.sqrt(np.sum(table**2))
+    vals = joint_eigenbasis(ring(table)).eigenvalues
     failures = []
     for l in (2, 3, 5):
-        for row in clt_bound_check(block_link_split(h, l), vals, [0.5, 1.0, 2.0]):
+        for row in clt_bound_check(block_link_split(table, l), vals, [0.5, 1.0, 2.0]):
             if not row.passes():
                 failures.append((l, row.t, row.lhs, row.rhs))
     assert report(6, "|psi - phi| <= sqrt(t^2 <L,L>) on every row", not failures, str(failures or "9 rows"))

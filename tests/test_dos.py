@@ -26,18 +26,20 @@ from spinchain.dos import (
 from spinchain import dos, free_fermion
 from spinchain.free_fermion import mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
-    ChainCoefficients,
+    OperatorSum,
     ba_bond,
+    bond_table,
     build_ba,
     build_exyz,
-    build_nn_chain,
     normalize,
+    ring,
     sample_random,
+    sample_table,
 )
 from spinchain.spectra import diagonalize_dense
 from spinchain.symmetry import is_invariant, joint_eigenbasis
 
-from oracles import commutator_norm, exact_ks_distance, from_label, from_terms, parseval_moments, terms
+from oracles import commutator_norm, exact_ks_distance, parseval_moments
 
 
 def field_chain_values(n):
@@ -384,15 +386,11 @@ def test_moments_field_chain():
 
 
 def random_ring(kind, seed):
-    """``n -> (sample_random(kind, n, seed), its bond table, scaled)``, the table drawn as ``sample_random`` draws it."""
-    def ring(n):
-        rng = np.random.default_rng(seed)
-        if kind == "invariant":
-            alpha = rng.standard_normal((4, 3))
-        else:
-            alpha = ChainCoefficients.random(n, rng, pair_only=kind == "pair_only").alpha
-        return sample_random(kind, n, seed), alpha, kind != "pair_only"
-    return ring
+    """``n -> (sample_random(kind, n, seed), its bond table, scaled)``; the table is ``sample_table``'s, already scaled."""
+    def random(n):
+        table = sample_table(kind, n, seed)
+        return ring(table), table, False
+    return random
 
 
 def exyz_ring(eps):
@@ -516,109 +514,133 @@ def test_normal_reference_moments():
     assert [double_factorial_odd(k) for k in (1, 2, 3)] == [1, 3, 15]
 
 
+def unit_table(n, seed):
+    """``sample_table("nn", n, seed)`` scaled to unit ``Tr(H^2) / 2^n``, the sum of its squares."""
+    table = sample_table("nn", n, seed)
+    return table / np.sqrt(np.sum(table**2))
+
+
+def embedded(split, k):
+    """The ring of a zero n-row table that holds block k's rows (k = 0..k_count-1) or the link rows (k = None) at their places."""
+    table = np.zeros((split.n, 4, 3))
+    if k is None:
+        table[split.link_rows] = split.table[split.link_rows]
+    else:
+        table[k * split.l : k * split.l + len(split.blocks[k])] = split.blocks[k]
+    return ring(table)
+
+
 def test_block_link_split_n6_l3():
-    h = sample_random("nn", 6, 1)
-    split = block_link_split(h, 3)
+    split = block_link_split(sample_table("nn", 6, 1), 3)
     assert split.k_count == 2
     # link bonds 3 and 6 carry 12 random terms each
-    assert split.links.num_terms == 24
+    assert list(split.link_rows) == [2, 5]
+    assert embedded(split, None).num_terms == 24
     # block k acts on every site of its window, sites 3k-2 .. 3k, and on no other
-    for b, window in zip(split.blocks, (0b111000, 0b000111)):
+    for k, window in enumerate((0b111000, 0b000111)):
+        b = embedded(split, k)
         support = np.bitwise_or.reduce(b.xs | b.zs)
         assert support == window
 
 
-@pytest.mark.parametrize("label", ["XIXII", "XYZII", "IZZZI", "IIIII"])
-def test_block_link_split_refuses_terms_off_the_ring_bonds(label):
-    """A term on two sites that are not neighbours, on three sites or on none is refused by name."""
-    h = sample_random("nn", 5, 0) + from_terms(5, [(0.5, from_label(label))])
-    with pytest.raises(ValueError, match=f"term {label} is not a nearest-neighbour ring term"):
-        block_link_split(h, 2)
-
-
 def test_block_link_split_n5_l2():
-    h = sample_random("nn", 5, 1)
-    split = block_link_split(h, 2)
+    split = block_link_split(sample_table("nn", 5, 1), 2)
     assert split.k_count == 3
     link_bonds = {2, 4, 5}
-    assert split.links.num_terms == 12 * len(link_bonds)
+    assert set(split.link_rows + 1) == link_bonds
+    assert embedded(split, None).num_terms == 12 * len(link_bonds)
 
 
 def test_blocks_commute_pairwise():
-    h = sample_random("nn", 6, 2)
-    split = block_link_split(h, 2)
-    for i in range(len(split.blocks)):
-        for j in range(i + 1, len(split.blocks)):
-            assert commutator_norm(split.blocks[i], split.blocks[j]) < 1e-12
+    split = block_link_split(sample_table("nn", 6, 2), 2)
+    for i in range(split.k_count):
+        for j in range(i + 1, split.k_count):
+            assert commutator_norm(embedded(split, i), embedded(split, j)) < 1e-12
 
 
 @given(nl=st.integers(3, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
        seed=st.integers(0, 2**32 - 1))
 def test_split_reassembles_random_rings_term_for_term(nl, seed):
-    """Every term of a random nn ring lands in exactly one block or the links, with its coefficient."""
+    """Every row of a random nn table lands in exactly one block or the links, and the rings of the parts,
+    each embedded in a zero table of n rows, sum to the ring of the table term for term."""
     n, l = nl
-    h = sample_random("nn", n, seed)
-    split = block_link_split(h, l)
-    parts = [t for part in split.blocks + (split.links,) for t in terms(part)]
-    key = lambda t: (t[1].x_mask, t[1].z_mask)
-    assert sorted(parts, key=key) == sorted(terms(h), key=key)
+    table = sample_table("nn", n, seed)
+    split = block_link_split(table, l)
+    placed = [k * l + i for k, rows in enumerate(split.blocks) for i in range(len(rows))] + list(split.link_rows)
+    assert sorted(placed) == list(range(n))
+    total = OperatorSum.zero(n)
+    for k in [*range(split.k_count), None]:
+        total = total + embedded(split, k)
+    assert (total - ring(table)).num_terms == 0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_block_spectra_equal_the_dense_spectra_of_the_embedded_blocks(n):
+    """Block k's spectrum on its w = min(kl, n) - (k-1)l sites, each value 2^(n-w) times, is that of the block on all n sites."""
+    table = sample_table("nn", n, n)
+    for l in range(2, n + 1):
+        split = block_link_split(table, l)
+        assert len(split.block_spectra) == split.k_count == -(-n // l)
+        for k, vals in enumerate(split.block_spectra):
+            w = min((k + 1) * l, n) - k * l
+            want = np.linalg.eigvalsh(embedded(split, k).to_dense())
+            assert np.max(np.abs(np.sort(np.repeat(vals, 1 << (n - w))) - want)) < 1e-12, (l, k)
 
 
 def test_clt_rows_t_zero_and_positive():
-    h = normalize(sample_random("nn", 8, 0))
-    rows = clt_bound_check(block_link_split(h, 2), joint_eigenbasis(h).eigenvalues, [0.0, 0.5, 1.0])
+    table = unit_table(8, 0)
+    rows = clt_bound_check(block_link_split(table, 2), joint_eigenbasis(ring(table)).eigenvalues, [0.0, 0.5, 1.0])
     assert rows[0].lhs == pytest.approx(0.0, abs=1e-12)
     for row in rows:
         assert row.passes()
 
 
 def open_chain(n, seed):
-    """A normalized random nn ring whose wrap bond (n, 1) and single-site (a=0) terms are zero: a chain of two-site terms."""
-    c = ChainCoefficients.random(n, np.random.default_rng(seed))
-    c.alpha[n - 1] = 0.0
-    c.alpha[:, 0, :] = 0.0
-    return normalize(build_nn_chain(c))
+    """A random nn table, scaled to unit norm, whose wrap row (bond n, 1) and single-site (a=0) rows are zero: a chain of two-site terms."""
+    table = np.random.default_rng(seed).standard_normal((n, 4, 3))
+    table[n - 1] = 0.0
+    table[:, 0, :] = 0.0
+    return table / np.sqrt(np.sum(table**2))
 
 
 def test_clt_single_block_open_chain():
     """An open chain inside one block has L = 0, so lhs vanishes for all t."""
     n = 5
-    h = open_chain(n, 4)
-    split = block_link_split(h, n)
-    assert split.links.num_terms == 0
-    rows = clt_bound_check(split, joint_eigenbasis(h).eigenvalues, [0.5, 1.0, 2.0])
+    table = open_chain(n, 4)
+    split = block_link_split(table, n)
+    assert split.link_norm2 == 0.0
+    rows = clt_bound_check(split, joint_eigenbasis(ring(table)).eigenvalues, [0.5, 1.0, 2.0])
     for row in rows:
         assert row.lhs < 1e-9 and row.rhs < 1e-12
 
 
 def test_clt_random_sample_passes():
-    h = normalize(sample_random("nn", 10, 5))
-    for row in clt_bound_check(block_link_split(h, 3), joint_eigenbasis(h).eigenvalues, [0.5, 1.0, 2.0]):
+    table = unit_table(10, 5)
+    for row in clt_bound_check(block_link_split(table, 3), joint_eigenbasis(ring(table)).eigenvalues, [0.5, 1.0, 2.0]):
         assert row.passes()
 
 
 def test_lyapunov_parseval_split():
-    h = normalize(sample_random("nn", 8, 6))
+    table = unit_table(8, 6)
     for l in (2, 3, 4):
-        rep = lyapunov_quantities(block_link_split(h, l))
+        rep = lyapunov_quantities(block_link_split(table, l))
         assert abs(rep.s_n2 + rep.link_norm2 - 1.0) < 1e-10
 
 
 def test_lyapunov_single_block():
     n = 5
-    h = open_chain(n, 7)
-    rep = lyapunov_quantities(block_link_split(h, n))
+    table = open_chain(n, 7)
+    rep = lyapunov_quantities(block_link_split(table, n))
     assert rep.s_n2 == pytest.approx(1.0)
-    e = diagonalize_dense(h, want_vectors=False)
+    e = diagonalize_dense(ring(table), want_vectors=False)
     m4 = float(np.mean(e.eigenvalues**4))
     assert rep.fourth_sum == pytest.approx(m4, abs=1e-10)
 
 
 def test_lyapunov_ising_bound():
-    c = ChainCoefficients(8, np.zeros((8, 4, 3)))
-    c.alpha[:, 3, 2] = 1.0
-    h = build_nn_chain(c)
-    rep = lyapunov_quantities(block_link_split(h, 4), C=1.0)
+    alpha = np.zeros((8, 4, 3))
+    alpha[:, 3, 2] = 1.0
+    rep = lyapunov_quantities(block_link_split(bond_table(8, alpha, scaled=True), 4), C=1.0)
     assert rep.fourth_sum <= rep.genbound3_rhs
 
 

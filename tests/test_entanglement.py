@@ -14,10 +14,8 @@ from spinchain.entanglement import (
     sector_purities,
 )
 from spinchain.hamiltonians import (
-    ChainCoefficients,
     OperatorSum,
     build_ba,
-    build_pair_only,
     sample_random,
 )
 from spinchain.pauli import PauliString
@@ -261,8 +259,7 @@ def test_epsilon_fraction_rejects_nonpositive_epsilon():
 
 
 def test_pair_only_l1_purity_half():
-    c = ChainCoefficients.random(8, np.random.default_rng(1), pair_only=True)
-    e = diagonalize_dense(build_pair_only(c))
+    e = diagonalize_dense(sample_random("pair_only", 8, 1))
     rep = pair_only_checks(e, 1)
     assert not rep.degenerate
     assert rep.max_purity_deviation < 1e-10
@@ -270,8 +267,7 @@ def test_pair_only_l1_purity_half():
 
 
 def test_pair_only_l2_odd_coefficients_vanish():
-    c = ChainCoefficients.random(8, np.random.default_rng(2), pair_only=True)
-    e = diagonalize_dense(build_pair_only(c))
+    e = diagonalize_dense(sample_random("pair_only", 8, 2))
     rep = pair_only_checks(e, 2)
     assert rep.max_odd_weight_coeff < 1e-10
     assert rep.passes()
@@ -279,8 +275,7 @@ def test_pair_only_l2_odd_coefficients_vanish():
 
 def test_pair_only_even_coefficients_survive():
     """Even-weight coefficients like (X, X) are generically nonzero."""
-    c = ChainCoefficients.random(8, np.random.default_rng(3), pair_only=True)
-    e = diagonalize_dense(build_pair_only(c))
+    e = diagonalize_dense(sample_random("pair_only", 8, 3))
     biggest = 0.0
     for j in range(0, 256, 16):
         coeffs = pauli_coefficients(StateVector(8, e.eigenvectors[:, j]), 2)

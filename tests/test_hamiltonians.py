@@ -6,18 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinchain.hamiltonians import (
-    ChainCoefficients,
     DENSE_CAP,
     OperatorSum,
     SizeLimitError,
+    bond_table,
     build_ba,
     build_exyz,
-    build_invariant,
-    build_nn_chain,
-    build_pair_only,
     normalize,
-    ring_bonds,
+    ring,
     sample_random,
+    sample_table,
 )
 from spinchain.pauli import PauliString
 
@@ -40,9 +38,9 @@ def term_dict(h):
 
 def test_nn_chain_zz_ring():
     """alpha_{3,3,j} = 1 for all bonds, n=4 -> (1/2)(Z1Z2 + Z2Z3 + Z3Z4 + Z4Z1)."""
-    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
-    c.alpha[:, 3, 2] = 1.0
-    h = build_nn_chain(c)
+    alpha = np.zeros((4, 4, 3))
+    alpha[:, 3, 2] = 1.0
+    h = ring(bond_table(4, alpha, scaled=True))
     want = {
         from_label(lbl): 0.5
         for lbl in ("ZZII", "IZZI", "IIZZ", "ZIIZ")
@@ -52,9 +50,9 @@ def test_nn_chain_zz_ring():
 
 
 def test_nn_chain_pure_field_via_a0():
-    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
-    c.alpha[:, 0, 2] = 1.0
-    h = build_nn_chain(c)
+    alpha = np.zeros((4, 4, 3))
+    alpha[:, 0, 2] = 1.0
+    h = ring(bond_table(4, alpha, scaled=True))
     got = {s: c for c, s in terms(h)}
     want = {PauliString.from_sites(4, {j: 3}): 0.5 for j in range(1, 5)}
     assert got == want
@@ -62,10 +60,9 @@ def test_nn_chain_pure_field_via_a0():
 
 def test_nn_chain_parseval():
     """hs_inner(H, H) = (1/n) sum alpha^2, cross-checked against dense Tr(H^2)/2^n."""
-    rng = np.random.default_rng(0)
-    c = ChainCoefficients.random(4, rng)
-    h = build_nn_chain(c)
-    want = float(np.sum(c.alpha**2)) / 4
+    alpha = np.random.default_rng(0).standard_normal((4, 4, 3))
+    h = ring(bond_table(4, alpha, scaled=True))
+    want = float(np.sum(alpha**2)) / 4
     assert abs(hs_inner(h, h).real - want) < 1e-12
     dense = h.to_dense()
     assert abs(np.trace(dense @ dense).real / 16 - want) < 1e-10
@@ -74,18 +71,18 @@ def test_nn_chain_parseval():
 def test_invariant_heisenberg_commutes_with_translation():
     alpha = np.zeros((4, 3))
     alpha[1, 0] = alpha[2, 1] = alpha[3, 2] = 1.0
-    h = build_invariant(alpha, 4)
+    h = ring(bond_table(4, alpha, scaled=True))
     assert commutator_norm(h, translation_permutation(4)) < 1e-12
 
 
 def test_invariant_zero():
-    assert build_invariant(np.zeros((4, 3)), 5).num_terms == 0
+    assert ring(bond_table(5, np.zeros((4, 3)), scaled=True)).num_terms == 0
 
 
 def test_invariant_spectrum_shift_invariant():
     """Spectrum is unchanged under conjugation by the translation permutation."""
     rng = np.random.default_rng(1)
-    h = build_invariant(rng.standard_normal((4, 3)), 6)
+    h = ring(bond_table(6, rng.standard_normal((4, 3)), scaled=True))
     dense = h.to_dense()
     perm = translation_permutation(6)
     shifted = dense[np.ix_(perm, perm)]
@@ -95,24 +92,23 @@ def test_invariant_spectrum_shift_invariant():
 
 
 def test_pair_only_structure():
-    c = ChainCoefficients(5, np.zeros((5, 4, 3)))
-    c.alpha[:, 1, 1] = 1.0  # a=1 (X), b=2 (Y)
-    h = build_pair_only(c)
+    alpha = np.zeros((5, 4, 3))
+    alpha[:, 1, 1] = 1.0  # a=1 (X), b=2 (Y)
+    h = ring(bond_table(5, alpha, scaled=False))
     assert h.num_terms == 5
     assert all(s.label.count("I") == 3 and coeff == 1.0 for coeff, s in terms(h))
 
 
 def test_pair_only_zero_and_rejects_fields():
-    assert build_pair_only(ChainCoefficients(5, np.zeros((5, 4, 3)))).num_terms == 0
-    c = ChainCoefficients(5, np.zeros((5, 4, 3)))
-    c.alpha[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        build_pair_only(c)
+    """The zero table gives no terms; a sampled pair-only table holds no one-site (a=0) coupling."""
+    assert ring(bond_table(5, np.zeros((5, 4, 3)), scaled=False)).num_terms == 0
+    table = sample_table("pair_only", 5, 0)
+    assert not np.any(table[:, 0]) and np.all(table[:, 1:])
 
 
 def test_pair_only_antiunitary_conjugation():
     """S H S = conjugate(H) with S = Y tensor-power, on dense matrices (n=8)."""
-    h = build_pair_only(ChainCoefficients.random(8, np.random.default_rng(2), pair_only=True))
+    h = sample_random("pair_only", 8, 2)
     s = pauli_to_dense(from_label("Y" * 8))
     dense = h.to_dense()
     assert np.max(np.abs(s @ dense @ s - dense.conj())) < 1e-10
@@ -156,9 +152,9 @@ def test_exyz_matches_streaming_enumeration():
 
 
 def test_normalize_ising_unchanged():
-    c = ChainCoefficients(6, np.zeros((6, 4, 3)))
-    c.alpha[:, 3, 2] = 1.0
-    h = build_nn_chain(c)
+    alpha = np.zeros((6, 4, 3))
+    alpha[:, 3, 2] = 1.0
+    h = ring(bond_table(6, alpha, scaled=True))
     assert abs(hs_inner(h, h).real - 1.0) < 1e-12
     assert term_dict(normalize(h)) == pytest.approx(term_dict(h))
 
@@ -201,9 +197,7 @@ def test_sample_random_invariant_structure():
 
 
 def test_sampled_coefficient_statistics():
-    rng = np.random.default_rng(0)
-    c = ChainCoefficients.random(834, rng)  # 834 * 12 > 1e4 coefficients
-    flat = c.alpha.ravel()
+    flat = np.sqrt(834) * sample_table("nn", 834, 0).ravel()  # 834 * 12 > 1e4 coefficients
     assert abs(flat.mean()) < 0.05
     assert abs(flat.var() - 1.0) < 0.1
 
@@ -258,14 +252,14 @@ def test_dense_cap_enforced():
 
 
 def test_real_dense_when_no_y():
-    c = ChainCoefficients(4, np.zeros((4, 4, 3)))
-    c.alpha[:, 3, 2] = 1.0
-    assert build_nn_chain(c).to_dense().dtype == np.float64
+    alpha = np.zeros((4, 4, 3))
+    alpha[:, 3, 2] = 1.0
+    assert ring(bond_table(4, alpha, scaled=True)).to_dense().dtype == np.float64
     assert build_exyz(0.5, 4).to_dense().dtype == np.complex128
 
 
 def test_ring_builders_reject_tiny_n():
-    """The size is checked before anything is computed from it: no 1/sqrt(0) warning, no broadcast error."""
+    """The size is checked before anything is computed from it: no 1/sqrt(0) warning, no broadcast or negative-draw error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (0, -1, 2):
@@ -273,6 +267,9 @@ def test_ring_builders_reject_tiny_n():
                 build_exyz(0.5, n)
             with pytest.raises(ValueError, match="ring builders need n >= 3"):
                 build_ba(0.1, 0.1, n)
+            for kind in ("nn", "pair_only", "invariant"):
+                with pytest.raises(ValueError, match="ring builders need n >= 3"):
+                    sample_table(kind, n, 0)
 
 
 def reference_ring(alpha, pref):
@@ -291,32 +288,27 @@ def same_arrays(h, g):
 
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_builders_match_the_term_by_term_ring(n):
-    """Every builder gives the same arrays, bit for bit, as the term-by-term reference of its table."""
-    rng = np.random.default_rng(n)
+    """Every builder gives the same arrays, bit for bit, as the term-by-term reference of its table.
+
+    The samplers draw their table as ``default_rng(seed).standard_normal`` of its shape, which pins
+    the random stream of every seeded ring.
+    """
     pref = 1.0 / np.sqrt(n)
-    c = ChainCoefficients.random(n, rng)
-    assert same_arrays(build_nn_chain(c), reference_ring(c.alpha, pref))
-    p = ChainCoefficients.random(n, rng, pair_only=True)
-    assert same_arrays(build_pair_only(p), reference_ring(p.alpha, 1.0))
-    row = rng.standard_normal((4, 3))
-    assert same_arrays(build_invariant(row, n), reference_ring(np.broadcast_to(row, (n, 4, 3)), pref))
+    for seed in (n, [n, 1]):
+        nn = np.random.default_rng(seed).standard_normal((n, 4, 3))
+        pair = nn.copy()
+        pair[:, 0] = 0.0
+        row = np.random.default_rng(seed).standard_normal((4, 3))
+        for kind, alpha, p in (("nn", nn, pref), ("pair_only", pair, 1.0),
+                               ("invariant", np.broadcast_to(row, (n, 4, 3)), pref)):
+            assert np.array_equal(sample_table(kind, n, seed), p * alpha), kind
+            assert same_arrays(sample_random(kind, n, seed), reference_ring(alpha, p)), kind
     ba = np.zeros((n, 4, 3))
     ba[:, 0], ba[:, 1, 0] = [0.3, 0.0, -0.7], 1.0
     assert same_arrays(build_ba(0.3, -0.7, n), reference_ring(ba, pref))
     exyz = np.zeros((n, 4, 3))
     exyz[:, 0, 2], exyz[:, 1, 1] = 1.0, 0.4
     assert same_arrays(build_exyz(0.4, n), reference_ring(exyz, 1.0))
-
-
-@given(n=st.integers(3, 12), data=st.data())
-def test_ring_bonds_reads_back_the_bond_of_each_term(n, data):
-    """A random table with only bond j's row non-zero gives a ring whose every term is on bond j."""
-    j = data.draw(st.integers(0, n - 1))
-    alpha = np.zeros((n, 4, 3))
-    alpha[j] = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((4, 3))
-    h = build_nn_chain(ChainCoefficients(n, alpha))
-    assert h.num_terms == 12
-    assert np.all(ring_bonds(h) == j + 1)
 
 
 def test_operator_sum_merges_duplicates():

@@ -4,14 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinchain.hamiltonians import (
-    ChainCoefficients,
     OperatorSum,
     SizeLimitError,
+    bond_table,
     build_ba,
     build_exyz,
-    build_invariant,
-    build_nn_chain,
     normalize,
+    ring,
     sample_random,
 )
 from spinchain.pauli import PauliString
@@ -107,7 +106,7 @@ def test_sector_bases_orthonormal_and_complete():
 def test_joint_eigenbasis_ising():
     alpha = np.zeros((4, 3))
     alpha[3, 2] = 1.0
-    h = build_invariant(alpha, 4)
+    h = ring(bond_table(4, alpha, scaled=True))
     e = joint_eigenbasis_lifted(h)
     perm = translation_permutation(4)
     inv = np.empty_like(perm)
@@ -215,7 +214,7 @@ RING_N = st.integers(3, 8)
 
 @given(n=RING_N, alpha=st.lists(COUPLINGS, min_size=12, max_size=12))
 def test_is_invariant_on_sampled_invariant_rings(n, alpha):
-    assert is_invariant(build_invariant(np.reshape(alpha, (4, 3)), n))
+    assert is_invariant(ring(bond_table(n, np.reshape(alpha, (4, 3)), scaled=True)))
 
 
 @given(n=RING_N, alpha1=COUPLINGS, alpha3=COUPLINGS)
@@ -225,7 +224,7 @@ def test_is_invariant_on_sampled_ba_rings(n, alpha1, alpha3):
 
 @given(n=RING_N, seed=st.integers(0, 2**32 - 1))
 def test_is_invariant_agrees_with_commutator_on_random_nn_rings(n, seed):
-    h = build_nn_chain(ChainCoefficients.random(n, np.random.default_rng(seed)))
+    h = sample_random("nn", n, seed)
     assert not is_invariant(h)
     assert commutator_norm(h, translation_permutation(n)) >= 1e-12
 
