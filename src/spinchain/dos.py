@@ -5,6 +5,8 @@ moment predictions.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +30,10 @@ KS_LEAF = 4096
 KS_BATCH = 1 << 15
 #: covers last-ulp non-monotonicity of the float CDF in the interval bounds
 KS_SLACK = 1e-12
+#: most thresholds (offsets times grid points) one :func:`_ranks` call of
+#: :meth:`EmpiricalDistribution.count_below` takes; each of its temporaries is
+#: at most 8 bytes per threshold
+RANKS_BATCH = 1 << 14
 
 
 def _power_sums(x, k_max):
@@ -99,16 +105,29 @@ class EmpiricalDistribution:
         return self.count <= 1 << EXACT_CAP
 
     def count_below(self, grid):
-        """``#{o + v < x}`` at each point x of the sorted ``grid``, from one :func:`_ranks` per offset.
+        """``#{o + v < x}`` at each point x of the sorted ``grid``, from :func:`_ranks` of batches of sorted offsets.
 
         Grid points at or below ``o + low[0]`` count none, those above ``o + low[-1]`` all. (With
         ``o = inf``, ``o + low[0]`` may be NaN; then every value is inf or NaN and nothing counts.)
+        Consecutive sorted offsets are batched while the batch times the union of their grid
+        ranges stays within ``RANKS_BATCH`` thresholds; past that union every value of the batch
+        counts. A batch of one offset whose range is longer is cut along the grid. The calls are
+        dealt round-robin to one thread per CPU the process may run on; counts are integers, so
+        their sum does not depend on how they are dealt.
         """
-        cum = np.zeros(len(grid), dtype=np.int64)
-        for o in self.offsets:
-            first, last = np.searchsorted(grid, self.low[[0, -1]] + o, side="right")
-            cum[first:last] += _ranks(self.low, o, grid[first:last])
-            cum[last:] += len(self.low)
+        offsets = np.sort(self.offsets)
+        firsts = np.searchsorted(grid, self.low[0] + offsets, side="right").tolist()
+        lasts = np.searchsorted(grid, self.low[-1] + offsets, side="right").tolist()
+        tails = np.zeros(len(grid) + 1, dtype=np.int64)
+        calls = []
+        for s, e, lo, hi in _batches(firsts, lasts):
+            tails[hi] += e - s
+            step = max(1, RANKS_BATCH // (e - s))
+            calls += [(s, e, c, min(c + step, hi)) for c in range(lo, hi, step)]
+        cum = np.cumsum(tails[:-1]) * len(self.low)
+        workers = max(1, min(_cpus(), len(calls)))
+        for part in _in_threads(_count_calls, [(self.low, offsets, grid, calls[w::workers]) for w in range(workers)]):
+            cum += part
         return cum
 
     def cdf(self, xs):
@@ -120,21 +139,86 @@ class EmpiricalDistribution:
         return self.count_below(grid)[where] / self.count
 
 
+def _batches(firsts, lasts):
+    """Runs ``(s, e, lo, hi)`` of consecutive offsets, each while ``(e - s) * (hi - lo)`` stays within ``RANKS_BATCH``.
+
+    ``[lo, hi)`` is the union of the grid ranges ``[firsts[k], lasts[k])`` of offsets s..e-1; a run holds one offset at least.
+    """
+    s = 0
+    while s < len(firsts):
+        lo, hi, e = firsts[s], lasts[s], s + 1
+        while e < len(firsts) and (e + 1 - s) * (max(hi, lasts[e]) - min(lo, firsts[e])) <= RANKS_BATCH:
+            lo, hi, e = min(lo, firsts[e]), max(hi, lasts[e]), e + 1
+        yield s, e, lo, hi
+        s = e
+
+
+def _cpus():
+    """The number of CPUs this process may run on (every CPU where the platform keeps no affinity mask)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _count_calls(low, offsets, grid, calls):
+    """The counts below ``grid`` of the :func:`_ranks` calls ``(s, e, lo, hi)``: offsets s..e-1 at grid points lo..hi-1."""
+    cum = np.zeros(len(grid), dtype=np.int64)
+    for s, e, lo, hi in calls:
+        cum[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
+    return cum
+
+
+def _in_threads(fn, jobs):
+    """``[fn(*job) for job in jobs]``, the first job on this thread and each other on a thread of its own.
+
+    numpy releases the GIL in the searches, gathers and compares of :func:`_ranks`. An exception of any
+    job is raised here, once every thread has ended.
+    """
+    results, errors = [None] * len(jobs), []
+
+    def work(k):
+        try:
+            results[k] = fn(*jobs[k])
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, len(jobs))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 @np.errstate(invalid="ignore")
 def _ranks(low, o, x):
     """``#{v in low : fl(o + v) < x}`` at each x, for ``low`` sorted with NaN last.
 
-    The predicate is monotone in v. The guess ``searchsorted(low, fl(x - o))`` can miss its first failing
-    index by rounding (at o = 1, x = nextafter(1, 2), v = 1.5 * 2^-53 is below ``x - o``, but ``o + v``
-    rounds to x), so it steps over whole tie groups of ``low`` until the predicate holds below it and
-    fails at it. A NaN ``x - o`` (a NaN o, or x and o the same infinity) has no value below x.
+    ``o`` is a scalar, with one rank per x, or a column ``(B, 1)`` of offsets, with a row of ranks per
+    offset. The predicate is monotone in v. The guess ``searchsorted(low, fl(x - o))`` can miss its
+    first failing index by rounding (at o = 1, x = nextafter(1, 2), v = 1.5 * 2^-53 is below ``x - o``,
+    but ``o + v`` rounds to x), so it steps over whole tie groups of ``low`` until the predicate holds
+    below it and fails at it. A NaN ``x - o`` (a NaN o, or x and o the same infinity) has no value
+    below x. Each fix-up first tests every threshold at once, with ``o`` and ``x`` broadcast, and then
+    tests again only the thresholds it stepped, on the flat ranks: threshold i is the point
+    ``x[i % len(x)]`` and the offset ``o[i // len(x)]``. No copy of ``x`` or ``o`` per threshold is formed.
     """
     t = x - o
-    r = np.where(np.isnan(t), 0, np.searchsorted(low, t, side="left"))
-    while len(i := np.flatnonzero(r < len(low))) and len(i := i[low[r[i]] + o < x[i]]):
-        r[i] = np.searchsorted(low, low[r[i]], side="right")
-    while len(i := np.flatnonzero(r > 0)) and len(i := i[~(low[r[i] - 1] + o < x[i])]):
-        r[i] = np.searchsorted(low, low[r[i] - 1], side="left")
+    r = np.searchsorted(low, t, side="left")
+    r[np.isnan(t)] = 0
+    del t
+    n, flat, offs, m = len(low), r.reshape(-1), np.ravel(o), len(x)
+    i = np.flatnonzero((low[np.minimum(r, n - 1)] + o < x) & (r < n))
+    while len(i):
+        flat[i] = np.searchsorted(low, low[flat[i]], side="right")
+        i = i[flat[i] < n]
+        i = i[low[flat[i]] + offs[i // m] < x[i % m]]
+    i = np.flatnonzero(~(low[np.maximum(r - 1, 0)] + o < x) & (r > 0))
+    while len(i):
+        flat[i] = np.searchsorted(low, low[flat[i] - 1], side="left")
+        i = i[flat[i] > 0]
+        i = i[~(low[flat[i] - 1] + offs[i // m] < x[i % m])]
     return r
 
 

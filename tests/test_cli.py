@@ -509,6 +509,24 @@ def test_spectrum_ba_goes_through_sectors(tmp_path):
     assert np.max(np.abs(want.eigenvalues - dense)) < 1e-12
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of two CPUs or more")
+def test_dos_output_does_not_depend_on_the_cpu_count(tmp_path):
+    """``dos`` pinned to one CPU, which counts on one thread, writes the same bytes as ``dos`` on every CPU."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["dos", "--model", "exyz", "--n", "20", "22", "--cx-grid", "-1", "0", "0.5"]
+    probe = ("import os, sys, spinchain.cli\n"
+             "if sys.argv[1] == 'one': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "sys.exit(spinchain.cli.main(sys.argv[2:]))")
+    outs = []
+    for cpus in ("one", "all"):
+        out = tmp_path / f"dos-{cpus}.json"
+        subprocess.run([sys.executable, "-c", probe, cpus, *argv, "--out", str(out)], check=True, env=env)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     """No ``scipy`` module is loaded by importing the CLI, nor by a ``dos`` run with its KS distance and F(x) table."""
     src = Path(__file__).resolve().parents[1] / "src"

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -259,18 +260,24 @@ SUM_SET_ELEMENTS = st.one_of(
 )
 
 
+@pytest.mark.parametrize("ranks_batch", [dos.RANKS_BATCH, 8], ids=["batch_default", "batch8"])
+@pytest.mark.parametrize("cpus", [1, 3], ids=["cpus1", "cpus3"])
 @given(
     st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
     st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
 )
 @example([-np.inf, 0.0, 2.0], [np.inf, -0.5])  # inf + -inf is NaN in front of the unsorted block
-def test_count_below_of_sum_set_matches_materialised(values, offsets):
+def test_count_below_of_sum_set_matches_materialised(cpus, ranks_batch, values, offsets):
     """``count_below`` and ``cdf`` of the sum-set equal ``searchsorted`` of its materialised sorted values.
 
     The grid holds every value of the sum-set (ties included), the fixed
-    grid and the infinities; ``cdf`` is read at its finite points.
+    grid and the infinities; ``cdf`` is read at its finite points. The
+    counting kernel sees 1 or 3 CPUs, and a batch cap of 8 thresholds cuts
+    the grid ranges into many calls, dealt to several threads.
     """
-    with np.errstate(invalid="ignore"):  # inf + -inf
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf + -inf
+        mp.setattr(dos, "_cpus", lambda: cpus)
+        mp.setattr(dos, "RANKS_BATCH", ranks_batch)
         d = EmpiricalDistribution.from_sum_set(values, offsets)
         x = sum_set_values(np.array(values), offsets)
         grid = np.unique(np.concatenate([x[~np.isnan(x)], GRID, [-np.inf, np.inf]]))
@@ -307,7 +314,59 @@ def test_ranks_step_over_the_guess_where_the_threshold_rounds_wrong():
             guess = np.searchsorted(d.low, grid - o)
             under += int(np.sum(guess < want))
             over += int(np.sum(guess > want))
+        # a column of offsets gives the scalar call's ranks in each row; NaN and inf count nothing
+        column = np.array([*offsets, np.nan, np.inf])
+        rows = dos._ranks(d.low, column[:, None], grid)
+        assert rows.shape == (len(column), len(grid)) and not np.any(rows[-2:])
+        for o, row in zip(column, rows):
+            assert np.array_equal(row, dos._ranks(d.low, o, grid))
     assert under and over  # the guess alone is wrong in both directions
+
+
+def test_count_below_raises_the_error_of_a_worker_thread(monkeypatch):
+    """An exception in a counting thread reaches the caller of ``count_below``, after every thread has ended."""
+    ranks = dos._ranks
+
+    def fails_off_the_main_thread(low, o, x):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker")
+        return ranks(low, o, x)
+
+    monkeypatch.setattr(dos, "_ranks", fails_off_the_main_thread)
+    monkeypatch.setattr(dos, "_cpus", lambda: 3)
+    monkeypatch.setattr(dos, "RANKS_BATCH", 64)
+    d = EmpiricalDistribution.from_sum_set(np.arange(100.0), np.arange(4.0))
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker"):
+        d.count_below(GRID)
+    assert threading.active_count() == threads
+
+
+def test_ranks_calls_stay_within_the_batch_cap(monkeypatch):
+    """No :func:`dos._ranks` call of an exact KS distance and a long ``cdf`` takes more than ``RANKS_BATCH`` thresholds.
+
+    With 2^12 low values, 256 offsets are batched several to a call, and the
+    40001 points of the ``cdf`` give single offsets grid ranges longer than
+    the cap, which are cut along the grid.
+    """
+    monkeypatch.setattr(free_fermion, "CHUNK_BITS", 12)
+    ranks, sizes = dos._ranks, []
+
+    def recorded(low, o, x):
+        sizes.append((np.size(o), len(x)))
+        return ranks(low, o, x)
+
+    monkeypatch.setattr(dos, "_ranks", recorded)
+    n, eps = 20, 0.5
+    d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2))))
+    assert d.exact and len(d.offsets) == 256
+    ks = ks_distance(d)
+    xs = np.linspace(-4.0, 4.0, 40001)
+    values = np.sort(sum_set_values(d.low, d.offsets))
+    assert np.array_equal(d.cdf(xs), np.searchsorted(values, xs, side="right") / d.count)
+    assert ks == KSResult(exact_ks_distance(values), 0.0)
+    assert max(b * m for b, m in sizes) <= dos.RANKS_BATCH
+    assert max(b for b, _ in sizes) > 1 and max(m for _, m in sizes) == dos.RANKS_BATCH
 
 
 @given(
