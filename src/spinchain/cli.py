@@ -27,9 +27,9 @@ def _derived_seed(seed, sample_id):
     return [int(seed), int(sample_id)]
 
 
-def _config_dict(args, command):
+def _config_dict(args):
+    """Every flag of ``args``, with the subcommand that argparse stores as ``args.command``, and the version."""
     cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")}
-    cfg["command"] = command
     cfg["version"] = __version__
     return cfg
 
@@ -111,7 +111,7 @@ def cmd_purity_sweep(args):
             rows.append([rank, "", l, repr(le), "mean"])
     _write_csv(
         args.out,
-        _config_dict(args, "purity-sweep"),
+        _config_dict(args),
         ["state_index", "eigenvalue", "l", "linear_entropy", "sample_id"],
         rows,
         comments=verdicts,
@@ -158,7 +158,7 @@ def cmd_dos(args):
     inputs = [_dos_input(args, n) for n in args.n]  # every --n before the first solve
     # built in turn and dropped with its report, so one 2^CHUNK_BITS exyz block is alive at a time
     reports = [_dos_report(args, n, distribution()) for n, distribution in zip(args.n, inputs)]
-    payload = {"config": _config_dict(args, "dos"), "reports": reports}
+    payload = {"config": _config_dict(args), "reports": reports}
     _write_json(args.out, payload)
     return 1 if any("m2_identity" in r for r in reports) else 0
 
@@ -183,7 +183,7 @@ def cmd_clt_check(args):
                      "" if rep.genbound3_rhs is None else repr(rep.genbound3_rhs), ""])
     _write_csv(
         args.out,
-        _config_dict(args, "clt-check"),
+        _config_dict(args),
         ["n", "l", "t", "lhs", "rhs", "rhs_coeff_bound", "pass"],
         rows,
     )
@@ -207,7 +207,7 @@ def cmd_degeneracy_scan(args):
         rows.append(["invariant", args.n, "", sample, repr(spectra.min_gap(e.eigenvalues))])
     _write_csv(
         args.out,
-        _config_dict(args, "degeneracy-scan"),
+        _config_dict(args),
         ["model", "n", "epsilon", "sample_id", "min_gap"],
         rows,
         comments=comments,
@@ -239,7 +239,7 @@ def cmd_ba_moments(args):
         for k in (1, 2, 3)
     }
     payload = {
-        "config": _config_dict(args, "ba-moments"),
+        "config": _config_dict(args),
         "variance": sigma2,
         "finite_n": entries,
         "predictions": predictions,
@@ -255,7 +255,7 @@ def cmd_spectrum(args):
         alpha1=args.alpha1, alpha3=args.alpha3, normalized=args.normalize,
     )
     header, rows = spectra.spectrum_table(symmetry.joint_eigenbasis(h))
-    _write_csv(args.out, _config_dict(args, "spectrum"), header, rows)
+    _write_csv(args.out, _config_dict(args), header, rows)
     return 0
 
 

@@ -68,7 +68,7 @@ def power_sums(values, offsets=(0.0,)):
 class EmpiricalDistribution:
     """The sum-set ``{o + v : o in offsets, v in low}`` and its power sums.
 
-    ``low`` is the larger of the two sets, sorted. Every statistic is read
+    ``low`` is the larger of the two sets; both are sorted. Every statistic is read
     from the pair through :meth:`count_below`; nothing the size of the
     sum-set is formed.
     """
@@ -79,7 +79,8 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_sum_set(cls, low, offsets):
-        """Takes ownership: sorts the larger set in place, before the power sums, so they do not depend on its order."""
+        """Takes ownership: sorts the larger set in place before the power sums, so they do not depend on its
+        order, and the offsets after them, so they keep the offsets' given order."""
         low = np.asarray(low, dtype=float)
         offsets = np.asarray(offsets, dtype=float)
         if len(offsets) > len(low):
@@ -88,7 +89,9 @@ class EmpiricalDistribution:
         if len(low) * len(offsets) == 0:
             raise ValueError("empty distribution")
         low.sort()
-        return cls(low, offsets, power_sums(low, offsets))
+        sums = power_sums(low, offsets)
+        offsets.sort()
+        return cls(low, offsets, sums)
 
     @classmethod
     def from_values(cls, values):
@@ -104,53 +107,37 @@ class EmpiricalDistribution:
         """Whether :func:`ks_distance` is exact: at most 2^EXACT_CAP values."""
         return self.count <= 1 << EXACT_CAP
 
-    def count_below(self, grid):
-        """``#{o + v < x}`` at each point x of the sorted ``grid``, from :func:`_ranks` of batches of sorted offsets.
+    def count_below(self, points):
+        """``#{o + v < x}`` at each x of ``points`` (any order, repeats allowed, no NaN), from :func:`_ranks` of runs of sorted offsets.
 
-        Grid points at or below ``o + low[0]`` count none, those above ``o + low[-1]`` all. (With
-        ``o = inf``, ``o + low[0]`` may be NaN; then every value is inf or NaN and nothing counts.)
-        Consecutive sorted offsets are batched while the batch times the union of their grid
-        ranges stays within ``RANKS_BATCH`` thresholds; past that union every value of the batch
-        counts. A batch of one offset whose range is longer is cut along the grid. The calls are
-        dealt round-robin to one thread per CPU the process may run on; counts are integers, so
-        their sum does not depend on how they are dealt.
+        Grid points (the distinct ``points``, sorted) at or below ``o + low[0]`` count none, those above
+        ``o + low[-1]`` all. (With ``o = inf``, ``o + low[0]`` may be NaN; then every value is inf or NaN and
+        nothing counts.) A run is ``RANKS_BATCH // widest range`` consecutive offsets, one at least, and spans
+        the grid from the least first to the greatest last point of their ranges, with no assumption on their
+        order (``o + low[0]`` is not monotone in o where it is NaN); past it every value of the run counts. The
+        span is cut along the grid into calls of at most ``RANKS_BATCH`` thresholds.
         """
-        offsets = np.sort(self.offsets)
-        firsts = np.searchsorted(grid, self.low[0] + offsets, side="right").tolist()
-        lasts = np.searchsorted(grid, self.low[-1] + offsets, side="right").tolist()
+        grid, where = np.unique(points, return_inverse=True)
+        firsts = np.searchsorted(grid, self.low[0] + self.offsets, side="right")
+        lasts = np.searchsorted(grid, self.low[-1] + self.offsets, side="right")
+        width = max(1, RANKS_BATCH // int(np.max(lasts - firsts, initial=1)))
+        step = RANKS_BATCH // width
+        starts = np.arange(0, len(self.offsets), width)
+        los, his = np.minimum.reduceat(firsts, starts).tolist(), np.maximum.reduceat(lasts, starts).tolist()
         tails = np.zeros(len(grid) + 1, dtype=np.int64)
-        calls = []
-        for s, e, lo, hi in _batches(firsts, lasts):
-            tails[hi] += e - s
-            step = max(1, RANKS_BATCH // (e - s))
-            calls += [(s, e, c, min(c + step, hi)) for c in range(lo, hi, step)]
+        np.add.at(tails, his, np.diff(starts, append=len(self.offsets)))
+        calls = [(s, s + width, c, min(c + step, hi)) for s, lo, hi in zip(starts.tolist(), los, his)
+                 for c in range(lo, hi, step)]
         cum = np.cumsum(tails[:-1]) * len(self.low)
-        workers = max(1, min(_cpus(), len(calls)))
-        for part in _in_threads(_count_calls, [(self.low, offsets, grid, calls[w::workers]) for w in range(workers)]):
-            cum += part
-        return cum
+        cum += _count_calls(self.low, self.offsets, grid, calls)
+        return cum[where]
 
     def cdf(self, xs):
         """``F(x) = #{y <= x} / count`` at each finite x of ``xs``; a non-finite x is a ``ValueError``."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("F(x) needs finite x")
-        grid, where = np.unique(np.nextafter(xs, np.inf), return_inverse=True)
-        return self.count_below(grid)[where] / self.count
-
-
-def _batches(firsts, lasts):
-    """Runs ``(s, e, lo, hi)`` of consecutive offsets, each while ``(e - s) * (hi - lo)`` stays within ``RANKS_BATCH``.
-
-    ``[lo, hi)`` is the union of the grid ranges ``[firsts[k], lasts[k])`` of offsets s..e-1; a run holds one offset at least.
-    """
-    s = 0
-    while s < len(firsts):
-        lo, hi, e = firsts[s], lasts[s], s + 1
-        while e < len(firsts) and (e + 1 - s) * (max(hi, lasts[e]) - min(lo, firsts[e])) <= RANKS_BATCH:
-            lo, hi, e = min(lo, firsts[e]), max(hi, lasts[e]), e + 1
-        yield s, e, lo, hi
-        s = e
+        return self.count_below(np.nextafter(xs, np.inf)) / self.count
 
 
 def _cpus():
@@ -159,28 +146,26 @@ def _cpus():
 
 
 def _count_calls(low, offsets, grid, calls):
-    """The counts below ``grid`` of the :func:`_ranks` calls ``(s, e, lo, hi)``: offsets s..e-1 at grid points lo..hi-1."""
-    cum = np.zeros(len(grid), dtype=np.int64)
-    for s, e, lo, hi in calls:
-        cum[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
-    return cum
+    """The counts below ``grid`` of the :func:`_ranks` calls ``(s, e, lo, hi)``: offsets s..e-1 at grid points lo..hi-1.
 
-
-def _in_threads(fn, jobs):
-    """``[fn(*job) for job in jobs]``, the first job on this thread and each other on a thread of its own.
-
-    numpy releases the GIL in the searches, gathers and compares of :func:`_ranks`. An exception of any
-    job is raised here, once every thread has ended.
+    The calls are dealt round-robin to one worker per CPU, the first on this thread and each other on a
+    thread of its own; numpy releases the GIL in the searches, gathers and compares of :func:`_ranks`.
+    Each worker adds into its own int64 counts, summed in place, so the sum does not depend on the dealing.
+    An exception of any worker is raised here, once every thread has ended.
     """
-    results, errors = [None] * len(jobs), []
+    workers = max(1, min(_cpus(), len(calls)))
+    parts, errors = [None] * workers, []
 
-    def work(k):
+    def work(w):
         try:
-            results[k] = fn(*jobs[k])
+            part = np.zeros(len(grid), dtype=np.int64)
+            for s, e, lo, hi in calls[w::workers]:
+                part[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
+            parts[w] = part
         except BaseException as exc:  # raised on the calling thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, len(jobs))]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     work(0)
@@ -188,7 +173,9 @@ def _in_threads(fn, jobs):
         thread.join()
     if errors:
         raise errors[0]
-    return results
+    for part in parts[1:]:
+        parts[0] += part
+    return parts[0]
 
 
 @np.errstate(invalid="ignore")
@@ -270,8 +257,7 @@ def ks_distance(d):
     while len(a):
         x = _cut(a, b, parts)
         parts = KS_SPLIT
-        grid, where = np.unique(x, return_inverse=True)
-        count, phi = d.count_below(grid)[where].reshape(x.shape), normal_cdf(x)
+        count, phi = d.count_below(x).reshape(x.shape), normal_cdf(x)
         a, b, c_lo, c_hi = x[:, :-1].ravel(), x[:, 1:].ravel(), count[:, :-1].ravel(), count[:, 1:].ravel()
         phi_a, phi_b = phi[:, :-1].ravel(), phi[:, 1:].ravel()
         full = c_hi > c_lo

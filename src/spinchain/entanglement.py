@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import OperatorSum
-from .pauli import PauliString
+from .pauli import _CODE_BITS
 from .spectra import EigenDecomposition, min_gap
 from .symmetry import _rotate, eigensystems, sorted_spectrum
 
@@ -201,8 +201,8 @@ def build_M(a, n):
         raise ValueError("a must not be the all-zero tuple")
     if 2 * l >= n:
         raise ValueError(f"need 2l < n for distinct translates (l={l}, n={n})")
-    s = PauliString.from_sites(n, {i + 1: c for i, c in enumerate(codes) if c != 0})
-    xs, zs = [s.x_mask], [s.z_mask]
+    # the x and z masks of sigma_1^(a_1)..sigma_l^(a_l); site j is bit n - j
+    xs, zs = ([sum(_CODE_BITS[c][b] << (n - j) for j, c in enumerate(codes, start=1))] for b in (0, 1))
     for _ in range(n - 1):  # T^j S T^-j: the masks rotated j times, as T rotates the basis indices
         xs.append(_rotate(xs[-1], n))
         zs.append(_rotate(zs[-1], n))

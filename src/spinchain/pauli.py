@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CODE_TO_CHAR = "IXYZ"
 #: (x_bit, z_bit) per Pauli code 0..3
 _CODE_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -63,21 +62,6 @@ class PauliString:
             if zb:
                 z |= bit
         return cls(n, x, z)
-
-    def code(self, site):
-        """Pauli code 0..3 at ``site`` (1-based)."""
-        bit = 1 << (self.n - site)
-        xb = bool(self.x_mask & bit)
-        zb = bool(self.z_mask & bit)
-        return _CODE_BITS.index((xb, zb))
-
-    @property
-    def codes(self):
-        return tuple(self.code(j) for j in range(1, self.n + 1))
-
-    @property
-    def label(self):
-        return "".join(_CODE_TO_CHAR[a] for a in self.codes)
 
 
 @dataclass(frozen=True)

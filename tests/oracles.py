@@ -3,8 +3,8 @@
 No CLI path runs any of these; each is the slow, direct form of one path:
 
 * :func:`from_codes` and :func:`from_label` spell Pauli strings site by
-  site, and :func:`pauli_to_dense` forms the 2^n x 2^n matrix of one string,
-  the oracle of ``pauli.multiply``;
+  site, :func:`to_label` reads one back, and :func:`pauli_to_dense` forms
+  the 2^n x 2^n matrix of one string, the oracle of ``pauli.multiply``;
 * :func:`from_terms` builds an operator sum from ``(coefficient,
   PauliString)`` pairs and :func:`terms` lists one as such pairs, and
   :func:`hs_inner` takes the Hilbert-Schmidt inner product of two sums by
@@ -63,6 +63,11 @@ def from_codes(codes):
 def from_label(label):
     """Parse a textual literal like ``"XZIIY"``; any other character, or none, is a ``ValueError``."""
     return from_codes(["IXYZ".index(c) for c in label])
+
+
+def to_label(s):
+    """The textual literal of a Pauli string, site 1 first: the inverse of :func:`from_label`."""
+    return "".join("IZXY"[2 * (s.x_mask >> (s.n - j) & 1) + (s.z_mask >> (s.n - j) & 1)] for j in range(1, s.n + 1))
 
 
 def y_count(s):

@@ -119,9 +119,15 @@ TIED = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 1.5])
     st.lists(st.one_of(st.sampled_from([0.0, 0.5, -1.0]), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
 )
 def test_exact_ks_of_sum_set_equals_oracle(values, offsets):
-    """The exact KS of a small tied sum-set is the oracle's float, at the real and at tiny branch-and-bound sizes."""
+    """The exact KS of a small tied sum-set is the oracle's float, at the real and at tiny branch-and-bound sizes.
+
+    Both sets are held sorted; the power sums are those of the sorted larger set and the offsets in their given order.
+    """
     want = exact_ks_distance(sum_set_values(np.array(values), offsets))
     d = EmpiricalDistribution.from_sum_set(values, offsets)
+    low, given = (values, offsets) if len(offsets) <= len(values) else (offsets, values)
+    assert np.array_equal(d.low, np.sort(low)) and np.array_equal(d.offsets, np.sort(given))
+    assert d.power_sums.tobytes() == power_sums(np.sort(low), given).tobytes()
     assert ks_distance(d) == KSResult(want, 0.0)
     assert _tiny_ks(d) == KSResult(want, 0.0)
 
@@ -271,7 +277,8 @@ def test_count_below_of_sum_set_matches_materialised(cpus, ranks_batch, values, 
     """``count_below`` and ``cdf`` of the sum-set equal ``searchsorted`` of its materialised sorted values.
 
     The grid holds every value of the sum-set (ties included), the fixed
-    grid and the infinities; ``cdf`` is read at its finite points. The
+    grid and the infinities; ``count_below`` also takes it shuffled, with
+    every third point repeated, and ``cdf`` is read at its finite points. The
     counting kernel sees 1 or 3 CPUs, and a batch cap of 8 thresholds cuts
     the grid ranges into many calls, dealt to several threads.
     """
@@ -283,6 +290,8 @@ def test_count_below_of_sum_set_matches_materialised(cpus, ranks_batch, values, 
         grid = np.unique(np.concatenate([x[~np.isnan(x)], GRID, [-np.inf, np.inf]]))
         finite = grid[np.isfinite(grid)]
         assert np.array_equal(d.count_below(grid), _materialised_counts(x, grid))
+        points = np.random.default_rng(len(grid)).permutation(np.concatenate([grid, grid[::3]]))
+        assert np.array_equal(d.count_below(points), _materialised_counts(x, points))
         assert np.array_equal(d.cdf(finite), np.searchsorted(np.sort(x), finite, side="right") / len(x))
     assert d.count == len(values) * len(offsets)
 

@@ -33,6 +33,7 @@ from oracles import (
     pauli_coefficients,
     reduce_contiguous,
     terms,
+    to_label,
 )
 
 
@@ -178,7 +179,7 @@ def test_build_M_single_z():
 def test_build_M_xx_pairs():
     m = build_M((1, 1), 5)
     assert m.num_terms == 5
-    assert all(s.label.count("I") == 3 for _, s in terms(m))
+    assert all(to_label(s).count("I") == 3 for _, s in terms(m))
     assert abs(hs_inner(m, m).real - 1.0) < 1e-12
 
 

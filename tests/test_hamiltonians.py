@@ -28,6 +28,7 @@ from oracles import (
     hs_inner,
     pauli_to_dense,
     terms,
+    to_label,
     translation_permutation,
 )
 
@@ -96,7 +97,7 @@ def test_pair_only_structure():
     alpha[:, 1, 1] = 1.0  # a=1 (X), b=2 (Y)
     h = ring(bond_table(5, alpha, scaled=False))
     assert h.num_terms == 5
-    assert all(s.label.count("I") == 3 and coeff == 1.0 for coeff, s in terms(h))
+    assert all(to_label(s).count("I") == 3 and coeff == 1.0 for coeff, s in terms(h))
 
 
 def test_pair_only_zero_and_rejects_fields():
@@ -117,7 +118,7 @@ def test_pair_only_antiunitary_conjugation():
 def test_ba_ising_special_case():
     h = build_ba(0.0, 0.0, 4)
     assert h.num_terms == 4
-    assert all(s.label.replace("I", "").replace("X", "") == "" for _, s in terms(h))
+    assert all(to_label(s).replace("I", "").replace("X", "") == "" for _, s in terms(h))
 
 
 def test_ba_parseval():
