@@ -23,12 +23,12 @@ BOUND_SLACK = 1e-9
 #: KS branch and bound: the value range is cut into KS_BINS intervals (where
 #: it stops above 2^EXACT_CAP values), and an interval that may hold the sup
 #: is cut into KS_SPLIT; one holding at most KS_LEAF values is gathered, in
-#: batches of at most KS_BATCH values
+#: batches of at most KS_BATCH values, and bounded in runs of KS_SPLIT values
 KS_BINS = 4096
 KS_SPLIT = 16
-KS_LEAF = 4096
+KS_LEAF = 1024
 KS_BATCH = 1 << 15
-#: covers last-ulp non-monotonicity of the float CDF in the interval bounds
+#: covers last-ulp non-monotonicity of the float CDF in the interval and run bounds
 KS_SLACK = 1e-12
 #: most thresholds (offsets times grid points) one :func:`_ranks` call of
 #: :meth:`EmpiricalDistribution.count_below` takes; each of its temporaries is
@@ -209,12 +209,10 @@ def _ranks(low, o, x):
     return r
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def normal_cdf(x):
     """The standard normal CDF ``Phi(x) = erfc(-x / sqrt(2)) / 2``, elementwise."""
-    return 0.5 * np.asarray(_erfc(np.negative(x) / math.sqrt(2)), dtype=float)
+    t = np.negative(x) / math.sqrt(2)
+    return 0.5 * np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size).reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -237,10 +235,11 @@ def ks_distance(d):
     In exact mode (:attr:`EmpiricalDistribution.exact`) intervals whose
     upper bound falls below the best lower bound are dropped, the others are
     cut finer until they hold at most ``KS_LEAF`` values, and those are
-    gathered and evaluated point by point with their global ranks
-    (:func:`_gather_leaves`). Every contribution is the same float
-    expression as over the materialised sorted values, so the statistic is
-    the same float, with uncertainty 0. Above that size the search stops
+    gathered with their global ranks (:func:`_gather_leaves`); a run of them
+    is evaluated point by point where its bound from its two ends reaches the
+    best contribution. Every contribution is the same float expression as
+    over the materialised sorted values, so the statistic is the same float,
+    with uncertainty 0. Above that size the search stops
     after the first ``KS_BINS`` intervals: the statistic is the best lower
     bound, and the uncertainty how far the largest upper bound lies above it.
     """
@@ -290,7 +289,12 @@ def _gather_leaves(d, leaves, floor):
     falls below the best contribution found. Per offset, :func:`_ranks` finds
     the index range of each leaf's values in ``low``, and only those are
     gathered; a batch is sorted, so each leaf's values are contiguous and
-    their global ranks start at its ``c_lo``.
+    their global ranks start at its ``c_lo``. Phi is taken at both ends
+    ``s``, ``e`` of each run of ``KS_SPLIT`` sorted values; as Phi (up to
+    ``KS_SLACK``) and the ranks do not fall, no value of the run contributes
+    more than ``max(Phi(y_e) - r_s/N, (r_e+1)/N - Phi(y_s))``. The ends' own
+    contributions raise the floor, and only runs whose bound reaches it get
+    Phi at every other value.
     """
     n = d.count
     best = -math.inf
@@ -315,9 +319,20 @@ def _gather_leaves(d, leaves, floor):
         if len(y) != sizes.sum():
             raise RuntimeError(f"exact KS distance: gathered {len(y)} values where the counts give {sizes.sum()}")
         rank = np.repeat(batch[:, 2] - (np.cumsum(sizes) - sizes), sizes) + np.arange(len(y))
-        cdf = normal_cdf(y)
-        best = max(best, float(np.max(cdf - rank / n)), float(np.max((rank + 1) / n - cdf)))
+        s = np.arange(0, len(y), KS_SPLIT)
+        e = np.minimum(s + KS_SPLIT, len(y)) - 1
+        phi_s, phi_e = normal_cdf(y[s]), normal_cdf(y[e])
+        best = max(best, _largest(phi_s, rank[s], n), _largest(phi_e, rank[e], n))
+        upper = np.maximum(phi_e - rank[s] / n, (rank[e] + 1) / n - phi_s)
+        run = np.repeat(upper + KS_SLACK >= max(floor, best), KS_SPLIT)[:len(y)]
+        run[s] = run[e] = False
+        best = max(best, _largest(normal_cdf(y[run]), rank[run], n))
         floor = max(floor, best)
+
+
+def _largest(cdf, rank, n):
+    """The largest contribution ``max(Phi(y) - rank/N, (rank+1)/N - Phi(y))`` of values ``y``; -inf of none."""
+    return float(max(np.max(cdf - rank / n, initial=-math.inf), np.max((rank + 1) / n - cdf, initial=-math.inf)))
 
 
 def moments(d, k_max=MAX_MOMENT):

@@ -53,7 +53,9 @@ def eigensystem(matrix, want_vectors, failure):
         raise RuntimeError(failure) from exc
     residual = 0.0
     if vecs is not None:
-        residual = float(np.max(np.linalg.norm(matrix @ vecs - vecs * vals, axis=0)))
+        r = matrix @ vecs
+        r -= vecs * vals
+        residual = float(np.max(np.linalg.norm(r, axis=0)))
     return vals, vecs, residual
 
 

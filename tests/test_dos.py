@@ -1,4 +1,5 @@
 import math
+import statistics
 import threading
 
 import numpy as np
@@ -175,12 +176,38 @@ def test_exact_ks_with_values_on_cut_points_equals_oracle(base, picks):
     assert _tiny_ks(EmpiricalDistribution.from_values(values)).statistic == exact_ks_distance(values)
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
-def test_exact_ks_of_exyz_sum_set_equals_oracle(n):
-    eps = 0.5
+def _exyz_distribution(n, eps):
+    return EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=1.0 / math.sqrt(n * (1 + eps**2))))
+
+
+@pytest.mark.parametrize(
+    "n, eps", [(12, 0.5), (16, 0.5), (20, 0.5), (20, 0.27), (20, 0.98)],
+    ids=["12", "16", "20", "20-eps0.27", "20-eps0.98"],
+)
+def test_exact_ks_of_exyz_sum_set_equals_oracle(n, eps):
     scale = 1.0 / math.sqrt(n * (1 + eps**2))
-    d = EmpiricalDistribution.from_sum_set(*spectrum_sum_set(n, eps, scale=scale))
+    d = _exyz_distribution(n, eps)
     assert ks_distance(d) == KSResult(exact_ks_distance(sum_set_values(*spectrum_sum_set(n, eps, scale=scale))), 0.0)
+
+
+def test_exact_ks_of_normal_quantiles_equals_oracle():
+    """Normal quantiles, whose values all contribute alike, so no run of gathered values can be skipped."""
+    quantiles = statistics.NormalDist()
+    values = [quantiles.inv_cdf((i + 0.5) / 4096) for i in range(4096)]
+    want = KSResult(exact_ks_distance(values), 0.0)
+    d = EmpiricalDistribution.from_values(values)
+    assert ks_distance(d) == want
+    assert _tiny_ks(d) == want
+
+
+def test_exact_ks_takes_phi_only_where_the_sup_can_be(monkeypatch):
+    """The exact KS of exyz n = 20 takes Phi of fewer than 100,000 points (of 2^20 values); Phi of every gathered
+    value, with no bound over runs of them, takes over 300,000."""
+    d = _exyz_distribution(20, 0.5)
+    points = []
+    monkeypatch.setattr(dos, "normal_cdf", lambda x: points.append(np.size(x)) or normal_cdf(x))
+    assert ks_distance(d).uncertainty == 0.0
+    assert sum(points) < 100_000
 
 
 def test_exact_ks_of_degenerate_ba_spectrum_equals_oracle():
