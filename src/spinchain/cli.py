@@ -82,16 +82,16 @@ def _build_model(model, n, seed=None, sample_id=0, epsilon=0.0, alpha1=0.0, alph
 
 def cmd_purity_sweep(args):
     failures = 0
-    rows = []
+    kept = []
     verdicts = []
     rank_sums = {l: None for l in args.l}
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
         e, results = entanglement.sector_purities(h, args.l)
-        values = [repr(v) for v in e.eigenvalues.tolist()]  # formatted once for every l
+        ents = {}
         for l in args.l:
             res = results[l]
-            ent = 1.0 - res.per_state
+            ents[l] = ent = 1.0 - res.per_state
             if rank_sums[l] is None:
                 rank_sums[l] = np.zeros_like(ent)
             rank_sums[l] += ent
@@ -104,16 +104,23 @@ def cmd_purity_sweep(args):
                 )
             else:
                 verdicts.append(f"theorem1 sample={sample} l={l} bound-not-claimed")
-            for rank, (val, le) in enumerate(zip(values, ent.tolist())):
-                rows.append([rank, val, l, repr(le), sample])
-    for l in args.l:
-        for rank, le in enumerate((rank_sums[l] / args.samples).tolist()):
-            rows.append([rank, "", l, repr(le), "mean"])
+        kept.append((e.eigenvalues, ents))
+
+    def rows():  # formatted as they are written, so no sample's rows are held
+        for sample, (vals, ents) in enumerate(kept):
+            values = [repr(v) for v in vals.tolist()]  # formatted once for every l
+            for l in args.l:
+                for rank, (val, le) in enumerate(zip(values, ents[l].tolist())):
+                    yield [rank, val, l, repr(le), sample]
+        for l in args.l:
+            for rank, le in enumerate((rank_sums[l] / args.samples).tolist()):
+                yield [rank, "", l, repr(le), "mean"]
+
     _write_csv(
         args.out,
         _config_dict(args),
         ["state_index", "eigenvalue", "l", "linear_entropy", "sample_id"],
-        rows,
+        rows(),
         comments=verdicts,
     )
     return 1 if failures else 0

@@ -5,13 +5,12 @@ moment predictions.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import parallel
 from .free_fermion import EXACT_CAP
 from .hamiltonians import bond_table, open_chain
 
@@ -140,39 +139,23 @@ class EmpiricalDistribution:
         return self.count_below(np.nextafter(xs, np.inf)) / self.count
 
 
-def _cpus():
-    """The number of CPUs this process may run on (every CPU where the platform keeps no affinity mask)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _count_calls(low, offsets, grid, calls):
     """The counts below ``grid`` of the :func:`_ranks` calls ``(s, e, lo, hi)``: offsets s..e-1 at grid points lo..hi-1.
 
-    The calls are dealt round-robin to one worker per CPU, the first on this thread and each other on a
-    thread of its own; numpy releases the GIL in the searches, gathers and compares of :func:`_ranks`.
-    Each worker adds into its own int64 counts, summed in place, so the sum does not depend on the dealing.
-    An exception of any worker is raised here, once every thread has ended.
+    The calls are dealt round-robin to one worker per CPU (:func:`parallel.run`); numpy releases the GIL in
+    the searches, gathers and compares of :func:`_ranks`. Each worker adds into its own int64 counts, summed
+    in place, so the sum does not depend on the dealing.
     """
-    workers = max(1, min(_cpus(), len(calls)))
-    parts, errors = [None] * workers, []
+    workers = max(1, min(parallel.cpus(), len(calls)))
+    parts = [None] * workers
 
     def work(w):
-        try:
-            part = np.zeros(len(grid), dtype=np.int64)
-            for s, e, lo, hi in calls[w::workers]:
-                part[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
-            parts[w] = part
-        except BaseException as exc:  # raised on the calling thread below
-            errors.append(exc)
+        part = np.zeros(len(grid), dtype=np.int64)
+        for s, e, lo, hi in calls[w::workers]:
+            part[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
+        parts[w] = part
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    parallel.run(workers, work)
     for part in parts[1:]:
         parts[0] += part
     return parts[0]

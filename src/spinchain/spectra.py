@@ -6,6 +6,9 @@ import numpy as np
 
 #: gaps below this fraction of the spectral range are flagged by ``spectrum_table``
 DEGENERACY_RTOL = 1e-10
+#: slices of columns the eigen residual is taken over: M is read that many times, and each
+#: temporary is that fraction of its size
+RESIDUAL_SLICES = 8
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,8 @@ def eigensystem(matrix, want_vectors, failure):
     Uses ``eigh``, or ``eigvalsh`` when ``want_vectors`` is false (then
     ``vecs`` is None and ``residual`` 0.0). A ``LinAlgError`` is raised again
     as ``RuntimeError(failure)``. ``residual`` is the largest
-    ``||M v - lambda v||`` over the eigenvectors.
+    ``||M v - lambda v||`` over the eigenvectors, taken over :data:`RESIDUAL_SLICES` slices of
+    columns, so that no temporary as large as ``M`` is formed.
     """
     try:
         if want_vectors:
@@ -53,9 +57,12 @@ def eigensystem(matrix, want_vectors, failure):
         raise RuntimeError(failure) from exc
     residual = 0.0
     if vecs is not None:
-        r = matrix @ vecs
-        r -= vecs * vals
-        residual = float(np.max(np.linalg.norm(r, axis=0)))
+        width = max(1, -(-len(vals) // RESIDUAL_SLICES))
+        for start in range(0, len(vals), width):
+            cols = vecs[:, start:start + width]
+            r = matrix @ cols
+            r -= cols * vals[start:start + width]
+            residual = max(residual, float(np.max(np.linalg.norm(r, axis=0))))
     return vals, vecs, residual
 
 

@@ -4,23 +4,28 @@ Phase convention: with T the rotate-right of index bits (site n moves to
 site 1), every sector-k basis vector satisfies ``T v = exp(+2 pi i k / n) v``.
 
 Sector blocks are built straight from the Pauli term list and a table of
-translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved one at
-a time by :func:`eigensystems`; no 2^n x 2^n array is formed. A real
-H solves only the sectors k <= n/2 and takes each sector n-k as the
-conjugate of sector k. :func:`check_size` decides, once per H, whether it
+translation orbits (Sandvik, arXiv:1101.3281, section 4) and solved side by
+side, one per worker thread, by :func:`eigensystems`; no 2^n x 2^n array is
+formed. A real H solves only the sectors k <= n/2 and takes each sector n-k
+as the conjugate of sector k. :func:`check_size` decides, once per H, whether it
 takes this path (:func:`is_invariant`) or one dense solve.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .hamiltonians import DENSE_CAP, OperatorSum, SizeLimitError
 from .spectra import EigenDecomposition, diagonalize_dense, eigensystem
 
 #: largest n of a per-sector solve, checked by :func:`check_size`; no sector
 #: path forms a 2^n x 2^n matrix
 SECTOR_CAP = 15
+#: copies of its complex block one sector solve holds (the block, eigh's copy, its work arrays and the
+#: vectors), which bound the workers of :func:`eigensystems` by the available memory
+SOLVE_COPIES = 6
 
 
 def _rotate(masks, n):
@@ -103,15 +108,14 @@ class MomentumSector:
         return len(self.reps)
 
     def gather_map(self):
-        """``(src, amps)`` over all 2^n indices, with ``(B_k @ vecs)[b] = amps[b] * padded[src[b]]``.
+        """``(src, amps)`` over all 2^n indices, with ``(B_k @ vecs)[b] = amps[b] * vecs[src[b]]`` for ``vecs`` (dim x m).
 
-        ``padded`` is ``vecs`` (dim x m) with a zero row appended at row
-        ``dim``: ``src[b]`` is the row of the orbit of b, or ``dim`` when that
-        orbit is not in the sector, where ``amps[b]`` is 0.
+        ``src[b]`` is the row of the orbit of b, or row 0 when that orbit is
+        not in the sector, where ``amps[b]`` is 0.
         """
         t = self.table
         member = (self.k * t.length) % t.n == 0
-        src = np.where(member, np.searchsorted(self.reps, t.rep), self.dim)
+        src = np.where(member, np.searchsorted(self.reps, t.rep), 0)
         amps = np.where(member, _roots_of_unity(t.n)[(-self.k * t.shift) % t.n] / np.sqrt(t.length), 0)
         return src, amps
 
@@ -150,14 +154,15 @@ def _transitions(h, table):
 
 
 def _momentum_blocks(h):
-    """Yield ``(sector, H_k)`` for every non-empty momentum sector of an invariant H that needs a solve.
+    """The non-empty momentum sectors of an invariant H that need a solve, and ``block(sector)``, which builds H_k.
 
     ``H_k[r', r] = sum_x D_x(r) exp(2 pi i k l / n) sqrt(d_r / d_r')`` over
     the x-masks with ``r ^ x = T^l r'``; it equals ``B_k^dagger H B_k`` for
     the basis ``B_k`` of the sector (:meth:`MomentumSector.gather_map`). A block is real
-    when every entry is. A real H (:attr:`OperatorSum.is_real`) yields only
+    when every entry is. A real H (:attr:`OperatorSum.is_real`) lists only
     k <= n/2: the basis of sector n-k is the conjugate of that of sector k,
-    so ``H_{n-k} = conj(H_k)`` and its block is never built.
+    so ``H_{n-k} = conj(H_k)`` and its block is never built. ``block`` only
+    reads the transitions that every sector shares, so threads may call it at once.
     """
     n = h.n
     sectors = build_momentum_basis(n)
@@ -167,19 +172,21 @@ def _momentum_blocks(h):
     rows, cols, amps, shifts = _transitions(h, table)
     d = table.length[table.reps]
     roots = _roots_of_unity(n)
-    for sector in sectors:
+
+    def block(sector):
         m = sector.dim
-        if m == 0:
-            continue
         member = (sector.k * d) % n == 0
         pos = np.cumsum(member) - 1
         keep = member[rows] & member[cols]
         flat = pos[rows[keep]] * m + pos[cols[keep]]
         vals = amps[keep] * roots[(sector.k * shifts[keep]) % n]
-        block = np.bincount(flat, vals.real, m * m).reshape(m, m)
-        if np.any(vals.imag):
-            block = block + 1j * np.bincount(flat, vals.imag, m * m).reshape(m, m)
-        yield sector, block
+        if not np.any(vals.imag):
+            return np.bincount(flat, vals.real, m * m).reshape(m, m)
+        out = np.bincount(flat, vals.real, m * m).astype(complex)  # no real block is kept beside it
+        out.imag = np.bincount(flat, vals.imag, m * m)
+        return out.reshape(m, m)
+
+    return [s for s in sectors if s.dim], block
 
 
 def check_size(h):
@@ -198,38 +205,83 @@ def check_size(h):
     return invariant
 
 
-def eigensystems(h, want_vectors=True):
-    """Yield ``(sector, vals, vecs, residual)`` for the eigen path of H that :func:`check_size` picks.
+def eigensystems(h, consume=None, want_vectors=True):
+    """Solve the eigen path of H that :func:`check_size` picks, handing each worker's blocks to ``consume`` in the worker.
 
-    An H that is not translation invariant yields one dense block
-    (:func:`spectra.diagonalize_dense`) with ``sector`` None. An invariant H
-    yields every non-empty momentum sector, each block diagonalized by
-    :func:`spectra.eigensystem` (``eigvalsh`` when ``want_vectors`` is false;
-    then ``vecs`` is None and ``residual`` 0.0). ``residual`` is the largest
-    residual ``||M v - lambda v||`` of the block. For a sector it equals
-    the full-space residual of the lifted eigenvector ``B_k v``: H maps
-    sector k into itself, because invariance is exact on the term list, and
-    ``B_k`` is an isometry. The lifted vectors are T eigenvectors by
-    construction.
+    Returns ``(solved, consumed)``. ``solved`` lists ``(sector, vals, residual)`` of every block in
+    the sectors' order. ``consumed`` holds ``consume(blocks, workers)`` of each worker (default
+    ``list(blocks)``): ``blocks`` is the lazy iterator of that worker's ``(first, sector, vecs)`` in
+    the sectors' order, and ``workers`` the number of workers, which share any byte budget of the
+    consumers. ``first`` is the index of the block's first state in the concatenation of
+    ``solved``. A block is solved as its item is taken, so ``consume`` must take every item.
+
+    An H that is not translation invariant is one dense block (:func:`spectra.diagonalize_dense`)
+    with ``sector`` None, solved and consumed on this thread. An invariant H has every non-empty
+    momentum sector, each block built and diagonalized by :func:`spectra.eigensystem` in its worker
+    (``eigvalsh`` when ``want_vectors`` is false; then ``vecs`` is None and ``residual`` 0.0).
+    ``residual`` is the largest residual ``||M v - lambda v||`` of the block. For a sector it equals
+    the full-space residual of the lifted eigenvector ``B_k v``: H maps sector k into itself,
+    because invariance is exact on the term list, and ``B_k`` is an isometry. The lifted vectors
+    are T eigenvectors by construction.
+
+    The solves go to one worker per CPU (:func:`parallel.run`), but no more workers than
+    :data:`SOLVE_COPIES` copies of the largest block per worker fit in the available memory;
+    each solve is taken by the first worker that is free, so a slower CPU takes fewer. OpenBLAS
+    is held at one thread until every worker has ended (:func:`parallel.one_blas_thread`): on
+    blocks of a few hundred rows two one-thread solves side by side beat one two-thread solve,
+    and the bits of every solve and of every consumer's BLAS call do not depend on the CPU count
+    or the BLAS thread setting, nor on which worker took it. Where OpenBLAS has no thread
+    setter, or the memory cannot be read, one worker solves every block.
 
     A real H solves only k <= n/2. Right after each solved 0 < k < n/2 comes
     its mirror n-k, whose block is ``conj(H_k)``: the same eigenvalues and
     residual, and the conjugate eigenvectors. So sectors come in the order
-    0, 1, n-1, 2, n-2, ..., and a consumer holds one sector's vectors at a time.
+    0, 1, n-1, 2, n-2, ..., and a worker holds one solve's vectors at a time.
     """
     n = h.n
     if not check_size(h):
         e = diagonalize_dense(h, want_vectors)
-        yield None, e.eigenvalues, e.eigenvectors, e.residual
-        return
-    for sector, block in _momentum_blocks(h):
-        vals, vecs, residual = eigensystem(block, want_vectors, f"sector eigensolver failed for n={n}, k={sector.k}")
-        yield sector, vals, vecs, residual
-        if h.is_real and 0 < 2 * sector.k < n:
-            if vecs is not None:
-                vecs = vecs.conj()  # rebound, so only the mirror's vectors stay held
-            yield MomentumSector(sector.table, n - sector.k, sector.reps), vals, vecs, residual
-        del vecs  # before the next block is built
+        blocks = iter([(0, None, e.eigenvectors)])
+        return [(None, e.eigenvalues, e.residual)], [list(blocks) if consume is None else consume(blocks, 1)]
+    sectors, block = _momentum_blocks(h)
+    # a solve is one sector, with its mirror right after it for a real H
+    solves = [[s] + ([MomentumSector(s.table, n - s.k, s.reps)] if h.is_real and 0 < 2 * s.k < n else [])
+              for s in sectors]
+    slots = np.cumsum([0] + [len(pair) for pair in solves]).tolist()
+    order = [s for pair in solves for s in pair]
+    firsts = np.cumsum([0] + [s.dim for s in order]).tolist()
+    solved = [None] * len(order)
+
+    pending, lock = iter(range(len(solves))), threading.Lock()
+
+    def blocks():
+        while True:
+            with lock:  # each solve goes to the first worker that is free
+                i = next(pending, None)
+            if i is None:
+                return
+            k = solves[i][0].k
+            matrix = block(solves[i][0])
+            vals, vecs, residual = eigensystem(matrix, want_vectors, f"sector eigensolver failed for n={n}, k={k}")
+            del matrix  # before the lift
+            for slot, sector in enumerate(solves[i], start=slots[i]):
+                if sector.k != k and vecs is not None:
+                    vecs = vecs.conj()  # the mirror's, rebound so that only they stay held
+                solved[slot] = sector, vals, residual
+                yield firsts[slot], sector, vecs
+            del vecs  # before the next block is built
+
+    with parallel.one_blas_thread() as pinned:
+        memory = parallel.available_bytes() if pinned else None
+        per_worker = SOLVE_COPIES * 16 * max(s.dim for s in sectors) ** 2
+        workers = 1 if memory is None else max(1, min(parallel.cpus(), len(solves), memory // per_worker))
+        consumed = [None] * workers
+
+        def work(w):
+            consumed[w] = list(blocks()) if consume is None else consume(blocks(), workers)
+
+        parallel.run(workers, work)
+    return solved, consumed
 
 
 def sorted_spectrum(solved):
@@ -260,5 +312,6 @@ def joint_eigenbasis(h):
     in :func:`sorted_spectrum`. Any other H takes one dense ``eigvalsh`` and
     has no momenta. No eigenvectors are kept.
     """
-    vals, ks, _ = sorted_spectrum([(s, v) for s, v, _, _ in eigensystems(h, want_vectors=False)])
+    solved, _ = eigensystems(h, want_vectors=False)
+    vals, ks, _ = sorted_spectrum([(s, v) for s, v, _ in solved])
     return EigenDecomposition(vals, None, 0.0, ks)

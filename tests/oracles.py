@@ -262,16 +262,14 @@ def joint_eigenbasis_lifted(h):
     States are in the global order of :func:`symmetry.sorted_spectrum`;
     ``residual`` is the largest sector residual.
     """
-    solved = list(eigensystems(h))
-    vals, ks, order = sorted_spectrum([(s, v) for s, v, _, _ in solved])
+    solved, consumed = eigensystems(h)
+    vals, ks, order = sorted_spectrum([(s, v) for s, v, _ in solved])
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
     lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
-    start = 0
-    for sector, _, vecs, _ in solved:
-        lifted[:, column[start:start + sector.dim]] = lift(sector, vecs)
-        start += sector.dim
-    return EigenDecomposition(vals, lifted, max(r for _, _, _, r in solved), ks)
+    for first, sector, vecs in (block for blocks in consumed for block in blocks):
+        lifted[:, column[first:first + sector.dim]] = lift(sector, vecs)
+    return EigenDecomposition(vals, lifted, max(r for _, _, r in solved), ks)
 
 
 def full_space_residual(h, e):
@@ -305,14 +303,16 @@ def average_purity(basis, l, ls=None):
     if basis.eigenvectors is None:
         raise ValueError("eigenvectors are required")
     n = int(np.log2(basis.eigenvectors.shape[0]))
-    per_state = _purities(_lifted_chunks(basis.eigenvectors, n), n, (l,) if ls is None else ls)[l]
+    per_state = {m: np.empty(basis.eigenvectors.shape[1]) for m in ((l,) if ls is None else ls)}
+    _purities(_lifted_chunks(basis.eigenvectors, n), n, per_state)
+    per_state = per_state[l]
     claimed = basis.momenta is not None and 2 * l < n
     return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
 
 
 def reduce_contiguous(v, l):
     """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
-    rhos = next(_rho_buffers(_lifted_chunks(v.amplitudes[:, None], v.n), v.n, {l: False}))
+    _, rhos = next(_rho_buffers(_lifted_chunks(v.amplitudes[:, None], v.n), v.n, {l: False}))
     return rhos[l][0].copy()
 
 

@@ -25,7 +25,7 @@ from spinchain.dos import (
     power_sums,
     ring_moments,
 )
-from spinchain import dos, free_fermion
+from spinchain import dos, free_fermion, parallel
 from spinchain.free_fermion import mode_energies, spectrum_sum_set, sum_set_values
 from spinchain.hamiltonians import (
     OperatorSum,
@@ -310,7 +310,7 @@ def test_count_below_of_sum_set_matches_materialised(cpus, ranks_batch, values, 
     the grid ranges into many calls, dealt to several threads.
     """
     with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):  # inf + -inf
-        mp.setattr(dos, "_cpus", lambda: cpus)
+        mp.setattr(parallel, "cpus", lambda: cpus)
         mp.setattr(dos, "RANKS_BATCH", ranks_batch)
         d = EmpiricalDistribution.from_sum_set(values, offsets)
         x = sum_set_values(np.array(values), offsets)
@@ -369,7 +369,7 @@ def test_count_below_raises_the_error_of_a_worker_thread(monkeypatch):
         return ranks(low, o, x)
 
     monkeypatch.setattr(dos, "_ranks", fails_off_the_main_thread)
-    monkeypatch.setattr(dos, "_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "cpus", lambda: 3)
     monkeypatch.setattr(dos, "RANKS_BATCH", 64)
     d = EmpiricalDistribution.from_sum_set(np.arange(100.0), np.arange(4.0))
     threads = threading.active_count()

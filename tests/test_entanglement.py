@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchain import entanglement
+from spinchain import entanglement, parallel
 from spinchain.entanglement import (
     build_M,
     epsilon_fraction,
@@ -392,7 +392,8 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
 
     Every chunk of states and every buffer of reduced states is within the
     byte budget; buffers run on across chunks and sectors, and each is
-    checked once, whatever ``len(ls)`` is.
+    checked once, whatever ``len(ls)`` is. One worker solves every sector,
+    so the calls come in the sectors' order and the buffers span them.
     """
     n = 9
     budget = 8 << (n + 4)  # 8 states per chunk
@@ -416,6 +417,7 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("full-space operator built")
 
+    monkeypatch.setattr(parallel, "cpus", lambda: 1)
     monkeypatch.setattr(entanglement, "CHUNK_BYTES", budget)
     monkeypatch.setattr(MomentumSector, "gather_map", recording_map)
     monkeypatch.setattr(entanglement, "_gram", recording_gram)
@@ -445,6 +447,50 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
             assert sum(nbytes for first, _, nbytes in checks if first == f) <= budget
         assert any(size > max(chunks) for size in sizes)  # a buffer spans chunks
         assert results[2].bound_holds()
+
+
+def test_sector_purities_do_not_depend_on_the_workers(monkeypatch):
+    """One, two or three workers give the same spectrum, momenta and purities bit for bit, and a buffer never spans two workers' sectors.
+
+    The complex ring solves every sector and the real ``ba`` ring each
+    ±k pair once; a small byte budget makes several buffers per sector.
+    """
+    run, counts, firsts = parallel.run, [], []
+    check_rhos = entanglement._check_rhos
+
+    def counted(workers, work):
+        counts.append(workers)
+        return run(workers, work)
+
+    def recording_check(rhos, sites, first):
+        firsts.append((first, len(rhos)))
+        return check_rhos(rhos, sites, first)
+
+    monkeypatch.setattr(parallel, "run", counted)
+    monkeypatch.setattr(entanglement, "_check_rhos", recording_check)
+    monkeypatch.setattr(entanglement, "CHUNK_BYTES", 8 << 13)
+    n = 9
+    for h in (sample_random("invariant", n, 4), build_ba(0.5, 0.25, n)):
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            counts.clear()
+            firsts.clear()
+            runs.append((sector_purities(h, (1, 2, 7)), joint_eigenbasis(h)))
+            assert counts == [cpus, cpus]
+            # each state checked once per l, in buffers that stay within one sector's solve when dealt
+            starts = sorted(set(firsts))
+            assert sum(size for _, size in starts) == 1 << n
+            assert [first for first, _ in starts] == list(np.cumsum([0] + [size for _, size in starts[:-1]]))
+        (spectrum, results), e = runs[0]
+        for (other, other_results), other_e in runs[1:]:
+            assert np.array_equal(other.eigenvalues, spectrum.eigenvalues)
+            assert np.array_equal(other.momenta, spectrum.momenta) and other.residual == spectrum.residual
+            for l in (1, 2, 7):
+                assert np.array_equal(other_results[l].per_state, results[l].per_state)
+                assert other_results[l].mean == results[l].mean
+            assert np.array_equal(other_e.eigenvalues, e.eigenvalues)
+            assert np.array_equal(other_e.momenta, e.momenta)
 
 
 @pytest.mark.parametrize("n", [9, 10])

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinchain import parallel
 from spinchain.hamiltonians import (
     OperatorSum,
     SizeLimitError,
@@ -138,8 +141,8 @@ def test_joint_eigenbasis_of_non_invariant_ring_is_one_dense_solve(model):
     h = sample_random(model, 7, 0)
     assert not is_invariant(h)
     dense = diagonalize_dense(h)
-    [(sector, vals, vecs, residual)] = eigensystems(h)
-    assert sector is None and np.array_equal(vals, dense.eigenvalues)
+    [(sector, vals, residual)], [[(first, _, vecs)]] = eigensystems(h)
+    assert sector is None and first == 0 and np.array_equal(vals, dense.eigenvalues)
     assert np.array_equal(vecs, dense.eigenvectors) and residual == dense.residual
     e = joint_eigenbasis(h)
     assert np.array_equal(e.eigenvalues, diagonalize_dense(h, want_vectors=False).eigenvalues)
@@ -240,7 +243,9 @@ def test_momentum_blocks_match_projected_dense(n):
     for h in (sample_random("invariant", n, 11), build_ba(0.5, 0.25, n)):
         dense = h.to_dense()
         seen = []
-        for sector, block in _momentum_blocks(h):
+        sectors, build = _momentum_blocks(h)
+        for sector in sectors:
+            block = build(sector)
             basis = dense_basis(sector)
             assert np.max(np.abs(block - basis.conj().T @ dense @ basis)) < 1e-12
             seen.append(sector.k)
@@ -253,7 +258,8 @@ def test_momentum_blocks_match_projected_dense(n):
 
 
 def test_momentum_blocks_real_where_phases_are():
-    blocks = {s.k: b for s, b in _momentum_blocks(build_ba(0.5, 0.25, 8))}
+    sectors, build = _momentum_blocks(build_ba(0.5, 0.25, 8))
+    blocks = {s.k: build(s) for s in sectors}
     assert not np.iscomplexobj(blocks[0]) and not np.iscomplexobj(blocks[4])
     assert np.iscomplexobj(blocks[1])
 
@@ -302,7 +308,7 @@ def test_sector_residual_equals_full_space_residual(n):
         full = full_space_residual(h, e)
         assert abs(e.residual - full) < 1e-12
         assert e.residual < 1e-10 and full < 1e-10
-        sector_max = max(res for _, _, _, res in eigensystems(h))
+        sector_max = max(res for _, _, res in eigensystems(h)[0])
         assert sector_max == e.residual
 
 
@@ -326,9 +332,9 @@ def test_real_ring_solves_each_plus_minus_k_pair_once(n, monkeypatch):
         assert calls == ["eigvalsh"] * solves
         assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h.to_dense()))) < 1e-10
         calls.clear()
-        assert [s.k for s, _, _, _ in eigensystems(h)] == order
+        assert [s.k for s, _, _ in eigensystems(h)[0]] == order
         assert calls == ["eigh"] * solves
-    vals = {s.k: v for s, v, _, _ in eigensystems(real, want_vectors=False)}
+    vals = {s.k: v for s, v, _ in eigensystems(real, want_vectors=False)[0]}
     for k in range(1, (n + 1) // 2):
         assert np.array_equal(vals[k], vals[n - k])
 
@@ -339,9 +345,83 @@ def test_values_only_sectors_use_eigvalsh(monkeypatch):
         raise AssertionError("eigh called on the eigenvalues-only path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    stream = list(eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False))
-    assert all(vecs is None and res == 0.0 for _, _, vecs, res in stream)
+    solved, consumed = eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False)
+    assert all(res == 0.0 for _, _, res in solved)
+    assert all(vecs is None for blocks in consumed for _, _, vecs in blocks)
     assert joint_eigenbasis(build_ba(0.5, 0.25, 7)).size == 128
+
+
+def _counting_runs(monkeypatch, cpus):
+    """Patch ``parallel.cpus`` to ``cpus`` and record the worker count of every ``parallel.run``."""
+    run, counts = parallel.run, []
+
+    def counted(workers, work):
+        counts.append(workers)
+        return run(workers, work)
+
+    monkeypatch.setattr(parallel, "run", counted)
+    monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+    return counts
+
+
+def test_failed_sector_solve_is_raised_after_every_worker_with_blas_restored(monkeypatch):
+    """A solve that fails in one sector raises ``RuntimeError`` once every worker has ended.
+
+    Every solve, the failed one too, runs with OpenBLAS at one thread; the
+    other sectors are still solved, and afterwards OpenBLAS has its old
+    thread count back.
+    """
+    blas = parallel._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS has no thread setter here")
+    get, set_ = blas
+    counts = _counting_runs(monkeypatch, 3)
+    h = sample_random("invariant", 8, 1)
+    sectors, build = _momentum_blocks(h)
+    bad = build(sectors[4])
+    eigh, seen = np.linalg.eigh, []
+
+    def stub(matrix):
+        seen.append(get())
+        if matrix.shape == bad.shape and np.array_equal(matrix, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", stub)
+    old = get()
+    set_(2)
+    try:
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="sector eigensolver failed for n=8, k=4"):
+            eigensystems(h)
+        assert threading.active_count() == threads and get() == 2
+    finally:
+        set_(old)
+    assert counts == [3] and seen == [1] * 8
+
+
+@pytest.mark.parametrize("memory", [None, 0], ids=["unreadable", "too_small"])
+def test_memory_that_holds_no_second_solve_leaves_one_worker(monkeypatch, memory):
+    """Memory that cannot be read, or that holds no solve, gives one worker, with the bits of three."""
+    counts = _counting_runs(monkeypatch, 3)
+    h = sample_random("invariant", 8, 2)
+    many = joint_eigenbasis(h)
+    monkeypatch.setattr(parallel, "available_bytes", lambda: memory)
+    one = joint_eigenbasis(h)
+    assert counts == [3 if parallel._blas_threads() else 1, 1]
+    assert np.array_equal(one.eigenvalues, many.eigenvalues) and np.array_equal(one.momenta, many.momenta)
+
+
+def test_no_blas_setter_leaves_one_worker_and_reads_no_memory(monkeypatch):
+    """Without an OpenBLAS thread setter the sectors are solved by one worker, as OpenBLAS is set."""
+    def unread():
+        raise AssertionError("memory read")
+
+    counts = _counting_runs(monkeypatch, 3)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
+    monkeypatch.setattr(parallel, "available_bytes", unread)
+    e = joint_eigenbasis(sample_random("invariant", 7, 3))
+    assert counts == [1] and e.size == 128
 
 
 def test_lift_is_fortran_ordered():
@@ -353,8 +433,7 @@ def test_lift_is_fortran_ordered():
 
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_gather_map_equals_scatter_lift(n):
-    """``amps[b] * padded[src[b]]`` is the oracle's ``B_k`` bit for bit, with zero rows outside the sector."""
+    """``amps[b] * eye[src[b]]`` is the oracle's ``B_k`` bit for bit, with zero rows outside the sector."""
     for sector in build_momentum_basis(n):
         src, amps = sector.gather_map()
-        padded = np.vstack([np.eye(sector.dim), np.zeros((1, sector.dim))])
-        assert np.array_equal(amps[:, None] * padded[src], dense_basis(sector))
+        assert np.array_equal(amps[:, None] * np.eye(sector.dim)[src], dense_basis(sector))
