@@ -239,10 +239,13 @@ def eigensystems(h, consume=None, want_vectors=True):
     0, 1, n-1, 2, n-2, ..., and a worker holds one solve's vectors at a time.
     """
     n = h.n
+    if consume is None:
+        def consume(blocks, workers):
+            return list(blocks)
+
     if not check_size(h):
         e = diagonalize_dense(h, want_vectors)
-        blocks = iter([(0, None, e.eigenvectors)])
-        return [(None, e.eigenvalues, e.residual)], [list(blocks) if consume is None else consume(blocks, 1)]
+        return [(None, e.eigenvalues, e.residual)], [consume(iter([(0, None, e.eigenvectors)]), 1)]
     sectors, block = _momentum_blocks(h)
     # a solve is one sector, with its mirror right after it for a real H
     solves = [[s] + ([MomentumSector(s.table, n - s.k, s.reps)] if h.is_real and 0 < 2 * s.k < n else [])
@@ -278,7 +281,7 @@ def eigensystems(h, consume=None, want_vectors=True):
         consumed = [None] * workers
 
         def work(w):
-            consumed[w] = list(blocks()) if consume is None else consume(blocks(), workers)
+            consumed[w] = consume(blocks(), workers)
 
         parallel.run(workers, work)
     return solved, consumed
