@@ -84,17 +84,13 @@ def cmd_purity_sweep(args):
     failures = 0
     kept = []
     verdicts = []
-    rank_sums = {l: None for l in args.l}
     for sample in range(args.samples):
         h = _build_model(args.model, args.n, seed=args.seed, sample_id=sample)
         e, results = entanglement.sector_purities(h, args.l)
         ents = {}
         for l in args.l:
             res = results[l]
-            ents[l] = ent = 1.0 - res.per_state
-            if rank_sums[l] is None:
-                rank_sums[l] = np.zeros_like(ent)
-            rank_sums[l] += ent
+            ents[l] = 1.0 - res.per_state
             if res.bound_claimed:
                 ok = res.bound_holds()
                 failures += not ok
@@ -113,7 +109,7 @@ def cmd_purity_sweep(args):
                 for rank, (val, le) in enumerate(zip(values, ents[l].tolist())):
                     yield [rank, val, l, repr(le), sample]
         for l in args.l:
-            for rank, le in enumerate((rank_sums[l] / args.samples).tolist()):
+            for rank, le in enumerate((sum(e[l] for _, e in kept) / args.samples).tolist()):
                 yield [rank, "", l, repr(le), "mean"]
 
     _write_csv(

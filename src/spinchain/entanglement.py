@@ -36,27 +36,6 @@ _PAULI_TRACE = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, 
 CHUNK_BYTES = 1 << 20
 
 
-def _lifted_chunks(vecs, n, gather_map=None, first=0, share=1):
-    """Yield ``(index, states)``: the columns of ``vecs`` as (c, 2^n) arrays of states, as many as fit in ``CHUNK_BYTES / share``.
-
-    ``index`` is the chunk's first state, counted from ``first``. The columns are full-space states,
-    or with a sector's ``(src, amps)`` (:meth:`symmetry.MomentumSector.gather_map`) sector
-    coordinates, which are lifted a chunk at a time.
-    """
-    width = max(1, (CHUNK_BYTES // share) >> (n + 4))
-    rows = vecs.T  # one state per row, C-ordered when vecs is Fortran-ordered
-    src, amps = gather_map or (None, None)
-    for start in range(0, len(rows), width):
-        states = rows[start:start + width]
-        if src is not None:
-            # a real chunk is made complex before the gather, a chunk at a time
-            states = states.astype(complex, copy=False).take(src, axis=1)
-            # amplitudes first, as in the scatter lift: swapped operands round differently
-            np.multiply(amps, states, out=states)
-        yield first + start, states
-        del states  # before the next chunk is gathered
-
-
 def _gram(states, conj, n, l, trailing):
     """rho of sites 1..l, or with ``trailing`` of sites l+1..n, of each row of ``states``.
 
@@ -117,33 +96,40 @@ def _check_rhos(rhos, sites, first):
         fail_first(-np.linalg.eigvalsh(rhos)[:, 0], "positivity")
 
 
-def _rho_buffers(chunks, n, sides, share=1):
-    """Yield ``(first, {l: rhos})`` for runs of consecutive states of ``chunks`` (:func:`_lifted_chunks`), from state ``first`` on.
+def _rho_buffers(vecs, n, sides, gather_map=None, first=0, share=1):
+    """Yield ``(first, {l: rhos})`` for runs of consecutive columns of ``vecs``, counted from state ``first``.
 
-    The rho of :func:`_chunk_rhos` fill one buffer of at most
-    ``CHUNK_BYTES / share``, which may span chunks and sectors as long as each
-    chunk's first state follows the buffer's last. Each full buffer, one
-    that the next chunk does not follow, and the last, is checked stack by
-    stack (:func:`_check_rhos`, which names a failing state by its index)
-    and yielded; the next buffer overwrites it.
+    The columns are full-space states, or with a sector's ``(src, amps)``
+    (:meth:`symmetry.MomentumSector.gather_map`) sector coordinates, which
+    are lifted a chunk at a time. A chunk is as many states as fit in
+    ``CHUNK_BYTES / share`` as (c, 2^n) arrays, and its rho
+    (:func:`_chunk_rhos`) fill one buffer of at most ``CHUNK_BYTES / share``.
+    Each full buffer, and the last, is checked stack by stack
+    (:func:`_check_rhos`, which names a failing state by its index) and
+    yielded; the next buffer overwrites it.
     """
     if not all(1 <= l < n for l in sides):
         raise ValueError(f"block sizes {list(sides)} out of range for n={n}")
     dims = {l: 1 << (n - l if trailing else l) for l, trailing in sides.items()}
     capacity = max(1, CHUNK_BYTES // share // sum(16 * d * d for d in dims.values()))
     buffer = {l: np.empty((capacity, d, d), dtype=complex) for l, d in dims.items()}
-    first = filled = 0
+    width = max(1, (CHUNK_BYTES // share) >> (n + 4))
+    rows = vecs.T  # one state per row, C-ordered when vecs is Fortran-ordered
+    src, amps = gather_map or (None, None)
+    filled = 0
 
     def checked():
         for l, trailing in sides.items():
             _check_rhos(buffer[l][:filled], f"{l + 1}..{n}" if trailing else f"1..{l}", first)
         return {l: b[:filled] for l, b in buffer.items()}
 
-    for index, states in chunks:
-        if index != first + filled:  # the buffer ends where the chunk does not follow it
-            if filled:
-                yield first, checked()
-            first, filled = index, 0
+    for start in range(0, len(rows), width):
+        states = rows[start:start + width]
+        if src is not None:
+            # a real chunk is made complex before the gather, a chunk at a time
+            states = states.astype(complex, copy=False).take(src, axis=1)
+            # amplitudes first, as in the scatter lift: swapped operands round differently
+            np.multiply(amps, states, out=states)
         c, rhos, done = len(states), _chunk_rhos(states, n, sides), 0
         del states  # before the next chunk is gathered
         while done < c:
@@ -163,13 +149,13 @@ def _purity(rhos):
     return np.sum(np.abs(rhos) ** 2, axis=(1, 2))
 
 
-def _purities(chunks, n, out, share=1):
-    """Write the purity of sites 1..l of each state of ``chunks`` to ``out[l]`` at the state's index, for every l of ``out``.
+def _purities(vecs, n, out, gather_map=None, first=0, share=1):
+    """Write the purity of sites 1..l of each state of ``vecs`` to ``out[l]`` at the state's index, for every l of ``out``.
 
     For l > n/2 it is read from the smaller rho of sites l+1..n: the same
-    purity (Schmidt). ``share`` is as in :func:`_rho_buffers`.
+    purity (Schmidt). The other arguments are as in :func:`_rho_buffers`.
     """
-    for first, rhos in _rho_buffers(chunks, n, {l: 2 * l > n for l in out}, share):
+    for first, rhos in _rho_buffers(vecs, n, {l: 2 * l > n for l in out}, gather_map, first, share):
         for l, stack in rhos.items():
             out[l][first:first + len(stack)] = _purity(stack)
 
@@ -235,11 +221,11 @@ def sector_purities(h, ls):
     """Eigenvalues and mean purities of sites 1..l, for each l in ``ls``, of the eigenbasis of H.
 
     ``ls`` must hold distinct sizes in 1..n-1 (``ValueError`` before any
-    solve). H is solved a block at a time in each worker of
+    solve). H is solved a block at a time by the workers of
     :func:`symmetry.eigensystems`: one momentum sector of a
-    translation-invariant H, whose eigenvectors go through the worker's
-    purity loop by the sector's gather map and are dropped before its next
-    sector, so no 2^n x 2^n or 2^n x dim_k array is formed; any
+    translation-invariant H, whose eigenvectors go through one purity loop
+    by the sector's gather map in the worker that solved them, before it
+    builds its next sector, so no 2^n x 2^n or 2^n x dim_k array is formed; any
     other H is one dense ``eigh``, with no momenta and no bound claimed. The
     purities are averaged in the state order of :func:`symmetry.sorted_spectrum`.
     The workers' loops share :data:`CHUNK_BYTES`, and each writes the
@@ -254,16 +240,11 @@ def sector_purities(h, ls):
         raise ValueError(f"block sizes {list(ls)} must be distinct and in 1..{n - 1}")
     per_state = {l: np.empty(1 << n) for l in ls}
 
-    def consume(blocks, workers):
-        def chunks():
-            for first, sector, vecs in blocks:
-                yield from _lifted_chunks(vecs, n, sector and sector.gather_map(), first, workers)
-                del vecs  # before the next block is built
+    def each(first, sector, vecs, workers):
+        _purities(vecs, n, per_state, sector and sector.gather_map(), first, workers)
 
-        _purities(chunks(), n, per_state, workers)
-
-    solved, _ = eigensystems(h, consume)
-    vals, ks, order = sorted_spectrum([(sector, v) for sector, v, _ in solved])
+    solved = eigensystems(h, each)
+    vals, ks, order = sorted_spectrum(solved)
     results = {}
     for l, p in per_state.items():
         p = p[order]
@@ -330,7 +311,7 @@ def pair_only_checks(e, l):
     # index tuples of shape (4,)*l with an odd number of non-identity codes
     odd = np.count_nonzero(np.indices((4,) * l), axis=0) % 2 == 1
     parts, max_odd = [], 0.0
-    for _, rhos in _rho_buffers(_lifted_chunks(e.eigenvectors, n), n, {l: False}):
+    for _, rhos in _rho_buffers(e.eigenvectors, n, {l: False}):
         parts.append(_purity(rhos[l]))
         max_odd = max(max_odd, float(np.max(np.abs(_pauli_stack(rhos[l], l)[:, odd]))))
     purities = np.concatenate(parts)

@@ -205,31 +205,29 @@ def check_size(h):
     return invariant
 
 
-def eigensystems(h, consume=None, want_vectors=True):
-    """Solve the eigen path of H that :func:`check_size` picks, handing each worker's blocks to ``consume`` in the worker.
+def eigensystems(h, each=None):
+    """Solve the eigen path of H that :func:`check_size` picks, calling ``each`` on every solved block in the worker that solved it.
 
-    Returns ``(solved, consumed)``. ``solved`` lists ``(sector, vals, residual)`` of every block in
-    the sectors' order. ``consumed`` holds ``consume(blocks, workers)`` of each worker (default
-    ``list(blocks)``): ``blocks`` is the lazy iterator of that worker's ``(first, sector, vecs)`` in
-    the sectors' order, and ``workers`` the number of workers, which share any byte budget of the
-    consumers. ``first`` is the index of the block's first state in the concatenation of
-    ``solved``. A block is solved as its item is taken, so ``consume`` must take every item.
+    Returns ``solved``, the ``(sector, vals, residual)`` of every block in the sectors' order. With
+    ``each``, every block is solved by ``eigh``, and ``each(first, sector, vecs, workers)`` is called
+    for it before its worker builds another block: ``first`` is the index of the block's first state
+    in the concatenation of ``solved``, and ``workers`` the number of workers, which share any byte
+    budget of the calls. Without it, ``eigvalsh`` solves every block and ``residual`` is 0.0.
 
     An H that is not translation invariant is one dense block (:func:`spectra.diagonalize_dense`)
-    with ``sector`` None, solved and consumed on this thread. An invariant H has every non-empty
-    momentum sector, each block built and diagonalized by :func:`spectra.eigensystem` in its worker
-    (``eigvalsh`` when ``want_vectors`` is false; then ``vecs`` is None and ``residual`` 0.0).
-    ``residual`` is the largest residual ``||M v - lambda v||`` of the block. For a sector it equals
-    the full-space residual of the lifted eigenvector ``B_k v``: H maps sector k into itself,
-    because invariance is exact on the term list, and ``B_k`` is an isometry. The lifted vectors
-    are T eigenvectors by construction.
+    with ``sector`` None, solved on this thread. An invariant H has every non-empty momentum sector,
+    each block built and diagonalized by :func:`spectra.eigensystem` in its worker. ``residual`` is
+    the largest residual ``||M v - lambda v||`` of the block. For a sector it equals the full-space
+    residual of the lifted eigenvector ``B_k v``: H maps sector k into itself, because invariance is
+    exact on the term list, and ``B_k`` is an isometry. The lifted vectors are T eigenvectors by
+    construction.
 
     The solves go to one worker per CPU (:func:`parallel.run`), but no more workers than
     :data:`SOLVE_COPIES` copies of the largest block per worker fit in the available memory;
     each solve is taken by the first worker that is free, so a slower CPU takes fewer. OpenBLAS
     is held at one thread until every worker has ended (:func:`parallel.one_blas_thread`): on
     blocks of a few hundred rows two one-thread solves side by side beat one two-thread solve,
-    and the bits of every solve and of every consumer's BLAS call do not depend on the CPU count
+    and the bits of every solve and of every BLAS call of ``each`` do not depend on the CPU count
     or the BLAS thread setting, nor on which worker took it. Where OpenBLAS has no thread
     setter, or the memory cannot be read, one worker solves every block.
 
@@ -239,13 +237,11 @@ def eigensystems(h, consume=None, want_vectors=True):
     0, 1, n-1, 2, n-2, ..., and a worker holds one solve's vectors at a time.
     """
     n = h.n
-    if consume is None:
-        def consume(blocks, workers):
-            return list(blocks)
-
     if not check_size(h):
-        e = diagonalize_dense(h, want_vectors)
-        return [(None, e.eigenvalues, e.residual)], [consume(iter([(0, None, e.eigenvectors)]), 1)]
+        e = diagonalize_dense(h, each is not None)
+        if each is not None:
+            each(0, None, e.eigenvectors, 1)
+        return [(None, e.eigenvalues, e.residual)]
     sectors, block = _momentum_blocks(h)
     # a solve is one sector, with its mirror right after it for a real H
     solves = [[s] + ([MomentumSector(s.table, n - s.k, s.reps)] if h.is_real and 0 < 2 * s.k < n else [])
@@ -257,7 +253,7 @@ def eigensystems(h, consume=None, want_vectors=True):
 
     pending, lock = iter(range(len(solves))), threading.Lock()
 
-    def blocks():
+    def work(_):
         while True:
             with lock:  # each solve goes to the first worker that is free
                 i = next(pending, None)
@@ -265,30 +261,26 @@ def eigensystems(h, consume=None, want_vectors=True):
                 return
             k = solves[i][0].k
             matrix = block(solves[i][0])
-            vals, vecs, residual = eigensystem(matrix, want_vectors, f"sector eigensolver failed for n={n}, k={k}")
+            vals, vecs, residual = eigensystem(matrix, each is not None, f"sector eigensolver failed for n={n}, k={k}")
             del matrix  # before the lift
             for slot, sector in enumerate(solves[i], start=slots[i]):
-                if sector.k != k and vecs is not None:
-                    vecs = vecs.conj()  # the mirror's, rebound so that only they stay held
                 solved[slot] = sector, vals, residual
-                yield firsts[slot], sector, vecs
+                if each is not None:
+                    if sector.k != k:
+                        vecs = vecs.conj()  # the mirror's, rebound so that only they stay held
+                    each(firsts[slot], sector, vecs, workers)
             del vecs  # before the next block is built
 
     with parallel.one_blas_thread() as pinned:
         memory = parallel.available_bytes() if pinned else None
         per_worker = SOLVE_COPIES * 16 * max(s.dim for s in sectors) ** 2
         workers = 1 if memory is None else max(1, min(parallel.cpus(), len(solves), memory // per_worker))
-        consumed = [None] * workers
-
-        def work(w):
-            consumed[w] = consume(blocks(), workers)
-
         parallel.run(workers, work)
-    return solved, consumed
+    return solved
 
 
 def sorted_spectrum(solved):
-    """Global order of the states of the ``(sector, vals)`` pairs of :func:`eigensystems`, taken in the order given.
+    """Global order of the states of the ``(sector, vals, residual)`` blocks of :func:`eigensystems`, taken in the order given.
 
     Eigenvalues ascend, with a stable tie-break on the momentum label k, so
     the sorted values and momenta do not depend on the sectors' order. The
@@ -301,8 +293,8 @@ def sorted_spectrum(solved):
     if solved[0][0] is None:
         vals = solved[0][1]
         return vals, None, np.arange(len(vals))
-    vals = np.concatenate([v for _, v in solved])
-    ks = np.concatenate([np.full(s.dim, s.k) for s, _ in solved])
+    vals = np.concatenate([v for _, v, _ in solved])
+    ks = np.concatenate([np.full(s.dim, s.k) for s, _, _ in solved])
     order = np.lexsort((ks, vals))
     return vals[order], ks[order], order
 
@@ -315,6 +307,5 @@ def joint_eigenbasis(h):
     in :func:`sorted_spectrum`. Any other H takes one dense ``eigvalsh`` and
     has no momenta. No eigenvectors are kept.
     """
-    solved, _ = eigensystems(h, want_vectors=False)
-    vals, ks, _ = sorted_spectrum([(s, v) for s, v, _ in solved])
+    vals, ks, _ = sorted_spectrum(eigensystems(h))
     return EigenDecomposition(vals, None, 0.0, ks)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinchain.dos import normal_cdf
-from spinchain.entanglement import AveragePurityResult, _lifted_chunks, _pauli_stack, _purities, _rho_buffers
+from spinchain.entanglement import AveragePurityResult, _pauli_stack, _purities, _rho_buffers
 from spinchain.free_fermion import collect_spectrum
 from spinchain.hamiltonians import OperatorSum, build_exyz
 from spinchain.pauli import DimensionMismatchError, PauliString, PhasedString
@@ -262,12 +262,13 @@ def joint_eigenbasis_lifted(h):
     States are in the global order of :func:`symmetry.sorted_spectrum`;
     ``residual`` is the largest sector residual.
     """
-    solved, consumed = eigensystems(h)
-    vals, ks, order = sorted_spectrum([(s, v) for s, v, _ in solved])
+    blocks = []
+    solved = eigensystems(h, lambda first, sector, vecs, workers: blocks.append((first, sector, vecs)))
+    vals, ks, order = sorted_spectrum(solved)
     column = np.empty_like(order)
     column[order] = np.arange(len(order))
     lifted = np.zeros((1 << h.n, 1 << h.n), dtype=complex, order="F")
-    for first, sector, vecs in (block for blocks in consumed for block in blocks):
+    for first, sector, vecs in blocks:
         lifted[:, column[first:first + sector.dim]] = lift(sector, vecs)
     return EigenDecomposition(vals, lifted, max(r for _, _, r in solved), ks)
 
@@ -304,7 +305,7 @@ def average_purity(basis, l, ls=None):
         raise ValueError("eigenvectors are required")
     n = int(np.log2(basis.eigenvectors.shape[0]))
     per_state = {m: np.empty(basis.eigenvectors.shape[1]) for m in ((l,) if ls is None else ls)}
-    _purities(_lifted_chunks(basis.eigenvectors, n), n, per_state)
+    _purities(basis.eigenvectors, n, per_state)
     per_state = per_state[l]
     claimed = basis.momenta is not None and 2 * l < n
     return AveragePurityResult(float(np.mean(per_state)), per_state, l, n, claimed)
@@ -312,7 +313,7 @@ def average_purity(basis, l, ls=None):
 
 def reduce_contiguous(v, l):
     """The checked 2^l x 2^l reduced density matrix ``Tr_B |v><v|`` of sites 1..l."""
-    _, rhos = next(_rho_buffers(_lifted_chunks(v.amplitudes[:, None], v.n), v.n, {l: False}))
+    _, rhos = next(_rho_buffers(v.amplitudes[:, None], v.n, {l: False}))
     return rhos[l][0].copy()
 
 

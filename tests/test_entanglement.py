@@ -391,9 +391,10 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
     """No 2^n x 2^n array: no dense H, one gather map per sector, one Gram product per chunk and side.
 
     Every chunk of states and every buffer of reduced states is within the
-    byte budget; buffers run on across chunks and sectors, and each is
-    checked once, whatever ``len(ls)`` is. One worker solves every sector,
-    so the calls come in the sectors' order and the buffers span them.
+    byte budget; buffers run on across chunks, and each is checked once,
+    whatever ``len(ls)`` is. Each sector is tiled by full buffers, then its
+    remainder: no buffer spans two sectors. One worker solves every sector,
+    so the calls come in the sectors' order.
     """
     n = 9
     budget = 8 << (n + 4)  # 8 states per chunk
@@ -424,7 +425,8 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
     monkeypatch.setattr(entanglement, "_check_rhos", recording_check)
     monkeypatch.setattr(OperatorSum, "to_dense", refuse)
     h = sample_random("invariant", n, 1)
-    chunks = [min(8, s.dim - start) for s in build_momentum_basis(n) for start in range(0, s.dim, 8)]
+    dims = [s.dim for s in build_momentum_basis(n)]
+    chunks = [min(8, dim - start) for dim in dims for start in range(0, dim, 8)]
     for ls in ((2,), (1, 2), (1, 2, 3, 6, 7, 8)):
         for recorded in (maps, grams, checks):
             recorded.clear()
@@ -437,15 +439,13 @@ def test_sector_purities_lift_one_sector_at_a_time(monkeypatch):
             largest = (min(side) if trailing else max(side)) if side else None
             assert [(l, size) for _, l, size, _ in calls] == [(largest, size) for size in chunks if side]
             assert all(nbytes <= budget for *_, nbytes in calls)
-        firsts = sorted({first for first, _, _ in checks})
-        sizes = [next(size for first, size, _ in checks if first == f) for f in firsts]
-        assert len(checks) == len(firsts) * len(ls)
-        assert firsts == list(np.cumsum([0] + sizes[:-1])) and sum(sizes) == 1 << n
-        per_state = sum(16 << 2 * min(l, n - l) for l in ls)
-        assert len(set(sizes[:-1])) <= 1 and sizes[0] == min(budget // per_state, 1 << n)
-        for f in firsts:
+        capacity = budget // sum(16 << 2 * min(l, n - l) for l in ls)
+        buffers = [(int(first) + start, min(capacity, dim - start))
+                   for first, dim in zip(np.cumsum([0] + dims[:-1]), dims) for start in range(0, dim, capacity)]
+        assert [(first, size) for first, size, _ in checks] == [buffer for buffer in buffers for _ in ls]
+        for f, _ in buffers:
             assert sum(nbytes for first, _, nbytes in checks if first == f) <= budget
-        assert any(size > max(chunks) for size in sizes)  # a buffer spans chunks
+        assert any(size > max(chunks) for _, size in buffers)  # a buffer spans chunks
         assert results[2].bound_holds()
 
 
@@ -499,8 +499,7 @@ def test_sector_purities_do_not_depend_on_the_chunk_size(monkeypatch, n):
 
     The budgets give chunks of one state and buffers of a few, buffers of
     one state, buffers of half a sector, chunks of a whole sector, and
-    whole-sector chunks into one buffer of the whole spectrum; every buffer
-    above half a sector spans sectors.
+    whole-sector chunks into buffers that could hold the whole spectrum.
     """
     h = sample_random("invariant", n, 5)
     largest = max(s.dim for s in build_momentum_basis(n))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinchain import parallel
+from spinchain import parallel, symmetry
 from spinchain.hamiltonians import (
     OperatorSum,
     SizeLimitError,
@@ -141,8 +141,10 @@ def test_joint_eigenbasis_of_non_invariant_ring_is_one_dense_solve(model):
     h = sample_random(model, 7, 0)
     assert not is_invariant(h)
     dense = diagonalize_dense(h)
-    [(sector, vals, residual)], [[(first, _, vecs)]] = eigensystems(h)
-    assert sector is None and first == 0 and np.array_equal(vals, dense.eigenvalues)
+    blocks = []
+    [(sector, vals, residual)] = eigensystems(h, lambda *block: blocks.append(block))
+    [(first, _, vecs, workers)] = blocks
+    assert sector is None and first == 0 and workers == 1 and np.array_equal(vals, dense.eigenvalues)
     assert np.array_equal(vecs, dense.eigenvectors) and residual == dense.residual
     e = joint_eigenbasis(h)
     assert np.array_equal(e.eigenvalues, diagonalize_dense(h, want_vectors=False).eigenvalues)
@@ -308,7 +310,7 @@ def test_sector_residual_equals_full_space_residual(n):
         full = full_space_residual(h, e)
         assert abs(e.residual - full) < 1e-12
         assert e.residual < 1e-10 and full < 1e-10
-        sector_max = max(res for _, _, res in eigensystems(h)[0])
+        sector_max = max(res for _, _, res in eigensystems(h, lambda *block: None))
         assert sector_max == e.residual
 
 
@@ -332,23 +334,61 @@ def test_real_ring_solves_each_plus_minus_k_pair_once(n, monkeypatch):
         assert calls == ["eigvalsh"] * solves
         assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h.to_dense()))) < 1e-10
         calls.clear()
-        assert [s.k for s, _, _ in eigensystems(h)[0]] == order
+        assert [s.k for s, _, _ in eigensystems(h, lambda *block: None)] == order
         assert calls == ["eigh"] * solves
-    vals = {s.k: v for s, v, _ in eigensystems(real, want_vectors=False)[0]}
+    vals = {s.k: v for s, v, _ in eigensystems(real)}
     for k in range(1, (n + 1) // 2):
         assert np.array_equal(vals[k], vals[n - k])
 
 
 def test_values_only_sectors_use_eigvalsh(monkeypatch):
-    """The eigenvalues-only path never calls ``eigh``, which also forms the eigenvectors."""
+    """With no ``each`` neither path calls ``eigh``, which also forms the eigenvectors: the sectors of an invariant ring, or the one dense block of any other."""
     def refuse(*args, **kwargs):
         raise AssertionError("eigh called on the eigenvalues-only path")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    solved, consumed = eigensystems(build_ba(0.5, 0.25, 7), want_vectors=False)
-    assert all(res == 0.0 for _, _, res in solved)
-    assert all(vecs is None for blocks in consumed for _, _, vecs in blocks)
-    assert joint_eigenbasis(build_ba(0.5, 0.25, 7)).size == 128
+    for h, sectors in ((build_ba(0.5, 0.25, 7), 7), (sample_random("nn", 7, 0), 1)):
+        solved = eigensystems(h)
+        assert len(solved) == sectors and all(res == 0.0 for _, _, res in solved)
+        assert joint_eigenbasis(h).size == 128
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_runs_on_the_thread_that_built_its_block_before_it_builds_another(monkeypatch, cpus):
+    """``each`` gets a block, then its mirror, on the thread that built it, before that thread builds its next block.
+
+    Every sector is handed to ``each`` once, at the index of its first state
+    in the concatenation of ``solved``, with the worker count of the run.
+    """
+    events, handed, runs = {}, [], _counting_runs(monkeypatch, cpus)
+    momentum_blocks = symmetry._momentum_blocks
+
+    def recording_blocks(h):
+        sectors, block = momentum_blocks(h)
+
+        def recording_block(sector):
+            events.setdefault(threading.get_ident(), []).append(("block", sector.k))
+            return block(sector)
+
+        return sectors, recording_block
+
+    def each(first, sector, vecs, workers):
+        events.setdefault(threading.get_ident(), []).append(("each", sector.k))
+        handed.append((first, sector.k, vecs.shape, workers))
+
+    monkeypatch.setattr(symmetry, "_momentum_blocks", recording_blocks)
+    n = 8
+    for h in (build_ba(0.5, 0.25, n), sample_random("invariant", n, 5)):
+        for recorded in (events, handed, runs):
+            recorded.clear()
+        solved = eigensystems(h, each)
+        [workers] = runs
+        firsts = np.cumsum([0] + [s.dim for s, _, _ in solved[:-1]]).tolist()
+        assert sorted(handed) == [(f, s.k, (s.dim, s.dim), workers) for f, (s, _, _) in zip(firsts, solved)]
+        for seen in events.values():
+            built = [k for kind, k in seen if kind == "block"]
+            mirrors = [[k] + ([n - k] if h.is_real and 0 < 2 * k < n else []) for k in built]
+            assert seen == [event for ks in mirrors for event in [("block", ks[0])] + [("each", k) for k in ks]]
 
 
 def _counting_runs(monkeypatch, cpus):
@@ -393,7 +433,7 @@ def test_failed_sector_solve_is_raised_after_every_worker_with_blas_restored(mon
     try:
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="sector eigensolver failed for n=8, k=4"):
-            eigensystems(h)
+            eigensystems(h, lambda *block: None)
         assert threading.active_count() == threads and get() == 2
     finally:
         set_(old)
