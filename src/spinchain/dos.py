@@ -106,6 +106,18 @@ class EmpiricalDistribution:
         """Whether :func:`ks_distance` is exact: at most 2^EXACT_CAP values."""
         return self.count <= 1 << EXACT_CAP
 
+    @cached_property
+    def _distinct(self):
+        """``(values, below, offsets, weights)``, from one pass over each sorted set: the distinct values of ``low``,
+        with ``below[r]`` the number of values of ``low`` before value r and ``len(low)`` last, and the distinct
+        offsets with their multiplicities. NaN is not equal to itself, so every NaN is its own entry."""
+        def firsts(a):
+            return np.flatnonzero(np.concatenate([[True], a[1:] != a[:-1]]))
+
+        below, starts = firsts(self.low), firsts(self.offsets)
+        return (self.low[below], np.append(below, len(self.low)), self.offsets[starts],
+                np.diff(starts, append=len(self.offsets)))
+
     def count_below(self, points):
         """``#{o + v < x}`` at each x of ``points`` (any order, repeats allowed, no NaN), from :func:`_ranks` of runs of sorted offsets.
 
@@ -114,21 +126,24 @@ class EmpiricalDistribution:
         nothing counts.) A run is ``RANKS_BATCH // widest range`` consecutive offsets, one at least, and spans
         the grid from the least first to the greatest last point of their ranges, with no assumption on their
         order (``o + low[0]`` is not monotone in o where it is NaN); past it every value of the run counts. The
-        span is cut along the grid into calls of at most ``RANKS_BATCH`` thresholds.
+        span is cut along the grid into calls of at most ``RANKS_BATCH`` thresholds. The offsets and the values
+        searched are the distinct ones (:attr:`_distinct`), each weighted by its multiplicity: equal floats v give
+        equal ``fl(o + v)``, so a tie group counts all or nothing.
         """
+        offsets, weights = self._distinct[2:]
         grid, where = np.unique(points, return_inverse=True)
-        firsts = np.searchsorted(grid, self.low[0] + self.offsets, side="right")
-        lasts = np.searchsorted(grid, self.low[-1] + self.offsets, side="right")
+        firsts = np.searchsorted(grid, self.low[0] + offsets, side="right")
+        lasts = np.searchsorted(grid, self.low[-1] + offsets, side="right")
         width = max(1, RANKS_BATCH // int(np.max(lasts - firsts, initial=1)))
         step = RANKS_BATCH // width
-        starts = np.arange(0, len(self.offsets), width)
+        starts = np.arange(0, len(offsets), width)
         los, his = np.minimum.reduceat(firsts, starts).tolist(), np.maximum.reduceat(lasts, starts).tolist()
         tails = np.zeros(len(grid) + 1, dtype=np.int64)
-        np.add.at(tails, his, np.diff(starts, append=len(self.offsets)))
+        np.add.at(tails, his, np.add.reduceat(weights, starts))
         calls = [(s, s + width, c, min(c + step, hi)) for s, lo, hi in zip(starts.tolist(), los, his)
                  for c in range(lo, hi, step)]
         cum = np.cumsum(tails[:-1]) * len(self.low)
-        cum += _count_calls(self.low, self.offsets, grid, calls)
+        cum += _count_calls(*self._distinct, grid, calls)
         return cum[where]
 
     def cdf(self, xs):
@@ -139,9 +154,10 @@ class EmpiricalDistribution:
         return self.count_below(np.nextafter(xs, np.inf)) / self.count
 
 
-def _count_calls(low, offsets, grid, calls):
+def _count_calls(values, below, offsets, weights, grid, calls):
     """The counts below ``grid`` of the :func:`_ranks` calls ``(s, e, lo, hi)``: offsets s..e-1 at grid points lo..hi-1.
 
+    The arrays are :attr:`EmpiricalDistribution._distinct`; a call adds ``weights[s:e] @ below[ranks]``.
     The calls are dealt round-robin to one worker per CPU (:func:`parallel.run`); numpy releases the GIL in
     the searches, gathers and compares of :func:`_ranks`. Each worker adds into its own int64 counts, summed
     in place, so the sum does not depend on the dealing.
@@ -152,7 +168,7 @@ def _count_calls(low, offsets, grid, calls):
     def work(w):
         part = np.zeros(len(grid), dtype=np.int64)
         for s, e, lo, hi in calls[w::workers]:
-            part[lo:hi] += _ranks(low, offsets[s:e, None], grid[lo:hi]).sum(axis=0)
+            part[lo:hi] += weights[s:e] @ below[_ranks(values, offsets[s:e, None], grid[lo:hi])]
         parts[w] = part
 
     parallel.run(workers, work)

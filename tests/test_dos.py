@@ -300,6 +300,7 @@ SUM_SET_ELEMENTS = st.one_of(
     st.lists(SUM_SET_ELEMENTS, min_size=1, max_size=7),
 )
 @example([-np.inf, 0.0, 2.0], [np.inf, -0.5])  # inf + -inf is NaN in front of the unsorted block
+@example([1.0, 1.0, 1.0, 2.0, -np.inf, np.nan], [0.5, 0.5, 0.0, np.inf])  # tie groups of values and offsets
 def test_count_below_of_sum_set_matches_materialised(cpus, ranks_batch, values, offsets):
     """``count_below`` and ``cdf`` of the sum-set equal ``searchsorted`` of its materialised sorted values.
 
@@ -357,6 +358,26 @@ def test_ranks_step_over_the_guess_where_the_threshold_rounds_wrong():
         for o, row in zip(column, rows):
             assert np.array_equal(row, dos._ranks(d.low, o, grid))
     assert under and over  # the guess alone is wrong in both directions
+
+
+def test_count_below_searches_each_distinct_value_and_offset_once(monkeypatch):
+    """At exyz n = 20 the mirror-paired mode energies make the 2^18 values of ``low`` only 56,970 distinct ones.
+    Each :func:`dos._ranks` call of ``count_below`` searches those, strictly increasing, at offsets with no repeat
+    (also where the offsets repeat), and the 4097 counts are those of the 2^20 materialised values."""
+    ranks, seen = dos._ranks, []
+
+    def recorded(low, o, x):
+        seen.append((low, np.ravel(o)))
+        return ranks(low, o, x)
+
+    monkeypatch.setattr(dos, "_ranks", recorded)
+    d = _exyz_distribution(20, 0.5)
+    assert np.array_equal(d.count_below(GRID), _materialised_counts(sum_set_values(d.low, d.offsets), GRID))
+    assert seen and all(np.array_equal(low, np.unique(d.low)) for low, _ in seen)
+    assert len(seen[0][0]) == 56_970 < len(d.low) == 1 << 18 and np.all(np.diff(seen[0][0]) > 0)
+    tied = EmpiricalDistribution.from_sum_set(np.arange(8.0), [0.5, 0.0, 0.5, 0.5])
+    assert list(tied.count_below(np.array([0.5, 1.0, 9.0]))) == [1, 4, 32]
+    assert all(np.all(np.diff(o) > 0) for _, o in seen) and np.array_equal(seen[-1][1], [0.0, 0.5])
 
 
 def test_count_below_raises_the_error_of_a_worker_thread(monkeypatch):
